@@ -46,7 +46,6 @@ from .specfun import (Params, ft_riesz_coefficient, lieb_constant_C, lieb_consta
 
 __all__ = ["main", "console_main", "load_report"]
 
-_POSITIVE_VERDICTS = {"Verified", "Convergent", "Converged", "Computed"}
 _FAILURE_VERDICTS = {"Refuted", "Diverged", "NonPositive", "Inconclusive", "Failed"}
 
 
@@ -285,24 +284,19 @@ def _run_solve(args, params, quad):
 # argument plumbing
 
 def _add_common(sub):
-    sub.add_argument("--n", type=int, default=None, help="space dimension")
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
+    sub.add_argument("--n", type=int, default=1, help="space dimension")
+    sub.add_argument("--lambda", dest="lam", type=float, default=0.5,
                      help="kernel exponent in (0, n)")
-    sub.add_argument("--rel-tol", type=float, default=None)
-    sub.add_argument("--abs-tol", type=float, default=None)
-    sub.add_argument("--tolerance", type=float, default=None)
+    sub.add_argument("--rel-tol", type=float, default=1e-9)
+    sub.add_argument("--abs-tol", type=float, default=1e-14)
+    sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--out", default=None, help="write the JSON report here")
-    sub.add_argument("--no-timestamp", action="store_true", default=None)
+    sub.add_argument("--no-timestamp", action="store_true")
     sub.add_argument("--config", default=None, help="key=value defaults file")
 
 
-_DEFAULTS = {
-    "n": 1, "lam": 0.5, "rel_tol": 1e-9, "abs_tol": 1e-14, "tolerance": 1e-6,
-    "no_timestamp": False, "zero_tolerance": 1e-8,
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="liebeq",
         description="Verification toolkit for the weakly singular convolution equation")
@@ -333,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=int, default=0)
     sub.add_argument("--form-lambda", default="d1")
     sub.add_argument("--form-omega", default="d1")
-    sub.add_argument("--zero-tolerance", type=float, default=None)
+    sub.add_argument("--zero-tolerance", type=float, default=1e-8)
 
     sub = subs.add_parser("corollary", help="order-zero cross identity")
     _add_common(sub)
@@ -368,36 +362,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scheme", choices=("newton", "direct"), default="newton")
     sub.add_argument("--init", type=float, default=1.0)
 
-    return parser
+    return parser, subs.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from built-in defaults."""
-    file_values = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"bad config line {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key == "lambda":  # reserved word; the parser dest is lam
-                    key = "lam"
-                file_values[key] = value.strip()
-    for key, value in file_values.items():
-        if getattr(args, key, None) is None:
-            current_default = _DEFAULTS.get(key)
-            caster = type(current_default) if current_default is not None else str
-            if caster is bool:
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, caster(value))
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, value)
+def _read_config(path: str, options: dict) -> dict:
+    """Config-file values by option dest.
+
+    options maps each dest of the subcommand's parser to its action; a key
+    must name one of them, and its value is converted by that option's own
+    type.
+    """
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise _UsageError(f"bad config line {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key == "lambda":  # reserved word; the parser dest is lam
+                key = "lam"
+            action = options.get(key)
+            if action is None or key in ("help", "config"):
+                raise _UsageError(f"unknown config key {key!r} for this subcommand")
+            value = value.strip()
+            if action.nargs == 0:  # on/off flag
+                value = value.lower() in ("1", "true", "yes")
+            elif action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError as exc:
+                    raise _UsageError(f"bad value {value!r} for config key {key!r}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise _UsageError(f"bad value {value!r} for config key {key!r}")
+            values[key] = value
+    return values
 
 
 _HANDLERS = {
@@ -414,13 +415,17 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     """Entry point; returns the exit code (0/1/2/3 as documented above)."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _apply_config(args)
+        if args.config:
+            # config values become the parser's defaults, so explicit flags win
+            sub = subparsers[args.subcommand]
+            sub.set_defaults(**_read_config(args.config, {a.dest: a for a in sub._actions}))
+            args = parser.parse_args(argv)
         params = Params(args.n, args.lam)
         quad = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
         inputs, results, tolerances, errs = _HANDLERS[args.subcommand](args, params, quad)

@@ -32,6 +32,7 @@ import numpy as np
 from . import quadrature
 from .quadrature import QuadratureSpec, ScreenResult, SingularityBudget, convergence_screen
 from .radial_riesz import GRID_SAMPLED, POWER_SINGULAR, RadialProfile
+from .solutions import INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify
 from .specfun import Params, sphere_surface_area
 
 __all__ = [
@@ -52,11 +53,6 @@ __all__ = [
     "INCONCLUSIVE",
     "NOT_APPLICABLE",
 ]
-
-VERIFIED = "Verified"
-REFUTED = "Refuted"
-INCONCLUSIVE = "Inconclusive"
-NOT_APPLICABLE = "NotApplicable"
 
 MAX_DERIVATIVE_ORDER = 6
 
@@ -228,20 +224,6 @@ def _fd_derivative(func, x: np.ndarray, index: MultiIndex) -> float:
     return recurse(np.atleast_1d(np.asarray(x, dtype=float)), index.components)
 
 
-def _derivative_1d(descriptor, x, order: int):
-    """k-th line derivative of a profile descriptor, analytic when closed-form."""
-    if isinstance(descriptor, RadialProfile) and descriptor.kind != GRID_SAMPLED:
-        return descriptor.derivative_1d(x, order)
-    func = descriptor.value if isinstance(descriptor, RadialProfile) else descriptor
-    idx = MultiIndex((order,))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(descriptor, RadialProfile):
-        out = np.array([_fd_derivative(lambda t: func(abs(t)), xi, idx) for xi in xs])
-    else:
-        out = np.array([_fd_derivative(func, xi, idx) for xi in xs])
-    return out if np.ndim(x) else float(out[0])
-
-
 def apply_form(form: DifferentialForm, f, x):
     """Evaluate (sum_a coeff_a D_a f)(x).
 
@@ -290,25 +272,20 @@ class SolutionDescriptor:
     params: Params
     label: str = ""
 
+    def _side(self, side: str) -> RadialProfile:
+        return self.base if side == "base" else self.power
+
     def deriv(self, side: str, x, order: int):
-        profile = self.base if side == "base" else self.power
-        return profile.derivative_1d(x, order)
+        return self._side(side).derivative_1d(x, order)
 
     def zero_exponent(self, side: str, order: int) -> float:
-        profile = self.base if side == "base" else self.power
-        if profile.kind == POWER_SINGULAR:
-            return -(profile.exponent + order)
-        return 0.0  # bounded at the origin, derivatives included
+        exponent = self._side(side).exponent_at_zero()
+        # each derivative costs one power at a singular origin; a profile
+        # bounded there stays bounded, derivatives included
+        return exponent - order if exponent < 0.0 else 0.0
 
     def infinity_exponent(self, side: str, order: int) -> float:
-        profile = self.base if side == "base" else self.power
-        if profile.kind == POWER_SINGULAR:
-            return -(profile.exponent + order)
-        return -(2.0 * profile.exponent + order)
-
-    @property
-    def even(self) -> bool:
-        return True  # both closed-form families are even in x
+        return self._side(side).exponent_at_infinity() - order
 
 
 def solution_descriptor(profile: RadialProfile, params: Params,
@@ -324,6 +301,8 @@ def solution_descriptor(profile: RadialProfile, params: Params,
 
 @dataclass(frozen=True)
 class _PairResult:
+    """A certified integral (or sum of term-pair integrals) with its screen."""
+
     value: float
     error: float
     screen: ScreenResult
@@ -440,13 +419,7 @@ def _equality_report(identity_id: str, description: str,
     a, b = lhs_sign * lhs.value, rhs_sign * rhs.value
     denom = max(abs(a), abs(b), abs_floor)
     gap = abs(a - b) / denom
-    rel_err = (lhs.error + rhs.error) / denom
-    if gap <= tolerance:
-        verdict = VERIFIED
-    elif gap > 10.0 * tolerance and rel_err <= gap / 10.0:
-        verdict = REFUTED
-    else:
-        verdict = INCONCLUSIVE
+    verdict = certify(gap, [(lhs.error + rhs.error) / denom], tolerance)
     return IdentityReport(identity_id, description, a, b, lhs.screen, gap, verdict,
                           tolerance, abs_floor,
                           parity_forced=lhs.parity_forced and rhs.parity_forced,
@@ -466,13 +439,7 @@ def _zero_report(identity_id: str, description: str,
     a = lhs.value
     b = rhs.value if rhs is not None else 0.0
     worst = max(abs(v) for v in (a, b))
-    err = max(s.error for s in sides)
-    if worst <= tolerance:
-        verdict = VERIFIED
-    elif worst > 10.0 * tolerance and err <= worst / 10.0:
-        verdict = REFUTED
-    else:
-        verdict = INCONCLUSIVE
+    verdict = certify(worst, [s.error for s in sides], tolerance)
     conditioning = max(s.conditioning for s in sides if s.conditioning is not None) \
         if any(s.conditioning is not None for s in sides) else None
     return IdentityReport(identity_id, description, a, b, lhs.screen, worst, verdict,
@@ -540,21 +507,10 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
                             lhs_sign=(-1.0) ** b, rhs_sign=(-1.0) ** a)
 
 
-@dataclass(frozen=True)
-class _FormIntegral:
-    """Sum of certified term-pair integrals for form(f_side) * form(g_side)."""
-    value: float
-    error: float
-    screen: ScreenResult
-    parity_forced: bool
-
-    def as_pair(self) -> _PairResult:
-        return _PairResult(self.value, self.error, self.screen, self.parity_forced)
-
-
 def _form_pair_integral(lam_form: DifferentialForm, f: SolutionDescriptor, f_side: str,
                         omega_form: DifferentialForm, g: SolutionDescriptor, g_side: str,
-                        params: Params, quad: QuadratureSpec) -> _FormIntegral:
+                        params: Params, quad: QuadratureSpec) -> _PairResult:
+    """Sum of certified term-pair integrals for form(f_side) * form(g_side)."""
     value = 0.0
     error = 0.0
     forced = True
@@ -564,13 +520,13 @@ def _form_pair_integral(lam_form: DifferentialForm, f: SolutionDescriptor, f_sid
             b = idx_g.components[0] if params.n == 1 else idx_g.order
             part = _pair_integral(g, g_side, b, f, f_side, a, params, quad)
             if not part.screen:
-                return _FormIntegral(math.nan, math.nan, part.screen, part.parity_forced)
+                return _PairResult(math.nan, math.nan, part.screen, part.parity_forced)
             value += cf * cg * part.value
             error += abs(cf * cg) * part.error
             forced = forced and part.parity_forced
     if not lam_form.terms or not omega_form.terms:
-        return _FormIntegral(0.0, 0.0, ScreenResult(True), True)
-    return _FormIntegral(value, error, ScreenResult(True), forced)
+        return _PairResult(0.0, 0.0, ScreenResult(True), True)
+    return _PairResult(value, error, ScreenResult(True), forced)
 
 
 def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
@@ -594,7 +550,7 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
 
     def pair(form_a, desc_a, side_a, form_b, desc_b, side_b):
         return _form_pair_integral(form_a, desc_a, side_a,
-                                   form_b, desc_b, side_b, params, quad).as_pair()
+                                   form_b, desc_b, side_b, params, quad)
 
     if not same:
         lhs = pair(lam_form, f, "base", omega_form, g, "power")
@@ -606,16 +562,16 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     else:
         A = pair(lam_form, f, "base", omega_form, f, "power")
         B = pair(lam_form, f, "power", omega_form, f, "base")
-        C_ee = _form_pair_integral(lam_e, f, "base", om_e, f, "power", params, quad)
-        C_oo = _form_pair_integral(lam_o, f, "base", om_o, f, "power", params, quad)
-        D_ee = _form_pair_integral(lam_e, f, "power", om_e, f, "base", params, quad)
-        D_oo = _form_pair_integral(lam_o, f, "power", om_o, f, "base", params, quad)
+        C_ee = pair(lam_e, f, "base", om_e, f, "power")
+        C_oo = pair(lam_o, f, "base", om_o, f, "power")
+        D_ee = pair(lam_e, f, "power", om_e, f, "base")
+        D_oo = pair(lam_o, f, "power", om_o, f, "base")
 
-        def combine(x: _FormIntegral, y: _FormIntegral) -> _PairResult:
+        def combine(x: _PairResult, y: _PairResult) -> _PairResult:
             if not x.screen:
-                return x.as_pair()
+                return x
             if not y.screen:
-                return y.as_pair()
+                return y
             return _PairResult(x.value + y.value, x.error + y.error,
                                ScreenResult(True), x.parity_forced and y.parity_forced)
 

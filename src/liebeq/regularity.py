@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .identities import _central_weights
 from .radial_riesz import GRID_SAMPLED, RadialProfile
 from .specfun import Params
 
@@ -154,11 +155,7 @@ def _derivative_on_line(u, x: np.ndarray, order: int, G: Domain1D):
     if order == 0:
         return np.asarray([func(xi) for xi in x], dtype=float)
     halfwidth = order // 2 + 2
-    offsets = np.arange(-halfwidth, halfwidth + 1, dtype=float)
-    v = np.vander(offsets, increasing=True).T
-    rhs = np.zeros(len(offsets))
-    rhs[order] = math.factorial(order)
-    weights = np.linalg.solve(v, rhs)
+    offsets, weights = _central_weights(order, halfwidth)
     eps = np.finfo(float).eps
     out = np.empty_like(x)
     for i, xi in enumerate(x):
@@ -216,15 +213,6 @@ def weighted_norm(u, m: int, nu: float, G: Domain1D,
 # ---------------------------------------------------------------------------
 # kernel condition checks
 
-def _power_kernel_derivative(lam: float, t, order: int):
-    """Exact d^k/dx^k |x-y|^(-lam) as a function of t = x - y."""
-    t = np.asarray(t, dtype=float)
-    coef = 1.0
-    for j in range(order):
-        coef *= -(lam + j)
-    return coef * np.abs(t) ** (-lam - order) * np.sign(t) ** order
-
-
 @dataclass(frozen=True)
 class KernelGrowthReport:
     """Growth-inequality data for the power kernel in one dimension.
@@ -262,13 +250,14 @@ def kernel_growth_check(params: Params, m: int, sample_count: int = 50,
     gap = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), sample_count))
     y = x - np.where(rng.uniform(size=sample_count) < 0.5, gap, -gap)
 
+    kernel = RadialProfile.power_singular(1.0, lam)  # |t|^(-lam), t = x - y
     orders = tuple(range(m + 1))
     empirical, analytic = [], []
     for k in orders:
         coef = 1.0
         for j in range(k):
             coef *= lam + j
-        ratios = np.abs(_power_kernel_derivative(lam, x - y, k)) * np.abs(x - y) ** (lam + k)
+        ratios = np.abs(kernel.derivative_1d(x - y, k)) * np.abs(x - y) ** (lam + k)
         empirical.append(float(np.max(ratios)))
         analytic.append(coef)
     deviation = max(abs(e - a) / max(abs(a), 1.0)

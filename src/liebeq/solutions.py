@@ -26,20 +26,37 @@ __all__ = [
     "VERIFIED",
     "REFUTED",
     "INCONCLUSIVE",
+    "NOT_APPLICABLE",
+    "certify",
 ]
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
+NOT_APPLICABLE = "NotApplicable"
+
+
+def certify(gap: float, errors, tolerance: float) -> str:
+    """The verdict rule shared by every certified check.
+
+    Verified when the gap is within tolerance; Refuted only when the gap
+    exceeds 10x tolerance and every error estimate is at most a tenth of
+    the gap, so integration noise never passes for a refutation (a NaN gap
+    or error is Inconclusive); Inconclusive otherwise.
+    """
+    if gap <= tolerance:
+        return VERIFIED
+    if gap > 10.0 * tolerance and all(e <= gap / 10.0 for e in errors):
+        return REFUTED
+    return INCONCLUSIVE
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Outcome of checking (Tf)(r) = f(r)^(p-1) on a set of radii.
 
-    Refuted requires the residual to exceed 10x tolerance with every
-    quadrature error estimate at least 10x smaller than the residual, so a
-    poorly converged integral can never masquerade as a refutation.
+    The verdict applies certify to the largest relative residual and the
+    relative quadrature error estimates.
     """
 
     params: Params
@@ -92,13 +109,6 @@ def verify_solution(f: RadialProfile, params: Params, radii,
     max_rel = max(rel_residuals)
     rel_errs = [e / abs(b) for e, b in zip(errs, rhs)]
 
-    if max_rel <= tolerance:
-        verdict = VERIFIED
-    elif max_rel > 10.0 * tolerance and all(re <= max_rel / 10.0 for re in rel_errs):
-        verdict = REFUTED
-    else:
-        verdict = INCONCLUSIVE
-
     return ResidualReport(
         params=params,
         sample_radii=radii,
@@ -107,5 +117,5 @@ def verify_solution(f: RadialProfile, params: Params, radii,
         err_estimates=tuple(errs),
         max_rel_residual=max_rel,
         tolerance=float(tolerance),
-        verdict=verdict,
+        verdict=certify(max_rel, rel_errs, tolerance),
     )

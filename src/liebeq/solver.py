@@ -154,40 +154,41 @@ def graded_grid(a: float, b: float, count: int, exponent: float) -> np.ndarray:
     return a + (b - a) * g
 
 
-def _kernel_antiderivatives(lam: float):
-    def P(t):
-        return np.sign(t) * np.abs(t) ** (1.0 - lam) / (1.0 - lam)
+def moment_matrix(x: np.ndarray, points, lam: float) -> np.ndarray:
+    """M with (M u)_i = int_G |points_i - s|^(-lam) u_h(s) ds, u_h the
+    piecewise-linear interpolant of nodal values u on the grid x.
 
-    def Q(t):
-        return np.abs(t) ** (2.0 - lam) / (2.0 - lam)
+    The kernel moments int |t-s|^(-lam) {1, s} ds are exact per panel, so
+    the singularity at s = t is never sampled, on or off the nodes.
+    Requires 0 < lam < 1 (the one-dimensional window).
+    """
+    if not 0.0 < lam < 1.0:
+        raise ValueError("product integration needs 0 < lam < 1")
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(points, dtype=float)[:, None]
+    A, B = x[:-1], x[1:]
+    h = B - A
 
-    return P, Q
+    def P(d):
+        return np.sign(d) * np.abs(d) ** (1.0 - lam) / (1.0 - lam)
+
+    def Q(d):
+        return np.abs(d) ** (2.0 - lam) / (2.0 - lam)
+
+    m0 = P(B - t) - P(A - t)
+    m1 = t * m0 + Q(B - t) - Q(A - t)
+    M = np.zeros((t.shape[0], len(x)))
+    # node j's hat function rises as (s - A)/h on the panel to its left and
+    # falls as (B - s)/h on the panel to its right
+    M[:, 1:] += (-A / h) * m0 + (1.0 / h) * m1
+    M[:, :-1] += (B / h) * m0 + (-1.0 / h) * m1
+    return M
 
 
 def product_integration_matrix(x: np.ndarray, lam: float) -> np.ndarray:
-    """W with (W u)_i = int_G |x_i - s|^(-lam) u_h(s) ds for piecewise-linear
-    u_h; panel moments are exact, so the diagonal singularity never gets
-    sampled.  Requires 0 < lam < 1 (the one-dimensional window)."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("product integration needs 0 < lam < 1")
-    P, Q = _kernel_antiderivatives(lam)
-    N = len(x)
-    W = np.zeros((N, N))
-    for j in range(N):
-        panels = []
-        if j > 0:
-            A, B = x[j - 1], x[j]
-            h = B - A
-            panels.append((A, B, -A / h, 1.0 / h))   # rising flank (s - A)/h
-        if j < N - 1:
-            A, B = x[j], x[j + 1]
-            h = B - A
-            panels.append((A, B, B / h, -1.0 / h))   # falling flank (B - s)/h
-        for A, B, c0, c1 in panels:
-            m0 = P(B - x) - P(A - x)
-            m1 = x * m0 + Q(B - x) - Q(A - x)
-            W[:, j] += c0 * m0 + c1 * m1
-    return W
+    """W with (W u)_i = int_G |x_i - s|^(-lam) u_h(s) ds: the moment matrix
+    at the grid nodes.  Requires 0 < lam < 1."""
+    return moment_matrix(x, x, lam)
 
 
 def _relative_residual(W: np.ndarray, u: np.ndarray, pm1: float) -> float:
@@ -313,26 +314,9 @@ def residual_on_points(solution: GridSolution1D, points) -> float:
     """Max relative residual |T_G u_h - u_h^(p-1)| / |u_h^(p-1)| at arbitrary
     probe points, with u_h the piecewise-linear grid interpolant and T_G u_h
     evaluated exactly through the panel moments."""
-    params = solution.params
-    lam = params.lam
-    pm1 = params.pm1
     x = np.asarray(solution.x)
     u = np.asarray(solution.values)
-    P, Q = _kernel_antiderivatives(lam)
-    worst = 0.0
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    lin = lambda t: np.interp(t, x, u)
-    for xp in pts:
-        acc = 0.0
-        for j in range(len(x) - 1):
-            A, B = x[j], x[j + 1]
-            h = B - A
-            uA, uB = u[j], u[j + 1]
-            c1 = (uB - uA) / h
-            c0 = uA - c1 * A
-            m0 = P(B - xp) - P(A - xp)
-            m1 = xp * m0 + Q(B - xp) - Q(A - xp)
-            acc += c0 * m0 + c1 * m1
-        rhs = float(lin(xp)) ** pm1
-        worst = max(worst, abs(acc - rhs) / abs(rhs))
-    return worst
+    lhs = moment_matrix(x, pts, solution.params.lam) @ u
+    rhs = np.interp(pts, x, u) ** solution.params.pm1
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs), initial=0.0))

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +177,63 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("what is this\n")
         assert main(["constants", "--config", str(cfg)]) == 2
+
+    def test_config_value_takes_the_option_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold=1e3\n")
+        out = tmp_path / "out.json"
+        code = main(["scan", "--config", str(cfg), "--no-timestamp",
+                     "--out", str(out)])
+        assert code == 0
+        assert load_report(str(out))["inputs"]["threshold"] == 1000.0
+
+    def test_config_reaches_options_with_parser_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-size=33\n")
+        out = tmp_path / "out.json"
+        assert main(["solve", "--config", str(cfg), "--no-timestamp",
+                     "--out", str(out)]) == 0
+        assert len(load_report(str(out))["results"][0]["x"]) == 33
+
+    @pytest.mark.parametrize("command,line", [("constants", "lamda=0.7"),
+                                              ("constants", "threshold=1e3"),
+                                              ("solve", "grid_size=abc")])
+    def test_unknown_key_or_bad_value_is_usage_error(self, tmp_path, capsys,
+                                                     command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "config key" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the README's CLI invocations; the golden files hold their --no-timestamp
+# output, so any change to a printed number or key shows up byte for byte.
+# After an intended change, regenerate a file with
+#   liebeq <arguments> --no-timestamp > tests/golden/<name>.json
+README_INVOCATIONS = {
+    "constants": ["constants", "--n", "4", "--lambda", "2"],
+    "verify_singular": ["verify-solution", "--which", "singular", "--n", "1",
+                        "--lambda", "0.5", "--radii", "0.5,1,2,5"],
+    "corollary": ["corollary", "--n", "3", "--lambda", "1"],
+    "identity_orthogonality": ["identity", "--kind", "orthogonality", "--f", "lieb",
+                               "--alpha", "1", "--beta", "0", "--n", "1",
+                               "--lambda", "0.5"],
+    "identity_composite": ["identity", "--kind", "composite", "--f", "lieb",
+                           "--g", "lieb", "--form-lambda", "d1 + d11",
+                           "--form-omega", "d1 + d11"],
+    "regularity_kernel_growth": ["regularity", "--check", "kernel-growth", "--m", "4",
+                                 "--n", "1", "--lambda", "0.5"],
+    "scan_singular": ["scan", "--which", "singular", "--n", "1", "--lambda", "0.5"],
+    "solve": ["solve", "--a", "-1", "--b", "1", "--lambda", "0.5",
+              "--grid-size", "201"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+def test_readme_invocation_matches_golden_bytes(name, capsys):
+    code = main(README_INVOCATIONS[name] + ["--no-timestamp"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()

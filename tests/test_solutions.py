@@ -3,8 +3,8 @@ import math
 import pytest
 
 from liebeq.radial_riesz import RadialProfile, ScreenRejected
-from liebeq.solutions import (INCONCLUSIVE, REFUTED, VERIFIED, lieb_solution,
-                              singular_solution, verify_solution)
+from liebeq.solutions import (INCONCLUSIVE, REFUTED, VERIFIED, certify,
+                              lieb_solution, singular_solution, verify_solution)
 from liebeq.specfun import Params, lieb_constant_L
 
 MATRIX = [(1, 0.25), (1, 0.5), (1, 0.75), (3, 1.0), (3, 2.0), (4, 2.0)]
@@ -51,6 +51,28 @@ class TestLiebSolution:
         p = Params(3, 1.0)
         rep = verify_solution(lieb_solution(p), p, [0.0, 1.0, 3.0], tolerance=1e-5)
         assert rep.verdict == VERIFIED
+
+
+class TestVerdictRule:
+    def test_gap_at_tolerance_is_verified(self):
+        assert certify(1e-6, [1.0], 1e-6) == VERIFIED
+
+    def test_large_gap_with_small_errors_is_refuted(self):
+        gap = 1e-4
+        assert certify(gap, [gap / 10.0, 1e-9], 1e-6) == REFUTED
+
+    def test_one_error_above_a_tenth_of_the_gap_is_inconclusive(self):
+        gap = 1e-4
+        above = math.nextafter(gap / 10.0, math.inf)
+        assert certify(gap, [1e-9, above], 1e-6) == INCONCLUSIVE
+
+    def test_nan_gap_is_inconclusive(self):
+        assert certify(math.nan, [0.0], 1e-6) == INCONCLUSIVE
+
+    def test_nan_error_is_inconclusive(self):
+        # with max() over the errors a leading finite value would hide the NaN
+        assert certify(1e-4, [1e-8, math.nan], 1e-6) == INCONCLUSIVE
+        assert certify(1e-4, [math.nan, 1e-8], 1e-6) == INCONCLUSIVE
 
 
 class TestVerifySolution:

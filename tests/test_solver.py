@@ -6,7 +6,7 @@ import pytest
 from liebeq.quadrature import QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
 from liebeq.solver import (Diverged, NonPositive, SolverConfig, graded_grid,
-                           picard_solve, product_integration_matrix,
+                           moment_matrix, picard_solve, product_integration_matrix,
                            residual_on_points)
 from liebeq.specfun import Params
 
@@ -38,18 +38,28 @@ class TestDiscretization:
 
     def test_matrix_against_quadrature(self):
         # independent oracle: the adaptive engine integrates the same
-        # piecewise-linear integrand
+        # piecewise-linear integrand, at nodes and at probes between them
         lam = 0.6
         x = graded_grid(-1.0, 1.0, 33, 1.5)
         W = product_integration_matrix(x, lam)
         u = 1.0 + x / 3.0
-        lin = lambda s: np.interp(s, x, u)
-        for i in (0, 7, 16, 28):
+
+        def oracle(t, values):
+            # the nodes split the range too: u_h has a kink at each of them
+            lin = lambda s: np.interp(s, x, values)
             spec = QuadratureSpec(split_points=tuple(
-                s for s in ([x[i]] if -1 < x[i] < 1 else [])))
-            val = integrate(lambda s: np.abs(x[i] - s) ** -lam * lin(s),
-                            -1.0, 1.0, spec).value
-            assert (W @ u)[i] == pytest.approx(val, rel=1e-7)
+                sorted({t, *x[1:-1]} - {-1.0, 1.0})))
+            return integrate(lambda s: np.abs(t - s) ** -lam * lin(s),
+                             -1.0, 1.0, spec).value
+
+        for i in (0, 7, 16, 28):
+            assert (W @ u)[i] == pytest.approx(oracle(x[i], u), rel=1e-7)
+        probes = np.array([x[0] + 0.1 * (x[1] - x[0]), 0.5 * (x[7] + x[8]),
+                           x[16] + 1e-3 * (x[17] - x[16]), 0.5 * (x[28] + x[29])])
+        M = moment_matrix(x, probes, lam)
+        for values in (u, np.cos(2.0 * x)):
+            for t, got in zip(probes, M @ values):
+                assert got == pytest.approx(oracle(t, values), rel=1e-7)
 
     def test_lambda_window(self):
         x = graded_grid(0.0, 1.0, 9, 1.0)
