@@ -6,10 +6,16 @@ endpoints and split points, and power-law tails on [a, inf).  Infinite
 tails are folded to a finite cell by the substitution t = 1/u, which turns
 a power tail into an algebraic endpoint singularity at u = 0.
 
-Integrands must be vectorized: f(x) for a float ndarray x returns an
+Panels are graded geometrically toward cell boundaries.  Next to a boundary
+x0 != 0 float spacing ends the grading at widths near eps*|x0|; the panels
+on both sides of x0 then become a settled zone, whose mass is the limit of
+a dyadic ladder's partial sums by Wynn's epsilon algorithm, as in QUADPACK's
+QAGS (Wynn 1956; Piessens et al. 1983).
+
+Integrands must be vectorized: f(x) for a float 1-D ndarray x returns an
 ndarray of the same shape.  Everything here is pure and deterministic;
-panel values are reduced left to right with math.fsum, so the result does
-not depend on refinement order.
+panel and zone values are summed with math.fsum, so the result does not
+depend on refinement order.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -142,6 +149,7 @@ def convergence_screen(budget: SingularityBudget) -> ScreenResult:
 
 _GRADING_RATIO = 0.25          # geometric grading toward singular endpoints
 _RULE_LO, _RULE_HI = 7, 15     # Gauss-Legendre pair for value/error estimation
+_EPS = float(np.finfo(float).eps)
 
 
 @lru_cache(maxsize=None)
@@ -184,179 +192,127 @@ class _Panel:
         return self.a + 0.5 * w
 
 
-def _refine(panels: list, f) -> bool:
-    """Split the worst panel in place; False when nothing can be refined.
+def _ladder(f, x0: float, side: int, depth: float):
+    """Masses and |G31 - G15| errors of f on ratio-2 rungs from x0 + side*depth
+    toward x0, outermost first.
 
-    The width floor scales with the panel's position only, so panels graded
-    toward an endpoint at exactly 0 can shrink indefinitely; resolution near
-    a nonzero location is limited by float spacing there.
+    The 8 to 60 rungs stop near sqrt(eps)*|x0|: closer in, x0 + d no longer
+    resolves the distance d, and the integrand's own arguments lose digits.
     """
-    worst = max(range(len(panels)), key=lambda i: (panels[i].error, -panels[i].a))
-    p = panels[worst]
-    width_floor = 8.0 * np.finfo(float).eps * max(abs(p.a), abs(p.b))
-    if p.b - p.a <= width_floor:
-        return False
-    cut = p.split_point()
-    left = _Panel(p.a, cut, p.left_singular, False)
-    right = _Panel(cut, p.b, False, p.right_singular)
-    left.evaluate(f)
-    right.evaluate(f)
-    panels[worst] = left
-    panels.insert(worst + 1, right)
-    return True
-
-
-def _geometric_tail_mass(f, x0: float, side: int, D: float):
-    """Resolve [x0, x0 + side*D] by a fresh pure-dyadic ladder plus the
-    Richardson-extrapolated geometric remainder.
-
-    Ladder panel k covers distances [D/4^(k+1), D/4^k]; below sqrt(eps)|x0|
-    the integrand's own argument cancellation corrupts values, so the ladder
-    stops there and the remaining inner mass is the tail of the observed
-    geometric value sequence.  The ratio is Richardson-corrected in the
-    dyadic distance (the local smooth factor drifts the raw ratios linearly
-    in distance, which quadruples per outward step), leaving a quadratic
-    residue.  Returns (mass, err_estimate) or None when the decay is not
-    geometric (not an algebraic endpoint singularity after all).
-    """
-    eps = float(np.finfo(float).eps)
-    d_floor = max(math.sqrt(eps) * abs(x0), 1e-280)
-    depth = max(6, min(60, int(math.log(D / d_floor, 4.0)))) \
-        if D > d_floor else 6
-    edges = D * 4.0 ** -np.arange(depth + 1, dtype=float)  # D, D/4, ...
-    # a sharper embedded pair than the main loop's: the ladder panel values
-    # must carry error estimates well below the global tolerance target
-    nodes_hi, w_hi = _gl_rule(31)
-    nodes_lo, w_lo = _gl_rule(15)
-    vals = np.empty(depth)
-    errs = np.empty(depth)
-    for k in range(depth):
-        lo, hi = edges[k + 1], edges[k]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    floor = max(math.sqrt(_EPS) * abs(x0), 1e-280)
+    count = min(max(int(math.log2(depth / floor)), 8), 60)
+    edges = depth * 0.5 ** np.arange(count + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    masses = []
+    for order in (31, 15):
+        nodes, weights = _gl_rule(order)
         with np.errstate(all="ignore"):
-            fx_hi = np.asarray(f(x0 + side * (mid + half * nodes_hi)), dtype=float)
-            fx_lo = np.asarray(f(x0 + side * (mid + half * nodes_lo)), dtype=float)
-        vals[k] = half * float(np.dot(w_hi, fx_hi))
-        errs[k] = abs(vals[k] - half * float(np.dot(w_lo, fx_lo)))
-    if not np.all(np.isfinite(vals)):
-        return None
-    total = math.fsum(vals)
-    gl_err = math.fsum(errs)
-
-    # ratio of consecutive panel masses, sampled at ~1e-5 D where drift is
-    # small but far above the noise floor
-    k_ref = min(max(int(round(math.log(1e5, 4.0))), 2), depth - 4)
-    v = vals[k_ref:k_ref + 4]
-    if np.any(v == 0.0) or len({math.copysign(1.0, x) for x in v}) != 1:
-        return None
-    ratios = [v[j + 1] / v[j] for j in range(3)]  # inner over outer, < 1
-    if not all(1e-8 < r < 0.97 for r in ratios):
-        return None
-    if max(ratios) - min(ratios) > 0.02 * ratios[0]:
-        return None
-    # Richardson toward distance zero (drift shrinks 4x per inward step)
-    rho = ratios[2] - (ratios[1] - ratios[2]) / 3.0
-    if not 1e-8 < rho < 0.97:
-        return None
-    drift = max(abs(ratios[0] - ratios[1]), abs(ratios[1] - ratios[2]))
-    tail = vals[-1] * rho / (1.0 - rho)
-    noise_rel = eps * abs(x0) / edges[-1] if x0 != 0.0 else eps
-    # quadratic Richardson residue is amplified through the geometric sum;
-    # the value-noise floor of the innermost panel enters only linearly
-    tail_err = abs(tail) * (5.0 * drift * drift / (3.0 * rho * rho * (1.0 - rho))
-                            + 4.0 * noise_rel + 1e-13)
-    return total + tail, gl_err + tail_err
+            fx = np.asarray(f(x0 + side * (mid[:, None] + half[:, None] * nodes).ravel()),
+                            dtype=float)
+        masses.append(half * (fx.reshape(count, order) @ weights))
+    return masses[0], np.abs(masses[0] - masses[1])
 
 
-def _ladder_extrapolate(panels: list, boundaries: Sequence[float], f) -> bool:
-    """Replace unresolvable singular zones at cell boundaries by fresh
-    geometric-ladder resolution with extrapolation (see _geometric_tail_mass).
+def _wynn_epsilon(partial_sums) -> tuple:
+    """Limit of a sequence by Wynn's epsilon algorithm (Wynn 1956).
 
-    Nonzero singular locations have a hard float resolution wall: integrand
-    arguments collapse onto the location at distances below eps * |x0|, so
-    no node-based rule can finish the job; the algebraic-singularity
-    contract justifies summing the remaining mass as a geometric tail.
-    Returns True if anything was replaced.
+    Each even column k >= 2 of the epsilon table accelerates the sequence;
+    the newest entry of the column whose newest two entries agree best is
+    the limit, and their spread its error.
     """
-    changed = False
-    cell_edges = sorted(boundaries)
-    for x0 in boundaries:
-        for inward in (1, -1):  # panels to the right of x0, then to the left
-            if inward == 1:
-                idx = [i for i, p in enumerate(panels) if p.a == x0]
-                above = [e for e in cell_edges if e > x0]
-                cell_limit = above[0] - x0 if above else math.inf
-            else:
-                idx = [i for i, p in enumerate(panels) if p.b == x0]
-                below = [e for e in cell_edges if e < x0]
-                cell_limit = x0 - below[-1] if below else math.inf
-            if not idx:
-                continue
-            k = idx[0]
-            # the replacement zone must end exactly at an existing panel edge;
-            # walk outward until the zone is deep enough to carry a ladder
-            target = max(1e-3 * cell_limit, 3e-5 * abs(x0))
-            zone = []
-            depth_reached = 0.0
-            j = k
-            while 0 <= j < len(panels):
-                p = panels[j]
-                edge = (p.b if inward == 1 else p.a)
-                dist = abs(edge - x0)
-                if dist > 0.6 * cell_limit:
-                    break
-                zone.append(p)
-                depth_reached = dist
-                if dist >= target:
-                    break
-                j += inward
-            if not zone or depth_reached < target:
-                continue
-            inner_err = math.fsum(p.error for p in zone)
-            inner_sum = math.fsum(p.value for p in zone)
-            result = _geometric_tail_mass(f, x0, inward, depth_reached)
-            if result is None:
-                continue
-            mass, err = result
-            # sanity: the replacement corrects the resolved mass, it must not
-            # contradict it wildly
-            if math.isfinite(inner_sum) and abs(mass - inner_sum) > \
-                    0.5 * abs(inner_sum) + inner_err + err:
-                continue
-            if not math.isfinite(inner_err) or err < inner_err:
-                for p in zone[1:]:
-                    p.value = 0.0
-                    p.error = 0.0
-                zone[0].value = mass
-                zone[0].error = err
-                changed = True
-    return changed
+    best = (math.nan, math.inf)
+    prev, col = np.zeros(len(partial_sums) + 1), np.asarray(partial_sums, dtype=float)
+    k = 0
+    while len(col) > 1:
+        with np.errstate(all="ignore"):
+            prev, col = col, prev[1:len(col)] + 1.0 / np.diff(col)
+        k += 1
+        if k % 2 == 0 and len(col) > 1:
+            spread = abs(col[-1] - col[-2])
+            if spread < best[1]:
+                best = (float(col[-1]), float(spread))
+    return best
+
+
+def _settle(f, panels: list, boundaries: Sequence[float], x0: float):
+    """Take the panels on both sides of the cell boundary x0 out of the panel
+    list and return their masses as (value, error) pairs, or None when a side
+    does not decay geometrically toward x0 (a divergent singularity).
+
+    A side's zone reaches from x0 to the first panel edge at least a quarter
+    of the neighbouring cell away.  Its mass is Wynn's limit of the ladder's
+    partial sums, its error the limit's spread plus the rung errors.  The
+    decay is checked on the inner half of the rungs, where a smooth factor
+    of the integrand no longer bends the ratios.
+    """
+    at = boundaries.index(x0)
+    zones, taken = [], []
+    for side in (-1, 1):
+        if not 0 <= at + side < len(boundaries):
+            continue
+        reach = 0.25 * abs(boundaries[at + side] - x0)
+        edge, depth = x0, 0.0
+        for i in range(len(panels))[::side]:
+            near, far = (panels[i].a, panels[i].b)[::side]
+            if depth < reach and near == edge:
+                taken.append(i)
+                edge, depth = far, abs(far - x0)
+        if depth == 0.0:
+            continue
+        masses, errors = _ladder(f, x0, side, depth)
+        inner = masses[len(masses) // 2:]
+        with np.errstate(all="ignore"):
+            ratios = inner[1:] / inner[:-1]
+        limit, spread = _wynn_epsilon(np.cumsum(masses))
+        if not (math.isfinite(spread) and np.all((ratios > 0) & (ratios < 0.97))):
+            return None
+        zones.append((limit, spread + math.fsum(errors)))
+    for i in sorted(taken, reverse=True):
+        del panels[i]
+    return zones
 
 
 def _integrate_cells(f, boundaries: Sequence[float], spec: QuadratureSpec) -> QuadResult:
-    """Adaptive integration over cells whose boundaries may all be singular."""
+    """Adaptive integration over cells whose boundaries may all be singular.
+
+    The worst panel is split until the error target is met.  A panel at the
+    float width floor cannot be split; when it touches a cell boundary, the
+    panels on both sides of that boundary become settled zones, summed by
+    _settle and never refined again.
+    """
     panels = []
     for a, b in zip(boundaries, boundaries[1:]):
         p = _Panel(a, b, True, True)
         p.evaluate(f)
         panels.append(p)
-    salvage_attempts = 0
+    settled = []
     while True:
-        total = math.fsum(p.value for p in panels)
-        err = math.fsum(p.error for p in panels)
+        total = math.fsum(chain((p.value for p in panels), (v for v, _ in settled)))
+        err = math.fsum(chain((p.error for p in panels), (e for _, e in settled)))
         target = max(spec.rel_tol * abs(total), spec.abs_tol)
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
-        exhausted = len(panels) >= spec.max_subdivisions
-        if not exhausted:
-            exhausted = not _refine(panels, f)
-        if exhausted:
-            if salvage_attempts < 4 and _ladder_extrapolate(panels, boundaries, f):
-                salvage_attempts += 1
+        held = math.fsum(e for _, e in settled)  # no refinement lowers it
+        if panels and len(panels) < spec.max_subdivisions and held <= target:
+            worst = max(range(len(panels)), key=lambda i: (panels[i].error, -panels[i].a))
+            p = panels[worst]
+            # the width floor scales with position: toward 0 panels shrink on
+            if p.b - p.a > 8.0 * _EPS * max(abs(p.a), abs(p.b)):
+                cut = p.split_point()
+                left = _Panel(p.a, cut, p.left_singular, False)
+                right = _Panel(cut, p.b, False, p.right_singular)
+                left.evaluate(f)
+                right.evaluate(f)
+                panels[worst:worst + 1] = [left, right]
                 continue
-            raise NonConvergent(
-                f"estimated error {err:.3e} above target {target:.3e} with "
-                f"{len(panels)} panels", value=total, error=err)
+            x0 = p.a if p.a in boundaries else p.b
+            zones = _settle(f, panels, boundaries, x0) if x0 in boundaries else None
+            if zones is not None:
+                settled += zones
+                continue
+        raise NonConvergent(
+            f"estimated error {err:.3e} above target {target:.3e} with "
+            f"{len(panels)} panels", value=total, error=err)
 
 
 def _probe_tail_exponent(f, T: float) -> float:
@@ -380,10 +336,13 @@ def integrate(f: Callable, a: float, b: float,
               spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f over (a, b), b possibly infinite, to the spec tolerances.
 
-    Returns (value, err_estimate) with err_estimate the summed panel error
-    bounds (a deliberate overestimate).  Raises NonConvergent when the
-    subdivision budget runs out and DivergentTail when b is infinite and
-    the declared or probed decay exponent is >= -1.
+    Returns (value, err_estimate) with err_estimate the summed error
+    estimates of the panels and settled zones.  It is meant to overestimate
+    the error, but the |G15 - G7| difference of a panel at an algebraic
+    singularity can fall short of it.  Raises NonConvergent when the
+    subdivision budget runs out or a singularity does not decay, and
+    DivergentTail when b is infinite and the declared or probed decay
+    exponent is >= -1.
     """
     spec = spec or QuadratureSpec()
     a = float(a)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,7 +214,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # the README's CLI invocations; the golden files hold their --no-timestamp
 # output, so any change to a printed number or key shows up byte for byte.
 # After an intended change, regenerate a file with
-#   liebeq <arguments> --no-timestamp > tests/golden/<name>.json
+#   python -m liebeq.cli <arguments> --no-timestamp > tests/golden/<name>.json
 README_INVOCATIONS = {
     "constants": ["constants", "--n", "4", "--lambda", "2"],
     "verify_singular": ["verify-solution", "--which", "singular", "--n", "1",
@@ -230,10 +233,40 @@ README_INVOCATIONS = {
               "--grid-size", "201"],
 }
 
+# paths the README invocations miss, with their exit codes: the angular
+# kernel (n = 2), the n = 3 closed form, the r = 0 potential and a
+# NotApplicable identity
+MORE_INVOCATIONS = {
+    "verify_lieb_n2": (["verify-solution", "--which", "lieb", "--n", "2",
+                        "--lambda", "1", "--radii", "0.5,1,2"], 0),
+    "verify_singular_n3": (["verify-solution", "--which", "singular", "--n", "3",
+                            "--lambda", "1.5", "--radii", "0.5,2"], 0),
+    "riesz_lieb_r0": (["riesz", "--which", "lieb", "--n", "5", "--lambda", "2.5",
+                       "--r", "0,0.5,2"], 0),
+    "identity_commutativity_notapplicable": (
+        ["identity", "--kind", "commutativity", "--f", "singular", "--g", "lieb",
+         "--alpha", "1", "--beta", "1", "--n", "1", "--lambda", "0.5"], 3),
+}
+GOLDEN_RUNS = {**{name: (args, 0) for name, args in README_INVOCATIONS.items()},
+               **MORE_INVOCATIONS}
 
-@pytest.mark.parametrize("name", sorted(README_INVOCATIONS))
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_readme_invocation_matches_golden_bytes(name, capsys):
-    code = main(README_INVOCATIONS[name] + ["--no-timestamp"])
-    assert code == 0
+    args, expected_code = GOLDEN_RUNS[name]
+    code = main(args + ["--no-timestamp"])
+    assert code == expected_code
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_module_invocation_writes_golden_bytes():
+    # a checkout without the console script runs the CLI as a module
+    src = str(Path(__file__).parent.parent / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "liebeq.cli", "constants", "--n", "4",
+                           "--lambda", "2", "--no-timestamp"],
+                          capture_output=True, env=env, check=False)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "constants.json").read_bytes()

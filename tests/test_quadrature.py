@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from liebeq.quadrature import (DivergentTail, NonConvergent, QuadratureSpec,
-                               SingularityBudget, convergence_screen, integrate)
+                               SingularityBudget, _wynn_epsilon,
+                               convergence_screen, integrate)
 
 
 def log_beta(a, b):
@@ -126,6 +128,67 @@ def test_divergent_tail_hint():
 def test_nonconvergent_on_divergent_singularity():
     with pytest.raises(NonConvergent):
         integrate(lambda s: s ** -1.2, 0, 1, QuadratureSpec(max_subdivisions=300))
+    # away from 0 the panels reach the float width floor at c; the dyadic
+    # ladder toward c does not decay there, so the zone is not summed
+    for c in (0.5, 2.0):
+        for e in (-1.0, -1.05, -1.2, -1.5):
+            with pytest.raises(NonConvergent):
+                integrate(lambda s: np.abs(s - c) ** e, 0, c + 1.0,
+                          QuadratureSpec(split_points=(c,)))
+
+
+# -- singularities away from 0 -----------------------------------------------
+
+def _split_power_exact(c, b, e, weight):
+    """int_0^b |s - c|^e w(s) ds for w = 1 or w = s, 0 < c < b."""
+    left, right = c ** (e + 1) / (e + 1), (b - c) ** (e + 1) / (e + 1)
+    if weight == "1":
+        return left + right
+    return (c * left - c ** (e + 2) / (e + 2)
+            + c * right + (b - c) ** (e + 2) / (e + 2))
+
+
+BATTERY = [(c, b, e, w) for c in (0.3, 0.5, 1.0, 2.0, 7.3)
+           for b in (1.5 * c, c + 3.0)
+           for e in (-0.1, -0.3, -0.5, -0.7, -0.9)
+           for w in ("1", "s")]
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_result(c, b, e, w):
+    f = lambda s: np.abs(s - c) ** e * (1.0 if w == "1" else s)
+    return integrate(f, 0.0, b, QuadratureSpec(split_points=(c,)))
+
+
+def _battery_id(case):
+    c, b, e, w = case
+    return f"c={c:g}-b={b:g}-e={e:g}-w={w}"
+
+
+@pytest.mark.parametrize("case", BATTERY, ids=[_battery_id(k) for k in BATTERY])
+def test_split_power_battery_value(case):
+    exact = _split_power_exact(*case)
+    value, _ = _battery_result(*case)
+    assert abs(value - exact) <= 5 * QuadratureSpec().rel_tol * abs(exact)
+
+
+_UNDER_REPORTED = (0.3, 3.3, -0.5, "s")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason="raw |G15-G7| estimator, ROADMAP item 2"))
+    if k == _UNDER_REPORTED else k for k in BATTERY],
+    ids=[_battery_id(k) for k in BATTERY])
+def test_split_power_battery_error_bar(case):
+    value, err = _battery_result(*case)
+    assert err >= abs(value - _split_power_exact(*case))
+
+
+def test_wynn_epsilon_sums_two_geometric_series():
+    partial = np.cumsum([0.5 ** k + (-0.3) ** k for k in range(20)])
+    limit, _ = _wynn_epsilon(partial)
+    assert abs(limit - (2.0 + 1.0 / 1.3)) <= 1e-14
 
 
 def test_spec_validation():

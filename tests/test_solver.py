@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liebeq.quadrature import QuadratureSpec, integrate
+from liebeq.quadrature import NonConvergent, QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
 from liebeq.solver import (Diverged, NonPositive, SolverConfig, graded_grid,
                            moment_matrix, picard_solve, product_integration_matrix,
@@ -60,6 +60,24 @@ class TestDiscretization:
         for values in (u, np.cos(2.0 * x)):
             for t, got in zip(probes, M @ values):
                 assert got == pytest.approx(oracle(t, values), rel=1e-7)
+
+    def test_undeclared_kinks_give_no_false_error_bar(self):
+        # with only t declared, the interpolant's kinks at the nodes break
+        # integrate's "analytic between split points" contract: refusing
+        # with NonConvergent is honest, a value must carry a true error bar
+        lam = 0.6
+        x = graded_grid(-1.0, 1.0, 33, 1.5)
+        values = np.cos(2.0 * x)
+        probes = np.array([x[0] + 0.1 * (x[1] - x[0]), 0.5 * (x[7] + x[8]),
+                           x[16] + 1e-3 * (x[17] - x[16]), 0.5 * (x[28] + x[29])])
+        for t, exact in zip(probes, moment_matrix(x, probes, lam) @ values):
+            try:
+                value, err = integrate(
+                    lambda s: np.abs(t - s) ** -lam * np.interp(s, x, values),
+                    -1.0, 1.0, QuadratureSpec(split_points=(t,)))
+            except NonConvergent:
+                continue
+            assert abs(value - exact) <= err
 
     def test_lambda_window(self):
         x = graded_grid(0.0, 1.0, 9, 1.0)
