@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -149,7 +149,7 @@ def parity_split(form: DifferentialForm):
     return form.even_part, form.odd_part
 
 
-_TERM_RE = re.compile(r"^(?:(?P<coeff>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*?)?"
+_TERM_RE = re.compile(r"^(?P<sign>-?)(?:(?P<coeff>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*?)?"
                       r"(?:d(?P<axes>\d*))?$")
 
 
@@ -172,8 +172,7 @@ def parse_form(text: str, dimension: int) -> DifferentialForm:
         m = _TERM_RE.match(piece)
         if not m or (m.group("coeff") is None and m.group("axes") is None):
             raise ValueError(f"cannot parse form term {piece!r} in {text!r}")
-        coeff = float(m.group("coeff")) if m.group("coeff") not in (None, "", "+", "-") \
-            else (-1.0 if m.group("coeff") == "-" else 1.0)
+        coeff = float(m.group("sign") + (m.group("coeff") or "1"))
         comps = [0] * dimension
         axes = m.group("axes")
         if axes:
@@ -310,37 +309,9 @@ class _PairResult:
     conditioning: float | None = None
 
 
-def _pair_budget(g: SolutionDescriptor, g_side: str, beta: int,
-                 f: SolutionDescriptor, f_side: str, alpha: int,
-                 n: int) -> SingularityBudget:
-    measure = n - 1
-    at_zero = (g.zero_exponent(g_side, beta) + f.zero_exponent(f_side, alpha) + measure)
-    at_inf = (g.infinity_exponent(g_side, beta) + f.infinity_exponent(f_side, alpha) + measure)
-    return SingularityBudget(((0.0, at_zero), (math.inf, at_inf)))
-
-
-def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
-                   f: SolutionDescriptor, f_side: str, alpha: int,
-                   params: Params, quad: QuadratureSpec,
-                   with_conditioning: bool = False) -> _PairResult:
-    """Certified integral of D_beta(g_side) * D_alpha(f_side) over R^n.
-
-    n = 1 integrates both half-lines separately (no parity shortcut); the
-    radial reduction covers alpha = beta = 0 in higher dimension.  Returns
-    value 0 with the screen attached when the screen rejects the budget.
-    """
-    n = params.n
-    if n > 1 and (alpha or beta):
-        raise ValueError("derivative identities run on the line; higher "
-                         "dimensions support only the order-zero radial case")
-    screen = convergence_screen(_pair_budget(g, g_side, beta, f, f_side, alpha, n))
-    parity_forced = (alpha + beta) % 2 == 1  # even profiles, odd integrand
-    if not screen:
-        return _PairResult(math.nan, math.nan, screen, parity_forced)
-
-    tail = (g.infinity_exponent(g_side, beta) + f.infinity_exponent(f_side, alpha)
-            + (n - 1))
-    spec = quad.with_tail(tail)
+def _pair_integrand(g: SolutionDescriptor, g_side: str, beta: int,
+                    f: SolutionDescriptor, f_side: str, alpha: int, n: int):
+    """D_beta(g_side) * D_alpha(f_side) as a radial integrand on R^n."""
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
@@ -349,30 +320,69 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
             out = out * sphere_surface_area(n) * x ** (n - 1)
         return out
 
-    if n == 1:
-        plus = quadrature.integrate(integrand, 0.0, math.inf, spec)
-        minus = quadrature.integrate(lambda t: integrand(-np.asarray(t, dtype=float)),
-                                     0.0, math.inf, spec)
-        value, err = plus.value + minus.value, plus.error + minus.error
-    else:
-        res = quadrature.integrate(integrand, 0.0, math.inf, spec)
-        value, err = res.value, res.error
+    return integrand
 
+
+def _whole_space(integrand, n: int, spec: QuadratureSpec) -> tuple:
+    """(value, error) of a radial integrand over R^n: both half-lines
+    separately on the line (no parity shortcut), the radius otherwise."""
+    plus = quadrature.integrate(integrand, 0.0, math.inf, spec)
+    if n > 1:
+        return plus
+    minus = quadrature.integrate(lambda t: integrand(-np.asarray(t, dtype=float)),
+                                 0.0, math.inf, spec)
+    return plus.value + minus.value, plus.error + minus.error
+
+
+def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
+                   f: SolutionDescriptor, f_side: str, alpha: int,
+                   params: Params, quad: QuadratureSpec,
+                   with_conditioning: bool = False) -> _PairResult:
+    """Certified integral of D_beta(g_side) * D_alpha(f_side) over R^n.
+
+    The radial reduction covers alpha = beta = 0 in higher dimension.
+    Returns value NaN with the screen attached when the screen rejects the
+    budget.
+    """
+    n = params.n
+    if n > 1 and (alpha or beta):
+        raise ValueError("derivative identities run on the line; higher "
+                         "dimensions support only the order-zero radial case")
+    at_zero = g.zero_exponent(g_side, beta) + f.zero_exponent(f_side, alpha) + (n - 1)
+    tail = g.infinity_exponent(g_side, beta) + f.infinity_exponent(f_side, alpha) + (n - 1)
+    screen = convergence_screen(SingularityBudget(((0.0, at_zero), (math.inf, tail))))
+    parity_forced = (alpha + beta) % 2 == 1  # even profiles, odd integrand
+    if not screen:
+        return _PairResult(math.nan, math.nan, screen, parity_forced)
+
+    integrand = _pair_integrand(g, g_side, beta, f, f_side, alpha, n)
+    value, err = _whole_space(integrand, n, quad.with_tail(tail))
     conditioning = None
     if with_conditioning:
         loose = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12,
                                max_subdivisions=quad.max_subdivisions,
                                tail_exponent_hint=tail)
-        absint = lambda x: np.abs(integrand(np.asarray(x, dtype=float)))
-        cplus = quadrature.integrate(absint, 0.0, math.inf, loose)
-        if n == 1:
-            cminus = quadrature.integrate(
-                lambda t: np.abs(integrand(-np.asarray(t, dtype=float))),
-                0.0, math.inf, loose)
-            conditioning = cplus.value + cminus.value
-        else:
-            conditioning = cplus.value
+        conditioning = _whole_space(lambda x: np.abs(integrand(x)), n, loose)[0]
     return _PairResult(value, err, screen, parity_forced, conditioning)
+
+
+def _pair_table(params: Params, quad: QuadratureSpec):
+    """_pair_integral for one check call, each distinct integral computed once.
+
+    The key is the unordered pair of factors plus the conditioning flag.
+    Swapping the factors only swaps the operands of the integrand's product
+    and of the screen's and tail's exponent sums, which changes no bit.
+    """
+    table = {}
+
+    def pair(g, g_side, beta, f, f_side, alpha, with_conditioning=False):
+        key = (frozenset(((g, g_side, beta), (f, f_side, alpha))), with_conditioning)
+        if key not in table:
+            table[key] = _pair_integral(g, g_side, beta, f, f_side, alpha,
+                                        params, quad, with_conditioning)
+        return table[key]
+
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +462,6 @@ def _zero_report(identity_id: str, description: str,
 _IDENTITY_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
 
-def _order_of(alpha, params: Params) -> int:
-    idx = _as_index(alpha, params.n)
-    return idx.order
-
-
 def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
                         alpha, beta, params: Params,
                         quad: QuadratureSpec | None = None,
@@ -468,10 +473,10 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
     zeroth cross identity between the two; a divergent screen on either
     side yields NotApplicable.
     """
-    quad = quad or _IDENTITY_QUAD
-    a, b = _order_of(alpha, params), _order_of(beta, params)
-    lhs = _pair_integral(g, "base", b, f, "power", a, params, quad)
-    rhs = _pair_integral(f, "base", a, g, "power", b, params, quad)
+    pair = _pair_table(params, quad or _IDENTITY_QUAD)
+    a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
+    lhs = pair(g, "base", b, f, "power", a)
+    rhs = pair(f, "base", a, g, "power", b)
     desc = (f"int D{b}[{g.label or 'g'}] D{a}[{f.label or 'f'}^(p-1)] = "
             f"int D{a}[{f.label or 'f'}] D{b}[{g.label or 'g'}^(p-1)]")
     return _equality_report("cross-commutativity", desc, lhs, rhs,
@@ -487,13 +492,11 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     certified zero in absolute value; for even totals the signed equality
     (-1)^|beta| I(beta, alpha) = (-1)^|alpha| I(alpha, beta) is certified.
     """
-    quad = quad or _IDENTITY_QUAD
-    a, b = _order_of(alpha, params), _order_of(beta, params)
+    pair = _pair_table(params, quad or _IDENTITY_QUAD)
+    a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     odd_total = (a + b) % 2 == 1
-    lhs = _pair_integral(f, "base", b, f, "power", a, params, quad,
-                         with_conditioning=odd_total)
-    rhs = _pair_integral(f, "base", a, f, "power", b, params, quad,
-                         with_conditioning=odd_total)
+    lhs = pair(f, "base", b, f, "power", a, odd_total)
+    rhs = pair(f, "base", a, f, "power", b, odd_total)
     name = f.label or "f"
     if odd_total:
         desc = (f"int D{b}[{name}] D{a}[{name}^(p-1)] = "
@@ -507,25 +510,22 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
                             lhs_sign=(-1.0) ** b, rhs_sign=(-1.0) ** a)
 
 
-def _form_pair_integral(lam_form: DifferentialForm, f: SolutionDescriptor, f_side: str,
-                        omega_form: DifferentialForm, g: SolutionDescriptor, g_side: str,
-                        params: Params, quad: QuadratureSpec) -> _PairResult:
-    """Sum of certified term-pair integrals for form(f_side) * form(g_side)."""
+def _form_pair_integral(pair, lam_form: DifferentialForm, f: SolutionDescriptor,
+                        f_side: str, omega_form: DifferentialForm,
+                        g: SolutionDescriptor, g_side: str) -> _PairResult:
+    """Sum of certified term-pair integrals for form(f_side) * form(g_side),
+    read from the check's pair table."""
     value = 0.0
     error = 0.0
     forced = True
     for cf, idx_f in lam_form.terms:
         for cg, idx_g in omega_form.terms:
-            a = idx_f.components[0] if params.n == 1 else idx_f.order
-            b = idx_g.components[0] if params.n == 1 else idx_g.order
-            part = _pair_integral(g, g_side, b, f, f_side, a, params, quad)
+            part = pair(g, g_side, idx_g.order, f, f_side, idx_f.order)
             if not part.screen:
                 return _PairResult(math.nan, math.nan, part.screen, part.parity_forced)
             value += cf * cg * part.value
             error += abs(cf * cg) * part.error
             forced = forced and part.parity_forced
-    if not lam_form.terms or not omega_form.terms:
-        return _PairResult(0.0, 0.0, ScreenResult(True), True)
     return _PairResult(value, error, ScreenResult(True), forced)
 
 
@@ -542,16 +542,11 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     plain commutativity.  Singleton forms reproduce check_commutativity and
     check_orthogonality values exactly (same code path).
     """
-    quad = quad or _IDENTITY_QUAD
+    pair = partial(_form_pair_integral, _pair_table(params, quad or _IDENTITY_QUAD))
     same = f == g
     lam_e, lam_o = parity_split(lam_form)
     om_e, om_o = parity_split(omega_form)
     reports = []
-
-    def pair(form_a, desc_a, side_a, form_b, desc_b, side_b):
-        return _form_pair_integral(form_a, desc_a, side_a,
-                                   form_b, desc_b, side_b, params, quad)
-
     if not same:
         lhs = pair(lam_form, f, "base", omega_form, g, "power")
         rhs = pair(lam_form, f, "power", omega_form, g, "base")
@@ -616,15 +611,7 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     quad = quad or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15)
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
-    a, b = _order_of(alpha, params), _order_of(beta, params)
-    n = params.n
-
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        out = g.deriv("base", x, b) * f.deriv("power", x, a)
-        if n > 1:
-            out = out * sphere_surface_area(n) * x ** (n - 1)
-        return out
-
+    a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
+    integrand = _pair_integrand(g, "base", b, f, "power", a, params.n)
     value, _ = quadrature.integrate(integrand, 1.0 / R, R, quad)
     return value

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -184,17 +185,22 @@ class RadialProfile:
                 out = coef * np.abs(x) ** (-m - k) * np.sign(x) ** k
             return out if out.ndim else float(out)
         if self.kind == LIEB:
-            # f = A (1+x^2)^(-m); d^k f = A P_k(x) (1+x^2)^(-m-k) with the
-            # polynomial recursion P_(j+1) = (1+x^2) P_j' - 2(m+j) x P_j
             m = self.exponent
-            poly = np.polynomial.Polynomial([1.0])
-            xpoly = np.polynomial.Polynomial([0.0, 1.0])
-            onepx2 = np.polynomial.Polynomial([1.0, 0.0, 1.0])
-            for j in range(k):
-                poly = onepx2 * poly.deriv() - 2.0 * (m + j) * xpoly * poly
-            out = self.amplitude * poly(x) * (1.0 + x * x) ** (-m - k)
+            out = self.amplitude * _lieb_polynomial(m, k)(x) * (1.0 + x * x) ** (-m - k)
             return out if out.ndim else float(out)
         raise ValueError("analytic derivatives are only available for closed-form profiles")
+
+
+@lru_cache(maxsize=256)
+def _lieb_polynomial(m: float, k: int) -> np.polynomial.Polynomial:
+    """P_k with d^k/dx^k (1+x^2)^(-m) = P_k(x) (1+x^2)^(-m-k), from the
+    recursion P_0 = 1, P_(j+1) = (1+x^2) P_j' - 2(m+j) x P_j."""
+    poly = np.polynomial.Polynomial([1.0])
+    xpoly = np.polynomial.Polynomial([0.0, 1.0])
+    onepx2 = np.polynomial.Polynomial([1.0, 0.0, 1.0])
+    for j in range(k):
+        poly = onepx2 * poly.deriv() - 2.0 * (m + j) * xpoly * poly
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,7 @@ def _angular_batch(n: int, lam: float, r: float, s: np.ndarray,
     wmin = max(wmin, 1e-280)
     depth = max(12, int(math.ceil(math.log2(math.pi / wmin))) + 8)
     edges = np.concatenate([[0.0], math.pi * 2.0 ** -np.arange(depth, -1.0, -1.0)])
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = quadrature._gl_rule(16)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     theta = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()

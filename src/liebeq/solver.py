@@ -138,13 +138,6 @@ class GridSolution1D:
         out = self._interp.derivative(order)(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
-    def as_radial_profile(self) -> RadialProfile:
-        """Nonnegative-radius view (grid profile), for scan-style consumers."""
-        xs = np.asarray(self.x)
-        vs = np.asarray(self.values)
-        mask = xs > 0
-        return RadialProfile.grid_sampled(xs[mask], vs[mask], tail_exponent=0.0)
-
 
 def graded_grid(a: float, b: float, count: int, exponent: float) -> np.ndarray:
     """Symmetric grid on [a, b] geometrically clustered toward both ends."""
@@ -208,11 +201,11 @@ def _initial_values(init, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _solve_newton(W: np.ndarray, x: np.ndarray, u0: np.ndarray, params: Params,
+def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
                   config: SolverConfig, trace: SolverTrace) -> np.ndarray:
     pm1 = params.pm1
     s = 1.0 / pm1
-    N = len(x)
+    N = len(u0)
     c = N // 2
     half = np.arange(c, N)
     mirror = N - 1 - half
@@ -303,7 +296,7 @@ def picard_solve(config: SolverConfig, params: Params, init=1.0):
     if config.scheme == "direct":
         u = _solve_direct(W, u0, params, config, trace)
     else:
-        u = _solve_newton(W, x, u0, params, config, trace)
+        u = _solve_newton(W, u0, params, config, trace)
     trace.iterations = len(trace.residuals)
     trace.converged = bool(trace.residuals and trace.residuals[-1] <= config.stop_tol)
     solution = GridSolution1D(tuple(x), tuple(u), params, G)

@@ -260,12 +260,13 @@ def test_readme_invocation_matches_golden_bytes(name, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_module_invocation_writes_golden_bytes():
+@pytest.mark.parametrize("module", ["liebeq", "liebeq.cli"])
+def test_module_invocation_writes_golden_bytes(module):
     # a checkout without the console script runs the CLI as a module
     src = str(Path(__file__).parent.parent / "src")
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "liebeq.cli", "constants", "--n", "4",
+    proc = subprocess.run([sys.executable, "-m", module, "constants", "--n", "4",
                            "--lambda", "2", "--no-timestamp"],
                           capture_output=True, env=env, check=False)
     assert proc.returncode == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebeq import quadrature
 from liebeq.identities import (NOT_APPLICABLE, VERIFIED, DifferentialForm,
                                MultiIndex, apply_form, check_commutativity,
                                check_composite, check_orthogonality,
@@ -85,6 +86,10 @@ class TestParseForm:
     def test_unit_coefficient_and_negative(self):
         form = parse_form("d1 - 0.5*d111", 1)
         assert form == DifferentialForm.from_terms(1, (1.0, 1), (-0.5, 3))
+
+    def test_bare_sign_is_unit_coefficient(self):
+        assert parse_form("d1 - d11", 1) == DifferentialForm.from_terms(1, (1.0, 1), (-1.0, 2))
+        assert parse_form("-d1", 1) == DifferentialForm.from_terms(1, (-1.0, 1))
 
     def test_multi_axis(self):
         form = parse_form("1.0*d12", 2)
@@ -276,6 +281,31 @@ class TestComposite:
         r2 = check_composite(fL, fL, f2, f2, p)
         for a, b in zip(r1, r2):
             assert a == b
+
+
+class TestPairTable:
+    """Each check computes each distinct pair integral once; on the line one
+    pair integral is two quadratures, one per half-line."""
+
+    @pytest.fixture
+    def integrate_calls(self, monkeypatch):
+        calls = []
+        integrate = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+        return calls
+
+    def test_composite_runs_distinct_pairs_once(self, descriptors, integrate_calls):
+        p, _, fL = descriptors
+        form = parse_form("d1 + d11", 1)
+        check_composite(fL, fL, form, form, p)
+        assert len(integrate_calls) == 8    # 4 distinct pairs of 14 read
+
+    def test_diagonal_commutativity_runs_once(self, descriptors, integrate_calls):
+        p, _, fL = descriptors
+        rep = check_commutativity(fL, fL, 1, 1, p)
+        assert len(integrate_calls) == 2
+        assert rep.lhs == rep.rhs
 
 
 class TestCutoffForceIntegration:

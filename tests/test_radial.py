@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from liebeq.quadrature import QuadratureSpec, integrate
 from liebeq.radial_riesz import (RadialProfile, ScreenRejected, _angular_batch,
                                  angular_kernel, riesz_potential_radial)
-from liebeq.solutions import lieb_solution, singular_solution
+from liebeq.solutions import lieb_solution, singular_solution, verify_solution
 from liebeq.specfun import (Params, beta, lieb_constant_C, lieb_constant_L,
                             riesz_power_constant, sphere_surface_area)
 
@@ -81,6 +82,21 @@ class TestRadialProfile:
             assert f.derivative_1d(x, k) == pytest.approx(fd, rel=1e-4)
 
 
+def _mp_angular_kernel(n, lam, r, s):
+    """|S^(n-2)| times the 30-digit theta-integral over [0, pi] of
+    (d^2 + 4rs sin(t/2)^2)^(-lam/2) sin(t)^(n-2), d = s - r exactly, broken
+    at decades of the peak width d/sqrt(rs)."""
+    with mpmath.workdps(30):
+        rm, sm = mpmath.mpf(r), mpmath.mpf(s)
+        d2, c, e = (sm - rm) ** 2, 4 * rm * sm, -mpmath.mpf(lam) / 2
+        w = mpmath.sqrt(d2 / (rm * sm))
+        pts = [0] + [w * 10 ** k for k in range(40) if w * 10 ** k < mpmath.pi] + [mpmath.pi]
+        theta = mpmath.quad(
+            lambda t: (d2 + c * mpmath.sin(t / 2) ** 2) ** e * mpmath.sin(t) ** (n - 2), pts)
+        half = mpmath.mpf(n - 1) / 2
+        return 2 * mpmath.pi ** half / mpmath.gamma(half) * theta
+
+
 class TestAngularKernel:
     def test_one_dimensional_exact(self):
         assert angular_kernel(1, 0.5, 2.0, 1.0) == \
@@ -111,6 +127,16 @@ class TestAngularKernel:
         ref = 2.0 * integrate(integrand, 0.0, math.pi).value
         assert angular_kernel(2, lam, r, s) == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_no_closed_form_vs_mpmath(self, n):
+        # lam = 0.9n has a singular diagonal; s/r - 1 reaches down to 1e-12
+        r = 0.37
+        for lam in sorted({0.5 * n, 0.9 * n, 1.0}):
+            for delta in (1e-12, 1e-6, 0.1, -0.5, 3.0):
+                s = r * (1.0 + delta)
+                ref = _mp_angular_kernel(n, lam, r, s)
+                assert abs(angular_kernel(n, lam, r, s) - ref) <= 1e-13 * ref, (lam, delta)
+
     def test_origin_formula(self):
         s = np.array([0.5, 2.0])
         out = angular_kernel(3, 1.2, 0.0, s)
@@ -119,6 +145,17 @@ class TestAngularKernel:
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):
             angular_kernel(3, 1.0, 1.0, 1.0)
+
+    def test_gauss_rule_built_once(self, monkeypatch):
+        params = Params(2, 1.0)
+        f = lieb_solution(params)
+        verify_solution(f, params, [0.5, 1.0, 2.0])
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda order: calls.append(order) or leggauss(order))
+        verify_solution(f, params, [0.5, 1.0, 2.0])
+        assert calls == []
 
 
 class TestRieszPotential:
