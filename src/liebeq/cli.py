@@ -53,11 +53,11 @@ class _UsageError(Exception):
     pass
 
 
-def _profile_by_name(which: str, params: Params, quad: QuadratureSpec) -> RadialProfile:
+def _profile_by_name(which: str, params: Params) -> RadialProfile:
     if which == "singular":
         return singular_solution(params)
     if which == "lieb":
-        return lieb_solution(params, quad)
+        return lieb_solution(params)
     raise _UsageError(f"unknown solution {which!r} (expected 'singular' or 'lieb')")
 
 
@@ -130,7 +130,7 @@ def _run_constants(args, params, quad):
     k = riesz_power_constant(params.n, params.lam, params.n - 0.5 * params.lam)
     results = [
         {"name": "lieb_constant_C", "value": lieb_constant_C(params), "verdict": "Computed"},
-        {"name": "lieb_constant_L", "value": lieb_constant_L(params, quad), "verdict": "Computed"},
+        {"name": "lieb_constant_L", "value": lieb_constant_L(params), "verdict": "Computed"},
         {"name": "riesz_composition_constant", "value": k, "verdict": "Computed"},
         {"name": "ft_riesz_coefficient", "value": ft_riesz_coefficient(params.n, params.lam),
          "verdict": "Computed"},
@@ -139,7 +139,7 @@ def _run_constants(args, params, quad):
 
 
 def _run_verify_solution(args, params, quad):
-    f = _profile_by_name(args.which, params, quad)
+    f = _profile_by_name(args.which, params)
     radii = _floats(args.radii)
     if args.which == "singular":
         radii = [r for r in radii if r > 0.0] or radii
@@ -159,7 +159,7 @@ def _run_riesz(args, params, quad):
             raise _UsageError("--which power requires --exponent")
         f = RadialProfile.power_singular(args.amplitude, args.exponent)
     else:
-        f = _profile_by_name(args.which, params, quad)
+        f = _profile_by_name(args.which, params)
     results, errs = [], []
     for r in _floats(args.r):
         value, err = riesz_potential_radial(f, params, r, quad, with_error=True)
@@ -178,8 +178,8 @@ def _identity_result(report) -> dict:
 
 
 def _run_identity(args, params, quad):
-    fdesc = solution_descriptor(_profile_by_name(args.f, params, quad), params, args.f)
-    gdesc = solution_descriptor(_profile_by_name(args.g, params, quad), params, args.g)
+    fdesc = solution_descriptor(_profile_by_name(args.f, params), params, args.f)
+    gdesc = solution_descriptor(_profile_by_name(args.g, params), params, args.g)
     reports = []
     if args.kind == "commutativity":
         reports = [check_commutativity(fdesc, gdesc, args.alpha, args.beta, params,
@@ -206,7 +206,7 @@ def _run_identity(args, params, quad):
 
 def _run_corollary(args, params, quad):
     fdesc = solution_descriptor(singular_solution(params), params, "singular")
-    gdesc = solution_descriptor(lieb_solution(params, quad), params, "lieb")
+    gdesc = solution_descriptor(lieb_solution(params), params, "lieb")
     report = check_commutativity(fdesc, gdesc, 0, 0, params, tolerance=args.tolerance)
     return ({"f": "singular", "g": "lieb", "alpha": 0, "beta": 0},
             [_identity_result(report)],
@@ -217,7 +217,7 @@ def _run_corollary(args, params, quad):
 def _run_regularity(args, params, quad):
     results, errs = [], []
     if args.check == "norm":
-        u = _profile_by_name(args.which, params, quad)
+        u = _profile_by_name(args.which, params)
         G = _parse_domain(args.domain)
         res = weighted_norm(u, args.m, args.nu, G)
         out = _json_ready(res)
@@ -243,7 +243,7 @@ def _run_regularity(args, params, quad):
 
 
 def _run_scan(args, params, quad):
-    f = _profile_by_name(args.which, params, quad)
+    f = _profile_by_name(args.which, params)
     threshold = args.threshold if args.threshold is not None \
         else 1e3 * float(f.value(1.0))
     rep = decay_singularity_scan(f, params, args.r_outer, threshold)

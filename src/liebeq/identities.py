@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadrature
 from .quadrature import QuadratureSpec, ScreenResult, SingularityBudget, convergence_screen
-from .radial_riesz import GRID_SAMPLED, POWER_SINGULAR, RadialProfile
+from .radial_riesz import POWER_SINGULAR, RadialProfile
 from .solutions import INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify
 from .specfun import Params, sphere_surface_area
 
@@ -151,6 +151,7 @@ def parity_split(form: DifferentialForm):
 
 _TERM_RE = re.compile(r"^(?P<sign>-?)(?:(?P<coeff>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*?)?"
                       r"(?:d(?P<axes>\d*))?$")
+_TERM_START = re.compile(r"(?<![eE])(?=[+-])")
 
 
 def parse_form(text: str, dimension: int) -> DifferentialForm:
@@ -163,8 +164,9 @@ def parse_form(text: str, dimension: int) -> DifferentialForm:
     """
     if not 1 <= dimension <= 9:
         raise ValueError("form syntax supports dimensions 1..9")
-    src = text.replace("-", "+-").replace(" ", "")
-    pieces = [p for p in src.split("+") if p]
+    # a term starts at each sign, except the sign of an exponent as in 1e-3
+    pieces = [p.lstrip("+") for p in _TERM_START.split(text.replace(" ", ""))]
+    pieces = [p for p in pieces if p]
     if not pieces:
         raise ValueError(f"cannot parse differential form {text!r}")
     terms = []
@@ -235,7 +237,7 @@ def apply_form(form: DifferentialForm, f, x):
     if isinstance(f, SolutionDescriptor):
         f = f.base
     n = form.dimension
-    if isinstance(f, RadialProfile) and f.kind != GRID_SAMPLED and n == 1:
+    if isinstance(f, RadialProfile) and n == 1:
         x_arr = np.asarray(x, dtype=float)
         if f.kind == POWER_SINGULAR and np.any(x_arr == 0.0):
             raise ValueError("x = 0 is a singular point of this profile")
@@ -289,9 +291,7 @@ class SolutionDescriptor:
 
 def solution_descriptor(profile: RadialProfile, params: Params,
                         label: str = "") -> SolutionDescriptor:
-    """Wrap a closed-form solution profile for use in identity checks."""
-    if profile.kind == GRID_SAMPLED:
-        raise ValueError("identity checks need closed-form profiles")
+    """Wrap a solution profile for use in identity checks."""
     return SolutionDescriptor(profile, profile.pow(params.pm1), params, label)
 
 

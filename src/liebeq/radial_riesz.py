@@ -13,11 +13,10 @@ diagonal s = r, always declared as a quadrature split point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import quadrature
 from .quadrature import QuadratureSpec, SingularityBudget, convergence_screen
@@ -32,7 +31,6 @@ __all__ = [
 
 POWER_SINGULAR = "power_singular"
 LIEB = "lieb"
-GRID_SAMPLED = "grid_sampled"
 
 
 class ScreenRejected(Exception):
@@ -45,43 +43,21 @@ class ScreenRejected(Exception):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radially symmetric function descriptor.
+    """Closed-form radially symmetric function descriptor.
 
     kind "power_singular":  amplitude * r^(-exponent)
     kind "lieb":            amplitude * (1 + r^2)^(-exponent)
-    kind "grid_sampled":    monotone-cubic interpolation of positive samples
-                            on a strictly increasing radius grid, extended
-                            inside the first node by the power matching the
-                            first two samples and beyond the last node by a
-                            declared power tail.
     """
 
     kind: str
     amplitude: float = 1.0
     exponent: float = 0.0
-    grid_r: tuple = ()
-    grid_v: tuple = ()
-    tail_exponent: float = 0.0
-    _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (POWER_SINGULAR, LIEB, GRID_SAMPLED):
+        if self.kind not in (POWER_SINGULAR, LIEB):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == GRID_SAMPLED:
-            r = np.asarray(self.grid_r, dtype=float)
-            v = np.asarray(self.grid_v, dtype=float)
-            if r.ndim != 1 or r.size < 2 or v.shape != r.shape:
-                raise ValueError("grid profile needs matching 1-D radius/value arrays")
-            if not (np.all(np.diff(r) > 0) and r[0] > 0):
-                raise ValueError("radius grid must be strictly increasing and positive")
-            if not np.all(v > 0):
-                raise ValueError("grid profile values must be positive")
-            object.__setattr__(self, "grid_r", tuple(r))
-            object.__setattr__(self, "grid_v", tuple(v))
-            object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
-        else:
-            if not self.amplitude > 0:
-                raise ValueError("amplitude must be positive")
+        if not self.amplitude > 0:
+            raise ValueError("amplitude must be positive")
 
     # -- constructors -------------------------------------------------------
 
@@ -93,11 +69,6 @@ class RadialProfile:
     def lieb(cls, amplitude: float, exponent: float) -> "RadialProfile":
         return cls(LIEB, amplitude=float(amplitude), exponent=float(exponent))
 
-    @classmethod
-    def grid_sampled(cls, radii, values, tail_exponent: float) -> "RadialProfile":
-        return cls(GRID_SAMPLED, grid_r=tuple(radii), grid_v=tuple(values),
-                   tail_exponent=float(tail_exponent))
-
     # -- evaluation ---------------------------------------------------------
 
     def value(self, r):
@@ -106,42 +77,15 @@ class RadialProfile:
         if self.kind == POWER_SINGULAR:
             with np.errstate(divide="ignore"):
                 out = self.amplitude * r ** (-self.exponent)
-        elif self.kind == LIEB:
-            out = self.amplitude * (1.0 + r * r) ** (-self.exponent)
         else:
-            out = self._grid_value(r)
+            out = self.amplitude * (1.0 + r * r) ** (-self.exponent)
         return out if out.ndim else float(out)
 
     def __call__(self, r):
         return self.value(r)
 
-    def _grid_value(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        r0, rN = self.grid_r[0], self.grid_r[-1]
-        v0, vN = self.grid_v[0], self.grid_v[-1]
-        out = np.empty_like(r)
-        inner = r < r0
-        outer = r > rN
-        mid = ~(inner | outer)
-        if inner.any():
-            e0 = self._inner_exponent()
-            with np.errstate(divide="ignore"):
-                out[inner] = v0 * (r[inner] / r0) ** e0
-        if outer.any():
-            out[outer] = vN * (r[outer] / rN) ** self.tail_exponent
-        if mid.any():
-            out[mid] = self._interp(r[mid])
-        return out
-
-    def _inner_exponent(self) -> float:
-        r, v = self.grid_r, self.grid_v
-        return math.log(v[1] / v[0]) / math.log(r[1] / r[0])
-
     def pow(self, q: float) -> "RadialProfile":
-        """Pointwise power f^q, closed under both closed-form families."""
-        if self.kind == GRID_SAMPLED:
-            return RadialProfile.grid_sampled(
-                self.grid_r, np.asarray(self.grid_v) ** q, self.tail_exponent * q)
+        """Pointwise power f^q, closed under both families."""
         return RadialProfile(self.kind, amplitude=self.amplitude ** q,
                              exponent=self.exponent * q)
 
@@ -149,28 +93,16 @@ class RadialProfile:
 
     def exponent_at_zero(self) -> float:
         """Power of r governing the profile as r -> 0."""
-        if self.kind == POWER_SINGULAR:
-            return -self.exponent
-        if self.kind == LIEB:
-            return 0.0
-        return min(0.0, self._inner_exponent())
+        return -self.exponent if self.kind == POWER_SINGULAR else 0.0
 
     def exponent_at_infinity(self) -> float:
         """Power of r governing the profile as r -> infinity."""
-        if self.kind == POWER_SINGULAR:
-            return -self.exponent
-        if self.kind == LIEB:
-            return -2.0 * self.exponent
-        return self.tail_exponent
+        return -self.exponent if self.kind == POWER_SINGULAR else -2.0 * self.exponent
 
-    # -- 1-D coordinate derivatives (closed forms only) ----------------------
+    # -- 1-D coordinate derivatives ------------------------------------------
 
     def derivative_1d(self, x, order: int):
-        """d^k/dx^k of the even extension f(|x|) on the line, exact closed form.
-
-        Supported for the power and Lieb families; grid profiles use finite
-        differences elsewhere.
-        """
+        """d^k/dx^k of the even extension f(|x|) on the line, exact closed form."""
         x = np.asarray(x, dtype=float)
         k = int(order)
         if k < 0:
@@ -184,11 +116,9 @@ class RadialProfile:
             with np.errstate(divide="ignore"):
                 out = coef * np.abs(x) ** (-m - k) * np.sign(x) ** k
             return out if out.ndim else float(out)
-        if self.kind == LIEB:
-            m = self.exponent
-            out = self.amplitude * _lieb_polynomial(m, k)(x) * (1.0 + x * x) ** (-m - k)
-            return out if out.ndim else float(out)
-        raise ValueError("analytic derivatives are only available for closed-form profiles")
+        m = self.exponent
+        out = self.amplitude * _lieb_polynomial(m, k)(x) * (1.0 + x * x) ** (-m - k)
+        return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=256)
@@ -219,7 +149,8 @@ def _angular_batch(n: int, lam: float, r: float, s: np.ndarray,
     s = np.atleast_1d(np.asarray(s, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
     wmin = float(np.min(d / np.sqrt(r * s)))
-    wmin = max(wmin, 1e-280)
+    # a peak wider than pi (wmin = inf once r * s underflows) needs no grading
+    wmin = min(max(wmin, 1e-280), math.pi)
     depth = max(12, int(math.ceil(math.log2(math.pi / wmin))) + 8)
     edges = np.concatenate([[0.0], math.pi * 2.0 ** -np.arange(depth, -1.0, -1.0)])
     nodes, weights = quadrature._gl_rule(16)
@@ -246,12 +177,14 @@ def _kernel_from_distance(n: int, lam: float, r: float, s: np.ndarray,
     if n == 1:
         return d ** (-lam) + (r + s) ** (-lam)
     if n == 3:
-        a = r + s
+        # log((r+s)/d) as log1p(2 min(r,s)/d): the ratio is near 1 when s << r
+        # or s >> r, and dividing first would cancel there
+        log_ratio = np.log1p(2.0 * np.minimum(r, s) / d)
         if lam == 2.0:
-            return 2.0 * math.pi * np.log(a / d) / (r * s)
-        # d^(2-lam) * expm1((2-lam) log(a/d)) avoids cancellation near lam = 2
+            return 2.0 * math.pi * log_ratio / (r * s)
+        # d^(2-lam) * expm1((2-lam) log((r+s)/d)) avoids cancellation near lam = 2
         return (2.0 * math.pi / ((2.0 - lam) * r * s)
-                * d ** (2.0 - lam) * np.expm1((2.0 - lam) * np.log(a / d)))
+                * d ** (2.0 - lam) * np.expm1((2.0 - lam) * log_ratio))
     return _angular_batch(n, lam, r, s, d)
 
 
@@ -306,7 +239,9 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     For r > 0 the band |s - r| < r/2 is integrated in the diagonal distance
     d = |s - r| (folding the two sides), so the kernel singularity sits at
     an exact zero of the integration variable and graded panels can resolve
-    it to full precision.  With with_error=True returns (value, err).
+    it to full precision.  The amplitude is factored out of the quadrature,
+    so scaling f by a power of two scales value and error exactly.  With
+    with_error=True returns (value, err).
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -320,34 +255,31 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
             f"potential integral diverges at {screen.failing_location}",
             location=screen.failing_location)
 
+    # T(Af) = A Tf exactly: integrate the unit-amplitude profile, so the
+    # absolute tolerance compares against O(1) values whatever A is
+    unit = replace(f, amplitude=1.0)
     tail_exp = f.exponent_at_infinity() - lam + (n - 1)
-    grid_splits = list(f.grid_r[:1] + f.grid_r[-1:]) if f.kind == GRID_SAMPLED else []
 
     def smooth_integrand(s):
         s = np.asarray(s, dtype=float)
-        return f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, np.abs(s - r))
+        return unit.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, np.abs(s - r))
 
     if r == 0.0:
-        spec = quad.with_splits(grid_splits).with_tail(tail_exp)
-        value, err = quadrature.integrate(smooth_integrand, 0.0, math.inf, spec)
-        return (value, err) if with_error else value
+        value, err = quadrature.integrate(smooth_integrand, 0.0, math.inf,
+                                          quad.with_tail(tail_exp))
+    else:
+        def folded_band(d):
+            d = np.asarray(d, dtype=float)
+            lo, hi = r - d, r + d
+            return (unit.value(hi) * hi ** (n - 1) * _kernel_from_distance(n, lam, r, hi, d)
+                    + unit.value(lo) * lo ** (n - 1) * _kernel_from_distance(n, lam, r, lo, d))
 
-    def folded_band(d):
-        d = np.asarray(d, dtype=float)
-        lo, hi = r - d, r + d
-        contrib = (f.value(hi) * hi ** (n - 1) * _kernel_from_distance(n, lam, r, hi, d)
-                   + f.value(lo) * lo ** (n - 1) * _kernel_from_distance(n, lam, r, lo, d))
-        return contrib
-
-    half = 0.5 * r
-    inner = quadrature.integrate(
-        smooth_integrand, 0.0, half, quad.with_splits(grid_splits))
-    band = quadrature.integrate(
-        folded_band, 0.0, half,
-        quad.with_splits([abs(g - r) for g in grid_splits if half < g < 1.5 * r]))
-    outer = quadrature.integrate(
-        smooth_integrand, 1.5 * r, math.inf,
-        quad.with_splits(grid_splits).with_tail(tail_exp))
-    value = inner.value + band.value + outer.value
-    err = inner.error + band.error + outer.error
+        half = 0.5 * r
+        inner = quadrature.integrate(smooth_integrand, 0.0, half, quad)
+        band = quadrature.integrate(folded_band, 0.0, half, quad)
+        outer = quadrature.integrate(smooth_integrand, 1.5 * r, math.inf,
+                                     quad.with_tail(tail_exp))
+        value = inner.value + band.value + outer.value
+        err = inner.error + band.error + outer.error
+    value, err = f.amplitude * value, f.amplitude * err
     return (value, err) if with_error else value

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import _central_weights
-from .radial_riesz import GRID_SAMPLED, RadialProfile
+from .radial_riesz import RadialProfile
 from .specfun import Params
 
 __all__ = [
@@ -146,14 +146,13 @@ class WeightedNormResult:
 
 def _derivative_on_line(u, x: np.ndarray, order: int, G: Domain1D):
     """|D^k u| on sample points for the supported descriptor kinds."""
-    if isinstance(u, RadialProfile) and u.kind != GRID_SAMPLED:
+    if isinstance(u, RadialProfile):
         return u.derivative_1d(x, order)
-    if hasattr(u, "derivative") and not isinstance(u, RadialProfile):
+    if hasattr(u, "derivative"):
         return np.asarray(u.derivative(x, order), dtype=float) if order else \
             np.asarray(u.value(x), dtype=float)
-    func = u.value if isinstance(u, RadialProfile) else u
     if order == 0:
-        return np.asarray([func(xi) for xi in x], dtype=float)
+        return np.asarray([u(xi) for xi in x], dtype=float)
     halfwidth = order // 2 + 2
     offsets, weights = _central_weights(order, halfwidth)
     eps = np.finfo(float).eps
@@ -163,7 +162,7 @@ def _derivative_on_line(u, x: np.ndarray, order: int, G: Domain1D):
         h = min(h, float(G.rho(xi)) / (2.0 * halfwidth))  # stay inside G
         acc = 0.0
         for off, wgt in zip(offsets, weights):
-            acc += wgt * func(xi + off * h)
+            acc += wgt * u(xi + off * h)
         out[i] = acc / h ** order
     return out
 

@@ -74,9 +74,9 @@ def singular_solution(params: Params) -> RadialProfile:
     return RadialProfile.power_singular(lieb_constant_C(params), params.solution_exponent)
 
 
-def lieb_solution(params: Params, quad: QuadratureSpec | None = None) -> RadialProfile:
-    """The bounded solution L(n,lam)(1+|x|^2)^(-(n-lam/2)) with derived amplitude."""
-    return RadialProfile.lieb(lieb_constant_L(params, quad), params.solution_exponent)
+def lieb_solution(params: Params) -> RadialProfile:
+    """The bounded solution L(n,lam)(1+|x|^2)^(-(n-lam/2)): bounded at 0, decaying at infinity."""
+    return RadialProfile.lieb(lieb_constant_L(params), params.solution_exponent)
 
 
 def verify_solution(f: RadialProfile, params: Params, radii,

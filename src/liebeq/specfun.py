@@ -6,9 +6,9 @@ The equation is the weakly singular nonlinear convolution identity
 
 with 0 < lambda < n and conjugate exponent p = 2n/(2n - lambda).  This
 module provides the problem parameters, the Fourier coefficient of the
-power kernel (2*pi phase convention), the Riesz composition constant, the
-amplitude of the singular power solution, and the numerically derived
-amplitude of the bounded (Lieb) solution.
+power kernel (2*pi phase convention), the Riesz composition constant, and
+the amplitudes of the singular power solution and of the bounded (Lieb)
+solution.
 
 All constants are evaluated in the log-Gamma domain and exponentiated
 once, and every operation here is pure and deterministic.
@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from . import quadrature
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "Params",
@@ -152,25 +149,15 @@ def lieb_constant_C(params: Params) -> float:
     return k ** exponent
 
 
-def lieb_constant_L(params: Params, quad: QuadratureSpec | None = None) -> float:
+def lieb_constant_L(params: Params) -> float:
     """Amplitude of the bounded solution L(n,lam) (1+|x|^2)^(-(n - lam/2)).
 
-    No closed form is adopted for L; it is pinned operationally so that the
-    equation residual vanishes at the origin:  L = I0^(-(2n-lam)/(2(n-lam)))
-    with I0 = integral over R^n of |y|^(-lam) (1+|y|^2)^(-(n-lam/2)) dy,
-    evaluated by radial quadrature.  (I0 also equals the Beta reduction
-    |S^(n-1)| * B((n-lam)/2, n/2) / 2, which the tests use as the oracle.)
+    The equation at the origin pins L = I0^(-(2n-lam)/(2(n-lam))), where
+    I0 = integral over R^n of |y|^(-lam) (1+|y|^2)^(-(n-lam/2)) dy
+       = |S^(n-1)| * B((n-lam)/2, n/2) / 2
+    is the radial Beta reduction (Lieb, Ann. Math. 118, 1983).
     """
     n, lam = params.n, params.lam
-    m = params.solution_exponent
-    quad = quad or QuadratureSpec()
-
-    def radial_integrand(r):
-        return r ** (n - 1 - lam) * (1.0 + r * r) ** (-m)
-
-    # integrand ~ r^(-n-1) at infinity, > -1 exponent n-1-lam at zero
-    spec = quad.with_tail(-(n + 1.0))
-    value, _ = quadrature.integrate(radial_integrand, 0.0, math.inf, spec)
-    i0 = sphere_surface_area(n) * value
-    exponent = -(2.0 * n - lam) / (2.0 * (n - lam))
-    return i0 ** exponent
+    log_i0 = (math.log(sphere_surface_area(n)) + log_beta(0.5 * (n - lam), 0.5 * n)
+              - math.log(2.0))
+    return math.exp(-(2.0 * n - lam) / (2.0 * (n - lam)) * log_i0)

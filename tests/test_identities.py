@@ -91,6 +91,13 @@ class TestParseForm:
         assert parse_form("d1 - d11", 1) == DifferentialForm.from_terms(1, (1.0, 1), (-1.0, 2))
         assert parse_form("-d1", 1) == DifferentialForm.from_terms(1, (-1.0, 1))
 
+    def test_signed_exponent_coefficient(self):
+        assert parse_form("1e-3*d1", 1) == DifferentialForm.from_terms(1, (1e-3, 1))
+        assert parse_form("2.5e-1", 1) == DifferentialForm.from_terms(1, (0.25, 0))
+        assert parse_form("1E+2d1", 1) == DifferentialForm.from_terms(1, (100.0, 1))
+        assert parse_form("d1 - 1e-3*d11", 1) == \
+            DifferentialForm.from_terms(1, (1.0, 1), (-1e-3, 2))
+
     def test_multi_axis(self):
         form = parse_form("1.0*d12", 2)
         assert form == DifferentialForm.from_terms(2, (1.0, (1, 1)))

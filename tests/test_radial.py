@@ -34,23 +34,7 @@ class TestRadialProfile:
         with pytest.raises(ValueError):
             RadialProfile.power_singular(-1.0, 0.5)
         with pytest.raises(ValueError):
-            RadialProfile.grid_sampled([1.0, 0.5], [1.0, 1.0], -2.0)
-        with pytest.raises(ValueError):
-            RadialProfile.grid_sampled([0.5, 1.0], [1.0, -1.0], -2.0)
-        with pytest.raises(ValueError):
             RadialProfile("nope")
-
-    def test_grid_interpolation_and_extensions(self):
-        radii = np.geomspace(0.1, 10.0, 40)
-        vals = 2.0 * (1.0 + radii ** 2) ** -0.75
-        g = RadialProfile.grid_sampled(radii, vals, tail_exponent=-1.5)
-        assert g.value(1.0) == pytest.approx(2.0 * 2.0 ** -0.75, rel=1e-4)
-        # inner extension follows the power fit through the first two samples
-        inner = g.value(0.05)
-        slope = math.log(vals[1] / vals[0]) / math.log(radii[1] / radii[0])
-        assert inner == pytest.approx(vals[0] * (0.05 / radii[0]) ** slope, rel=1e-12)
-        # outer extension follows the declared tail power
-        assert g.value(20.0) == pytest.approx(vals[-1] * 2.0 ** -1.5, rel=1e-12)
 
     def test_exponent_bookkeeping(self):
         f = RadialProfile.power_singular(1.0, 0.75)
@@ -120,6 +104,22 @@ class TestAngularKernel:
         generic = _angular_batch(3, 2.0, 1.0, np.array([0.6]), np.array([0.4]))[0]
         assert generic == pytest.approx(closed, rel=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.3, 2.0, 2.9])
+    def test_three_dimensional_far_from_diagonal_vs_mpmath(self, lam):
+        # (r+s)/|r-s| is near 1 when s << r or s >> r; the closed form must
+        # not lose digits there
+        r = 0.37
+        for ratio in (1e-9, 1e-4, 0.3, 3.0, 1e4, 1e9):
+            s = r * ratio
+            with mpmath.workdps(30):
+                rm, sm, lm = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(lam)
+                if lam == 2.0:
+                    ref = 2 * mpmath.pi * mpmath.log((rm + sm) / abs(rm - sm)) / (rm * sm)
+                else:
+                    ref = (2 * mpmath.pi * ((rm + sm) ** (2 - lm) - abs(rm - sm) ** (2 - lm))
+                           / ((2 - lm) * rm * sm))
+            assert abs(angular_kernel(3, lam, r, s) - ref) <= 1e-13 * ref, ratio
+
     def test_two_dimensional_vs_adaptive(self):
         # independent route: adaptive quadrature of the angular integrand
         lam, r, s = 0.8, 1.0, 0.75
@@ -172,6 +172,21 @@ class TestRieszPotential:
         v2 = riesz_potential_radial(f, p_half, 2.0)
         assert v2 / v1 == pytest.approx(2.0 ** (-p_half.lam / 2), rel=1e-9)
 
+    @pytest.mark.parametrize("n,lam", [(1, 0.5), (2, 1.0), (3, 1.5), (5, 2.5)])
+    def test_amplitude_factors_out_exactly(self, n, lam):
+        # T(Af) = A Tf, and scaling by 2^k is exact in binary floating point,
+        # so value and error scale bitwise
+        p = Params(n, lam)
+        for base, radii in ((singular_solution(p), (2.0,)),
+                            (lieb_solution(p), (0.0, 2.0))):
+            for r in radii:
+                value, err = riesz_potential_radial(base, p, r, with_error=True)
+                for k in (-100, -50, 0, 50, 100):
+                    scaled = RadialProfile(base.kind, math.ldexp(base.amplitude, k),
+                                           base.exponent)
+                    v, e = riesz_potential_radial(scaled, p, r, with_error=True)
+                    assert (v, e) == (math.ldexp(value, k), math.ldexp(err, k))
+
     def test_lieb_at_origin_beta_form(self):
         p = Params(3, 1.0)
         f = lieb_solution(p)
@@ -218,20 +233,12 @@ class TestRieszPotential:
         assert err.value.location == 0.0
 
     def test_screen_rejects_fat_tail(self, p_half):
-        radii = np.geomspace(0.1, 10, 20)
-        g = RadialProfile.grid_sampled(radii, np.ones_like(radii), tail_exponent=-0.1)
-        with pytest.raises(ScreenRejected) as err:
-            riesz_potential_radial(g, p_half, 1.0)
-        assert math.isinf(err.value.location)
-
-    def test_grid_profile_close_to_its_source(self, p_half):
-        src = lieb_solution(p_half)
-        radii = np.geomspace(1e-3, 1e3, 220)
-        g = RadialProfile.grid_sampled(radii, src.value(radii),
-                                       tail_exponent=src.exponent_at_infinity())
-        a = riesz_potential_radial(g, p_half, 1.0)
-        b = riesz_potential_radial(src, p_half, 1.0)
-        assert a == pytest.approx(b, rel=1e-4)
+        # s^(-e) |1-s|^(-1/2) decays like s^(-e-1/2), too slowly for e <= 1/2
+        for exponent in (0.1, 0.0):
+            g = RadialProfile.power_singular(1.0, exponent)
+            with pytest.raises(ScreenRejected) as err:
+                riesz_potential_radial(g, p_half, 1.0)
+            assert math.isinf(err.value.location)
 
     def test_with_error_is_conservative(self, p_half):
         f = singular_solution(p_half)

@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from liebeq.quadrature import NonConvergent
 from liebeq.radial_riesz import RadialProfile, ScreenRejected
 from liebeq.solutions import (INCONCLUSIVE, REFUTED, VERIFIED, certify,
                               lieb_solution, singular_solution, verify_solution)
 from liebeq.specfun import Params, lieb_constant_L
 
 MATRIX = [(1, 0.25), (1, 0.5), (1, 0.75), (3, 1.0), (3, 2.0), (4, 2.0)]
+EXTREME_MATRIX = [(n, round(frac * n, 2)) for n in range(1, 6) for frac in (0.05, 0.95)]
 
 
 class TestSingularSolution:
@@ -90,6 +92,20 @@ class TestVerifySolution:
         repl = verify_solution(lieb_solution(p), p, [0.0, 1.0, 2.0], 1e-5)
         assert repl.verdict == VERIFIED
 
+    @pytest.mark.parametrize("family", ["singular", "lieb"])
+    @pytest.mark.parametrize("n,lam", EXTREME_MATRIX)
+    def test_extreme_lambda_never_refuted(self, n, lam, family):
+        # at lam = 0.95n the amplitudes C and L are as small as 1e-22; at
+        # lam = 0.05n the singular solution sits near the integrability
+        # border at the origin.  Neither may turn into a refutation.
+        p = Params(n, lam)
+        f = singular_solution(p) if family == "singular" else lieb_solution(p)
+        try:
+            rep = verify_solution(f, p, [0.5, 2.0], 1e-6)
+        except NonConvergent:
+            return
+        assert rep.verdict != REFUTED
+
     def test_scaled_candidate_refuted(self, p_half):
         # T is linear and the exponent pins the amplitude: 1.1 f has relative
         # residual |1.1 - 1.1^(p-1)| / 1.1^(p-1) at every radius
@@ -128,11 +144,10 @@ class TestVerifySolution:
             verify_solution(f, p_half, [0.0, 1.0], 1e-6)
 
     def test_screen_rejection_propagates(self, p_half):
-        import numpy as np
-        radii = np.geomspace(0.1, 10, 16)
-        fat = RadialProfile.grid_sampled(radii, np.ones_like(radii), tail_exponent=0.0)
-        with pytest.raises(ScreenRejected):
+        fat = RadialProfile.power_singular(1.0, 0.0)
+        with pytest.raises(ScreenRejected) as err:
             verify_solution(fat, p_half, [1.0], 1e-6)
+        assert math.isinf(err.value.location)
 
     def test_report_record_is_complete(self, p_half):
         radii = [0.5, 1.0]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,19 +162,41 @@ class TestLiebConstantC:
         assert lieb_constant_C(p) == lieb_constant_C(p)
 
 
+def _mp_lieb_constant_L(n, lam):
+    """L = (|S^(n-1)| B((n-lam)/2, n/2) / 2)^(-(2n-lam)/(2(n-lam))) at 30 digits."""
+    with mpmath.workdps(30):
+        n, lam = mpmath.mpf(n), mpmath.mpf(lam)
+        area = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+        i0 = area * mpmath.beta((n - lam) / 2, n / 2) / 2
+        return i0 ** (-(2 * n - lam) / (2 * (n - lam)))
+
+
 class TestLiebConstantL:
     def test_frozen_oracle(self):
+        # 30-digit value 0.0832705965856542655761906688671
         assert lieb_constant_L(Params(1, 0.5)) == \
-            pytest.approx(0.08327059658565427, rel=1e-9)
+            pytest.approx(0.08327059658565427, rel=1e-14)
+
+    @pytest.mark.parametrize("n,lam", [(1, 0.3), (1, 0.5), (1, 0.8), (3, 1.0),
+                                       (4, 2.0), (5, 2.5), (5, 4.75)])
+    def test_mpmath_beta_value(self, n, lam):
+        assert lieb_constant_L(Params(n, lam)) == \
+            pytest.approx(float(_mp_lieb_constant_L(n, lam)), rel=1e-14)
 
     @pytest.mark.parametrize("n,lam", [(1, 0.25), (1, 0.5), (1, 0.75),
                                        (3, 1.0), (3, 2.0), (4, 2.0)])
     def test_beta_reduction_oracle(self, n, lam):
-        # I0 = |S^(n-1)| B((n-lam)/2, n/2) / 2, then the amplitude exponent
-        p = Params(n, lam)
-        i0 = sphere_surface_area(n) * 0.5 * beta(0.5 * (n - lam), 0.5 * n)
+        # an independent route to I0: radial quadrature of
+        # int |y|^(-lam) (1+|y|^2)^(-(n-lam/2)) dy, whose integrand decays
+        # like r^(-n-1); the amplitude exponent then gives L
+        m = n - 0.5 * lam
+        radial = integrate(lambda r: r ** (n - 1 - lam) * (1.0 + r * r) ** (-m),
+                           0.0, math.inf, QuadratureSpec(tail_exponent_hint=-(n + 1.0)))
+        i0 = sphere_surface_area(n) * radial.value
+        assert i0 == pytest.approx(sphere_surface_area(n) * 0.5
+                                   * beta(0.5 * (n - lam), 0.5 * n), rel=1e-9)
         expected = i0 ** (-(2 * n - lam) / (2 * (n - lam)))
-        assert lieb_constant_L(p) == pytest.approx(expected, rel=1e-9)
+        assert lieb_constant_L(Params(n, lam)) == pytest.approx(expected, rel=1e-9)
 
     def test_deterministic(self):
         p = Params(1, 0.5)
