@@ -183,15 +183,15 @@ def _run_identity(args, params, quad):
     reports = []
     if args.kind == "commutativity":
         reports = [check_commutativity(fdesc, gdesc, args.alpha, args.beta, params,
-                                       tolerance=args.tolerance)]
+                                       quad, tolerance=args.tolerance)]
     elif args.kind == "orthogonality":
-        reports = [check_orthogonality(fdesc, args.alpha, args.beta, params,
+        reports = [check_orthogonality(fdesc, args.alpha, args.beta, params, quad,
                                        tolerance=args.tolerance,
                                        zero_tolerance=args.zero_tolerance)]
     elif args.kind == "composite":
         lam_form = parse_form(args.form_lambda, params.n)
         omega_form = parse_form(args.form_omega, params.n)
-        reports = check_composite(fdesc, gdesc, lam_form, omega_form, params,
+        reports = check_composite(fdesc, gdesc, lam_form, omega_form, params, quad,
                                   tolerance=args.tolerance,
                                   zero_tolerance=args.zero_tolerance)
     else:
@@ -207,7 +207,7 @@ def _run_identity(args, params, quad):
 def _run_corollary(args, params, quad):
     fdesc = solution_descriptor(singular_solution(params), params, "singular")
     gdesc = solution_descriptor(lieb_solution(params), params, "lieb")
-    report = check_commutativity(fdesc, gdesc, 0, 0, params, tolerance=args.tolerance)
+    report = check_commutativity(fdesc, gdesc, 0, 0, params, quad, tolerance=args.tolerance)
     return ({"f": "singular", "g": "lieb", "alpha": 0, "beta": 0},
             [_identity_result(report)],
             {"tolerance": args.tolerance},

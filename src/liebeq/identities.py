@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -276,9 +276,6 @@ class SolutionDescriptor:
     def _side(self, side: str) -> RadialProfile:
         return self.base if side == "base" else self.power
 
-    def deriv(self, side: str, x, order: int):
-        return self._side(side).derivative_1d(x, order)
-
     def zero_exponent(self, side: str, order: int) -> float:
         exponent = self._side(side).exponent_at_zero()
         # each derivative costs one power at a singular origin; a profile
@@ -300,22 +297,30 @@ def solution_descriptor(profile: RadialProfile, params: Params,
 
 @dataclass(frozen=True)
 class _PairResult:
-    """A certified integral (or sum of term-pair integrals) with its screen."""
+    """A certified integral (or sum of term-pair integrals) with its screen.
+
+    scale is the sum of the magnitudes of the pieces that were added to
+    give value (half-lines, form terms); it bounds |value|, and dividing
+    by it makes a gap independent of the amplitudes.
+    """
 
     value: float
     error: float
     screen: ScreenResult
     parity_forced: bool
-    conditioning: float | None = None
+    scale: float = math.nan
 
 
-def _pair_integrand(g: SolutionDescriptor, g_side: str, beta: int,
-                    f: SolutionDescriptor, f_side: str, alpha: int, n: int):
-    """D_beta(g_side) * D_alpha(f_side) as a radial integrand on R^n."""
+# the rhs of a one-sided zero target: exactly zero, with nothing to condition
+_ZERO = _PairResult(0.0, 0.0, ScreenResult(True), True, 0.0)
+
+
+def _pair_integrand(g: RadialProfile, beta: int, f: RadialProfile, alpha: int, n: int):
+    """D_beta(g) * D_alpha(f) as a radial integrand on R^n."""
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
-        out = g.deriv(g_side, x, beta) * f.deriv(f_side, x, alpha)
+        out = g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
         if n > 1:
             out = out * sphere_surface_area(n) * x ** (n - 1)
         return out
@@ -323,26 +328,24 @@ def _pair_integrand(g: SolutionDescriptor, g_side: str, beta: int,
     return integrand
 
 
-def _whole_space(integrand, n: int, spec: QuadratureSpec) -> tuple:
-    """(value, error) of a radial integrand over R^n: both half-lines
-    separately on the line (no parity shortcut), the radius otherwise."""
-    plus = quadrature.integrate(integrand, 0.0, math.inf, spec)
-    if n > 1:
-        return plus
-    minus = quadrature.integrate(lambda t: integrand(-np.asarray(t, dtype=float)),
-                                 0.0, math.inf, spec)
-    return plus.value + minus.value, plus.error + minus.error
+def _unit_factors(g: SolutionDescriptor, g_side: str, f: SolutionDescriptor, f_side: str):
+    """The two factors with unit amplitude, and the product of their amplitudes."""
+    gp, fp = g._side(g_side), f._side(f_side)
+    return (replace(gp, amplitude=1.0), replace(fp, amplitude=1.0),
+            gp.amplitude * fp.amplitude)
 
 
 def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
                    f: SolutionDescriptor, f_side: str, alpha: int,
-                   params: Params, quad: QuadratureSpec,
-                   with_conditioning: bool = False) -> _PairResult:
+                   params: Params, quad: QuadratureSpec) -> _PairResult:
     """Certified integral of D_beta(g_side) * D_alpha(f_side) over R^n.
 
-    The radial reduction covers alpha = beta = 0 in higher dimension.
-    Returns value NaN with the screen attached when the screen rejects the
-    budget.
+    Integrates both half-lines separately on the line (no parity shortcut)
+    and the radius otherwise; the radial reduction covers alpha = beta = 0
+    in higher dimension.  The integral is bilinear, so the factors are
+    integrated at unit amplitude and value, error and scale are multiplied
+    by the product of the amplitudes.  Returns value NaN with the screen
+    attached when the screen rejects the budget.
     """
     n = params.n
     if n > 1 and (alpha or beta):
@@ -355,31 +358,34 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
     if not screen:
         return _PairResult(math.nan, math.nan, screen, parity_forced)
 
-    integrand = _pair_integrand(g, g_side, beta, f, f_side, alpha, n)
-    value, err = _whole_space(integrand, n, quad.with_tail(tail))
-    conditioning = None
-    if with_conditioning:
-        loose = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-12,
-                               max_subdivisions=quad.max_subdivisions,
-                               tail_exponent_hint=tail)
-        conditioning = _whole_space(lambda x: np.abs(integrand(x)), n, loose)[0]
-    return _PairResult(value, err, screen, parity_forced, conditioning)
+    g_unit, f_unit, amplitude = _unit_factors(g, g_side, f, f_side)
+    integrand = _pair_integrand(g_unit, beta, f_unit, alpha, n)
+    spec = quad.with_tail(tail)
+    halves = [quadrature.integrate(integrand, 0.0, math.inf, spec)]
+    if n == 1:
+        halves.append(quadrature.integrate(
+            lambda t: integrand(-np.asarray(t, dtype=float)), 0.0, math.inf, spec))
+    value = sum(h.value for h in halves)
+    error = sum(h.error for h in halves)
+    scale = sum(abs(h.value) for h in halves)
+    return _PairResult(amplitude * value, amplitude * error, screen, parity_forced,
+                       amplitude * scale)
 
 
 def _pair_table(params: Params, quad: QuadratureSpec):
     """_pair_integral for one check call, each distinct integral computed once.
 
-    The key is the unordered pair of factors plus the conditioning flag.
-    Swapping the factors only swaps the operands of the integrand's product
-    and of the screen's and tail's exponent sums, which changes no bit.
+    The key is the unordered pair of factors.  Swapping the factors only
+    swaps the operands of the integrand's product, of the amplitude
+    product and of the screen's and tail's exponent sums, which changes
+    no bit.
     """
     table = {}
 
-    def pair(g, g_side, beta, f, f_side, alpha, with_conditioning=False):
-        key = (frozenset(((g, g_side, beta), (f, f_side, alpha))), with_conditioning)
+    def pair(g, g_side, beta, f, f_side, alpha):
+        key = frozenset(((g, g_side, beta), (f, f_side, alpha)))
         if key not in table:
-            table[key] = _pair_integral(g, g_side, beta, f, f_side, alpha,
-                                        params, quad, with_conditioning)
+            table[key] = _pair_integral(g, g_side, beta, f, f_side, alpha, params, quad)
         return table[key]
 
     return pair
@@ -392,12 +398,14 @@ def _pair_table(params: Params, quad: QuadratureSpec):
 class IdentityReport:
     """One certified identity instance.
 
-    rel_gap is |lhs-rhs| / max(|lhs|, |rhs|, abs_floor); zero-target
-    reports instead certify max(|lhs|, |rhs|) <= tolerance and carry the
-    integral of |integrand| as a conditioning denominator.  A divergent
-    screen forces the NotApplicable verdict (a contract outcome, not a
-    fault).  parity_forced flags instances that vanish by evenness of the
-    solutions alone.
+    conditioning is the larger scale of the two sides (the sum of the
+    magnitudes of the pieces each side adds up), and every gap is relative
+    to it: rel_gap is |lhs-rhs| / conditioning, and for zero targets
+    max(|lhs|, |rhs|) / conditioning, so scaling a solution by any factor
+    leaves rel_gap and the verdict unchanged.  An exact 0/0 reads as 0.  A
+    divergent screen forces the NotApplicable verdict (a contract outcome,
+    not a fault).  parity_forced flags instances that vanish by evenness
+    of the solutions alone.
     """
 
     identity_id: str
@@ -408,106 +416,79 @@ class IdentityReport:
     rel_gap: float
     verdict: str
     tolerance: float
-    abs_floor: float
+    conditioning: float
     zero_target: bool = False
     parity_forced: bool = False
-    conditioning: float | None = None
     err_lhs: float = 0.0
     err_rhs: float = 0.0
 
 
-def _equality_report(identity_id: str, description: str,
-                     lhs: _PairResult, rhs: _PairResult,
-                     tolerance: float, abs_floor: float,
-                     lhs_sign: float = 1.0, rhs_sign: float = 1.0) -> IdentityReport:
+def _relative(x: float, scale: float) -> float:
+    """x / scale, reading an exact 0/0 as 0 (an empty form part sums to 0
+    with scale 0)."""
+    return x / scale if x else 0.0
+
+
+def _report(identity_id: str, description: str, lhs: _PairResult, rhs: _PairResult,
+            tolerance: float, zero_target: bool = False,
+            lhs_sign: float = 1.0, rhs_sign: float = 1.0) -> IdentityReport:
     for side in (lhs, rhs):
         if not side.screen:
             return IdentityReport(identity_id, description, math.nan, math.nan,
-                                  side.screen, math.nan, NOT_APPLICABLE,
-                                  tolerance, abs_floor,
-                                  parity_forced=lhs.parity_forced)
+                                  side.screen, math.nan, NOT_APPLICABLE, tolerance,
+                                  math.nan, zero_target, lhs.parity_forced)
     a, b = lhs_sign * lhs.value, rhs_sign * rhs.value
-    denom = max(abs(a), abs(b), abs_floor)
-    gap = abs(a - b) / denom
-    verdict = certify(gap, [(lhs.error + rhs.error) / denom], tolerance)
+    conditioning = max(lhs.scale, rhs.scale)
+    gap = _relative(max(abs(a), abs(b)) if zero_target else abs(a - b), conditioning)
+    verdict = certify(gap, [_relative(lhs.error + rhs.error, conditioning)], tolerance)
     return IdentityReport(identity_id, description, a, b, lhs.screen, gap, verdict,
-                          tolerance, abs_floor,
-                          parity_forced=lhs.parity_forced and rhs.parity_forced,
-                          err_lhs=lhs.error, err_rhs=rhs.error)
-
-
-def _zero_report(identity_id: str, description: str,
-                 lhs: _PairResult, rhs: _PairResult | None,
-                 tolerance: float, abs_floor: float) -> IdentityReport:
-    sides = (lhs,) if rhs is None else (lhs, rhs)
-    for side in sides:
-        if not side.screen:
-            return IdentityReport(identity_id, description, math.nan, math.nan,
-                                  side.screen, math.nan, NOT_APPLICABLE,
-                                  tolerance, abs_floor, zero_target=True,
-                                  parity_forced=lhs.parity_forced)
-    a = lhs.value
-    b = rhs.value if rhs is not None else 0.0
-    worst = max(abs(v) for v in (a, b))
-    verdict = certify(worst, [s.error for s in sides], tolerance)
-    conditioning = max(s.conditioning for s in sides if s.conditioning is not None) \
-        if any(s.conditioning is not None for s in sides) else None
-    return IdentityReport(identity_id, description, a, b, lhs.screen, worst, verdict,
-                          tolerance, abs_floor, zero_target=True,
-                          parity_forced=all(s.parity_forced for s in sides),
-                          conditioning=conditioning,
-                          err_lhs=lhs.error, err_rhs=rhs.error if rhs else 0.0)
-
-
-_IDENTITY_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+                          tolerance, conditioning, zero_target,
+                          lhs.parity_forced and rhs.parity_forced,
+                          lhs.error, rhs.error)
 
 
 def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
                         alpha, beta, params: Params,
                         quad: QuadratureSpec | None = None,
-                        tolerance: float = 1e-6,
-                        abs_floor: float = 1e-12) -> IdentityReport:
+                        tolerance: float = 1e-6) -> IdentityReport:
     """Certify  int D_beta(g) D_alpha(f^(p-1)) = int D_alpha(f) D_beta(g^(p-1)).
 
     The order-zero instance with the singular and bounded solutions is the
     zeroth cross identity between the two; a divergent screen on either
     side yields NotApplicable.
     """
-    pair = _pair_table(params, quad or _IDENTITY_QUAD)
+    pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = pair(g, "base", b, f, "power", a)
     rhs = pair(f, "base", a, g, "power", b)
     desc = (f"int D{b}[{g.label or 'g'}] D{a}[{f.label or 'f'}^(p-1)] = "
             f"int D{a}[{f.label or 'f'}] D{b}[{g.label or 'g'}^(p-1)]")
-    return _equality_report("cross-commutativity", desc, lhs, rhs,
-                            tolerance, abs_floor)
+    return _report("cross-commutativity", desc, lhs, rhs, tolerance)
 
 
 def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
                         quad: QuadratureSpec | None = None,
                         tolerance: float = 1e-6,
-                        zero_tolerance: float = 1e-8,
-                        abs_floor: float = 1e-12) -> IdentityReport:
+                        zero_tolerance: float = 1e-8) -> IdentityReport:
     """Single-solution instance: for odd |alpha|+|beta| both integrals are
-    certified zero in absolute value; for even totals the signed equality
-    (-1)^|beta| I(beta, alpha) = (-1)^|alpha| I(alpha, beta) is certified.
+    certified zero relative to their conditioning; for even totals the
+    signed equality (-1)^|beta| I(beta, alpha) = (-1)^|alpha| I(alpha, beta)
+    is certified.
     """
-    pair = _pair_table(params, quad or _IDENTITY_QUAD)
+    pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    odd_total = (a + b) % 2 == 1
-    lhs = pair(f, "base", b, f, "power", a, odd_total)
-    rhs = pair(f, "base", a, f, "power", b, odd_total)
+    lhs = pair(f, "base", b, f, "power", a)
+    rhs = pair(f, "base", a, f, "power", b)
     name = f.label or "f"
-    if odd_total:
+    if (a + b) % 2 == 1:
         desc = (f"int D{b}[{name}] D{a}[{name}^(p-1)] = "
                 f"int D{a}[{name}] D{b}[{name}^(p-1)] = 0")
-        return _zero_report("odd-orthogonality", desc, lhs, rhs,
-                            zero_tolerance, abs_floor)
+        return _report("odd-orthogonality", desc, lhs, rhs, zero_tolerance,
+                       zero_target=True)
     desc = (f"(-1)^{b} int D{b}[{name}] D{a}[{name}^(p-1)] = "
             f"(-1)^{a} int D{a}[{name}] D{b}[{name}^(p-1)]")
-    return _equality_report("signed-self-commutativity", desc, lhs, rhs,
-                            tolerance, abs_floor,
-                            lhs_sign=(-1.0) ** b, rhs_sign=(-1.0) ** a)
+    return _report("signed-self-commutativity", desc, lhs, rhs, tolerance,
+                   lhs_sign=(-1.0) ** b, rhs_sign=(-1.0) ** a)
 
 
 def _form_pair_integral(pair, lam_form: DifferentialForm, f: SolutionDescriptor,
@@ -517,6 +498,7 @@ def _form_pair_integral(pair, lam_form: DifferentialForm, f: SolutionDescriptor,
     read from the check's pair table."""
     value = 0.0
     error = 0.0
+    scale = 0.0
     forced = True
     for cf, idx_f in lam_form.terms:
         for cg, idx_g in omega_form.terms:
@@ -525,15 +507,15 @@ def _form_pair_integral(pair, lam_form: DifferentialForm, f: SolutionDescriptor,
                 return _PairResult(math.nan, math.nan, part.screen, part.parity_forced)
             value += cf * cg * part.value
             error += abs(cf * cg) * part.error
+            scale += abs(cf * cg) * part.scale
             forced = forced and part.parity_forced
-    return _PairResult(value, error, ScreenResult(True), forced)
+    return _PairResult(value, error, ScreenResult(True), forced, scale)
 
 
 def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
                     lam_form: DifferentialForm, omega_form: DifferentialForm,
                     params: Params, quad: QuadratureSpec | None = None,
-                    tolerance: float = 1e-6, zero_tolerance: float = 1e-8,
-                    abs_floor: float = 1e-12) -> list:
+                    tolerance: float = 1e-6, zero_tolerance: float = 1e-8) -> list:
     """Composite-form identities, expanded into certified term-pair integrals.
 
     With distinct solutions this emits the form commutativity report plus
@@ -542,7 +524,7 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     plain commutativity.  Singleton forms reproduce check_commutativity and
     check_orthogonality values exactly (same code path).
     """
-    pair = partial(_form_pair_integral, _pair_table(params, quad or _IDENTITY_QUAD))
+    pair = partial(_form_pair_integral, _pair_table(params, quad or QuadratureSpec()))
     same = f == g
     lam_e, lam_o = parity_split(lam_form)
     om_e, om_o = parity_split(omega_form)
@@ -550,10 +532,10 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     if not same:
         lhs = pair(lam_form, f, "base", omega_form, g, "power")
         rhs = pair(lam_form, f, "power", omega_form, g, "base")
-        reports.append(_equality_report(
+        reports.append(_report(
             "composite-commutativity",
             "int Lam(f) Om(g^(p-1)) = int Lam(f^(p-1)) Om(g)",
-            lhs, rhs, tolerance, abs_floor))
+            lhs, rhs, tolerance))
     else:
         A = pair(lam_form, f, "base", omega_form, f, "power")
         B = pair(lam_form, f, "power", omega_form, f, "base")
@@ -567,34 +549,34 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
                 return x
             if not y.screen:
                 return y
-            return _PairResult(x.value + y.value, x.error + y.error,
-                               ScreenResult(True), x.parity_forced and y.parity_forced)
+            return _PairResult(x.value + y.value, x.error + y.error, ScreenResult(True),
+                               x.parity_forced and y.parity_forced, x.scale + y.scale)
 
         C = combine(C_ee, C_oo)
         D = combine(D_ee, D_oo)
-        reports.append(_equality_report(
+        reports.append(_report(
             "parity-chain-direct",
             "int Lam(f) Om(f^(p-1)) = int Lam(f^(p-1)) Om(f)",
-            A, B, tolerance, abs_floor))
-        reports.append(_equality_report(
+            A, B, tolerance))
+        reports.append(_report(
             "parity-chain-even-odd",
             "int Lam(f) Om(f^(p-1)) = even-even + odd-odd expansion",
-            A, C, tolerance, abs_floor))
-        reports.append(_equality_report(
+            A, C, tolerance))
+        reports.append(_report(
             "parity-chain-swapped",
             "even-even + odd-odd expansion equals its (f, f^(p-1)) swap",
-            C, D, tolerance, abs_floor))
+            C, D, tolerance))
 
     zero_a = pair(lam_e, f, "base", lam_o, f, "power")
     zero_b = pair(lam_e, f, "power", lam_o, f, "base")
-    reports.append(_zero_report(
+    reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f) Lam_o(f^(p-1)) = 0",
-        zero_a, None, zero_tolerance, abs_floor))
-    reports.append(_zero_report(
+        zero_a, _ZERO, zero_tolerance, zero_target=True))
+    reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f^(p-1)) Lam_o(f) = 0",
-        zero_b, None, zero_tolerance, abs_floor))
+        zero_b, _ZERO, zero_tolerance, zero_target=True))
     return reports
 
 
@@ -612,6 +594,6 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    integrand = _pair_integrand(g, "base", b, f, "power", a, params.n)
-    value, _ = quadrature.integrate(integrand, 1.0 / R, R, quad)
-    return value
+    g_unit, f_unit, amplitude = _unit_factors(g, "base", f, "power")
+    integrand = _pair_integrand(g_unit, b, f_unit, a, params.n)
+    return amplitude * quadrature.integrate(integrand, 1.0 / R, R, quad).value

@@ -110,6 +110,17 @@ class TestIdentity:
         assert code == 0
         assert len(load_report(str(out))["results"]) == 5
 
+    def test_quadrature_flags_reach_the_check(self, tmp_path):
+        runs = {}
+        for tol in ("1e-9", "1e-11"):
+            out = tmp_path / f"tol{tol}.json"
+            assert main(["identity", "--kind", "commutativity", "--f", "singular",
+                         "--g", "lieb", "--rel-tol", tol, "--no-timestamp",
+                         "--out", str(out)]) == 0
+            runs[tol] = load_report(str(out))["quadrature"]
+        assert runs["1e-11"]["rel_tol"] == 1e-11
+        assert runs["1e-11"]["err_estimates"][0] < runs["1e-9"]["err_estimates"][0]
+
 
 class TestCorollaryAndScan:
     def test_corollary(self, tmp_path):

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 
 from liebeq import quadrature
 from liebeq.identities import (NOT_APPLICABLE, VERIFIED, DifferentialForm,
-                               MultiIndex, apply_form, check_commutativity,
-                               check_composite, check_orthogonality,
-                               cutoff_pair_integral, parity_split, parse_form,
-                               solution_descriptor)
+                               MultiIndex, SolutionDescriptor, apply_form,
+                               check_commutativity, check_composite,
+                               check_orthogonality, cutoff_pair_integral,
+                               parity_split, parse_form, solution_descriptor)
+from liebeq.quadrature import NonConvergent
 from liebeq.solutions import lieb_solution, singular_solution
 from liebeq.specfun import Params, lieb_constant_L
 
@@ -198,6 +201,87 @@ class TestCommutativity:
         fL3 = solution_descriptor(lieb_solution(p3), p3, "lieb")
         with pytest.raises(ValueError):
             check_commutativity(fL3, fL3, (1, 0, 0), (0, 0, 0), p3)
+
+
+def _beta_sides(fC, fL, n):
+    """The exact sides of the order-zero singular-lieb identity for the
+    descriptors' own float amplitudes and exponents, at 30 digits.
+
+    With m = n - lam/2 and q = p - 1, and S = |S^(n-1)|:
+      lhs = L C^q S B(a, m - a) / 2,   a = (n - m q) / 2
+      rhs = C L^q S B(b, m q - b) / 2, b = (n - m) / 2
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    S = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+    a = (n - mp.mpf(fC.power.exponent)) / 2
+    lhs = (mp.mpf(fL.base.amplitude) * mp.mpf(fC.power.amplitude) * S
+           * mp.beta(a, mp.mpf(fL.base.exponent) - a) / 2)
+    b = (n - mp.mpf(fC.base.exponent)) / 2
+    rhs = (mp.mpf(fC.base.amplitude) * mp.mpf(fL.power.amplitude) * S
+           * mp.beta(b, mp.mpf(fL.power.exponent) - b) / 2)
+    return lhs, rhs
+
+
+_SMALL_LAMBDA = "singular solution near the origin's integrability border, ROADMAP item 2"
+_ORACLE_CELLS = [(n, t) for n in range(1, 6) for t in (0.15, 0.5, 0.85, 0.95)] + [
+    pytest.param(1, 0.05, marks=pytest.mark.xfail(
+        strict=True, raises=NonConvergent, reason=_SMALL_LAMBDA)),
+    *(pytest.param(n, 0.05, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="rhs error bar too small: " + _SMALL_LAMBDA)) for n in range(2, 6))]
+
+
+@pytest.mark.parametrize("n,frac", _ORACLE_CELLS)
+def test_zeroth_cross_identity_against_beta_closed_form(n, frac):
+    # C and L collapse as lam -> n (L C^q is about 1e-32 at n = 1,
+    # lam = 0.95), so this also checks that no absolute floor decides
+    p = Params(n, frac * n)
+    fC = solution_descriptor(singular_solution(p), p, "singular")
+    fL = solution_descriptor(lieb_solution(p), p, "lieb")
+    rep = check_commutativity(fC, fL, 0, 0, p)
+    lhs_ref, rhs_ref = _beta_sides(fC, fL, n)
+    assert rep.verdict == VERIFIED
+    assert abs(rep.lhs - lhs_ref) <= rep.err_lhs
+    assert abs(rep.rhs - rhs_ref) <= rep.err_rhs
+    assert abs(rep.lhs - rep.rhs) <= 1e-6 * abs(rep.rhs)
+
+
+class TestAmplitudeCovariance:
+    """Scaling the solution by 2^j and its power by 2^k scales every pair
+    integral by exactly 2^(j+k) and leaves every gap and verdict as is."""
+
+    EXPONENTS = (-100, -50, 0, 50, 100)
+
+    @staticmethod
+    def _scaled(desc, j, k):
+        return SolutionDescriptor(replace(desc.base, amplitude=desc.base.amplitude * 2.0 ** j),
+                                  replace(desc.power, amplitude=desc.power.amplitude * 2.0 ** k),
+                                  desc.params, desc.label)
+
+    @staticmethod
+    def _checks(fC, fL, p):
+        form = parse_form("d1 + d11", 1)
+        return [check_commutativity(fC, fL, 0, 0, p),
+                check_orthogonality(fL, 1, 0, p),
+                check_orthogonality(fL, 2, 0, p),
+                *check_composite(fL, fL, form, form, p)]
+
+    @pytest.fixture(scope="class")
+    def base(self, descriptors):
+        p, fC, fL = descriptors
+        return self._checks(fC, fL, p)
+
+    @pytest.mark.parametrize("j", EXPONENTS)
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_reports_scale_exactly(self, descriptors, base, j, k):
+        p, fC, fL = descriptors
+        scaled = self._checks(self._scaled(fC, j, k), self._scaled(fL, j, k), p)
+        factor = 2.0 ** (j + k)
+        for ref, rep in zip(base, scaled, strict=True):
+            assert rep.rel_gap == ref.rel_gap and rep.verdict == ref.verdict
+            for field in ("lhs", "rhs", "err_lhs", "err_rhs", "conditioning"):
+                assert getattr(rep, field) == factor * getattr(ref, field), field
 
 
 class TestOrthogonality:
