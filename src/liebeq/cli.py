@@ -170,11 +170,7 @@ def _run_riesz(args, params, quad):
 
 
 def _identity_result(report) -> dict:
-    out = _json_ready(report)
-    out["name"] = report.identity_id
-    out["screen"] = {"convergent": report.screen.convergent,
-                     "failing_location": _json_ready(report.screen.failing_location)}
-    return out
+    return {**_json_ready(report), "name": report.identity_id}
 
 
 def _run_identity(args, params, quad):

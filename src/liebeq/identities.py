@@ -30,7 +30,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureSpec, ScreenResult, SingularityBudget, convergence_screen
+from .quadrature import (QuadratureSpec, QuadResult, ScreenResult, SingularityBudget,
+                         convergence_screen)
 from .radial_riesz import POWER_SINGULAR, RadialProfile
 from .solutions import INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify
 from .specfun import Params, sphere_surface_area
@@ -201,13 +202,15 @@ def _central_weights(order: int, halfwidth: int):
     return offsets, np.linalg.solve(v, rhs)
 
 
-def _fd_derivative(func, x: np.ndarray, index: MultiIndex) -> float:
-    """Nested central differences for D_index func at point x (order >= 4)."""
+def _fd_derivative(func, x: np.ndarray, index: MultiIndex,
+                   h_max: float = math.inf) -> float:
+    """Nested central differences for D_index func at point x (accuracy
+    order >= 4), with step at most h_max."""
     k = index.order
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order {k} exceeds the cap {MAX_DERIVATIVE_ORDER}")
     scale = max(1.0, float(np.max(np.abs(x))))
-    h = np.finfo(float).eps ** (1.0 / (k + 2)) * scale
+    h = min(np.finfo(float).eps ** (1.0 / (k + 2)) * scale, h_max)
 
     def recurse(point, comps):
         for axis, order in enumerate(comps):
@@ -220,7 +223,7 @@ def _fd_derivative(func, x: np.ndarray, index: MultiIndex) -> float:
                     shifted[axis] += off * h
                     acc += wgt * recurse(shifted, rest)
                 return acc / h ** order
-        return float(func(point if point.size > 1 else float(point[0])))
+        return float(func(point if point.size > 1 else point[0]))
 
     return recurse(np.atleast_1d(np.asarray(x, dtype=float)), index.components)
 
@@ -340,9 +343,11 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
                    params: Params, quad: QuadratureSpec) -> _PairResult:
     """Certified integral of D_beta(g_side) * D_alpha(f_side) over R^n.
 
-    Integrates both half-lines separately on the line (no parity shortcut)
-    and the radius otherwise; the radial reduction covers alpha = beta = 0
-    in higher dimension.  The integral is bilinear, so the factors are
+    On the line the positive half-line is integrated and the negative one
+    taken by parity: both factors are even, and derivative_1d(-x, k) is
+    (-1)^k derivative_1d(x, k) exactly.  Otherwise the radius is
+    integrated; the radial reduction covers alpha = beta = 0 in higher
+    dimension.  The integral is bilinear, so the factors are
     integrated at unit amplitude and value, error and scale are multiplied
     by the product of the amplitudes.  Returns value NaN with the screen
     attached when the screen rejects the budget.
@@ -363,8 +368,10 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
     spec = quad.with_tail(tail)
     halves = [quadrature.integrate(integrand, 0.0, math.inf, spec)]
     if n == 1:
-        halves.append(quadrature.integrate(
-            lambda t: integrand(-np.asarray(t, dtype=float)), 0.0, math.inf, spec))
+        # the integrand has the parity of alpha + beta, bit for bit, and the
+        # quadrature commutes with negation, so the mirror half-line is free
+        h = halves[0]
+        halves.append(QuadResult(-h.value if parity_forced else h.value, h.error))
     value = sum(h.value for h in halves)
     error = sum(h.error for h in halves)
     scale = sum(abs(h.value) for h in halves)

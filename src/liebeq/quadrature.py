@@ -83,12 +83,6 @@ class QuadratureSpec:
             raise ValueError("split_points must be strictly increasing")
         object.__setattr__(self, "split_points", pts)
 
-    def with_splits(self, points: Sequence[float]) -> "QuadratureSpec":
-        """Copy of this spec with the given split points (sorted, deduplicated)."""
-        merged = sorted(set(self.split_points) | set(float(p) for p in points))
-        return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_subdivisions,
-                              tuple(merged), self.tail_exponent_hint)
-
     def with_tail(self, exponent: float) -> "QuadratureSpec":
         return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_subdivisions,
                               self.split_points, float(exponent))
@@ -366,7 +360,7 @@ def integrate(f: Callable, a: float, b: float,
         tail_exp = float(spec.tail_exponent_hint)
     else:
         tail_exp = _probe_tail_exponent(f, T)
-    if tail_exp >= -1.0 - _BORDERLINE_EPS:
+    if not convergence_screen(SingularityBudget(((math.inf, tail_exp),))):
         raise DivergentTail(
             f"tail decay exponent {tail_exp:.6g} is >= -1; integral diverges at infinity")
 

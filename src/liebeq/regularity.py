@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .identities import _central_weights
+from .identities import MultiIndex, _fd_derivative
 from .radial_riesz import RadialProfile
 from .specfun import Params
 
@@ -145,38 +145,25 @@ class WeightedNormResult:
 
 
 def _derivative_on_line(u, x: np.ndarray, order: int, G: Domain1D):
-    """|D^k u| on sample points for the supported descriptor kinds."""
-    if isinstance(u, RadialProfile):
+    """D^k u on sample points: through u.derivative_1d when u has it, else by
+    central differences whose stencil stays inside G."""
+    if hasattr(u, "derivative_1d"):
         return u.derivative_1d(x, order)
-    if hasattr(u, "derivative"):
-        return np.asarray(u.derivative(x, order), dtype=float) if order else \
-            np.asarray(u.value(x), dtype=float)
-    if order == 0:
-        return np.asarray([u(xi) for xi in x], dtype=float)
-    halfwidth = order // 2 + 2
-    offsets, weights = _central_weights(order, halfwidth)
-    eps = np.finfo(float).eps
-    out = np.empty_like(x)
-    for i, xi in enumerate(x):
-        h = eps ** (1.0 / (order + 2)) * max(1.0, abs(xi))
-        h = min(h, float(G.rho(xi)) / (2.0 * halfwidth))  # stay inside G
-        acc = 0.0
-        for off, wgt in zip(offsets, weights):
-            acc += wgt * u(xi + off * h)
-        out[i] = acc / h ** order
-    return out
+    index, halfwidth = MultiIndex((order,)), order // 2 + 2
+    return np.asarray([_fd_derivative(u, xi, index, h_max=float(G.rho(xi)) / (2.0 * halfwidth))
+                       for xi in x], dtype=float)
 
 
 def weighted_norm(u, m: int, nu: float, G: Domain1D,
                   schedule: GridSchedule | None = None) -> WeightedNormResult:
     """Estimate the weighted norm of u over G on a boundary-graded grid.
 
-    u may be a closed-form radial profile (analytic derivatives), an object
-    with value/derivative methods, or a plain callable (finite differences
-    with steps shrunk near the boundary).  Unboundedness is a result, not
-    an error: the flag is set when the running supremum still grows by more
-    than 10% per refinement at the two finest levels, or a sample is
-    non-finite.
+    u may be an object with a derivative_1d(x, order) method (a closed-form
+    radial profile or a grid solution) or a plain callable (finite
+    differences with steps shrunk near the boundary).  Unboundedness is a
+    result, not an error: the flag is set when the running supremum still
+    grows by more than 10% per refinement at the two finest levels, or a
+    sample is non-finite.
     """
     if nu >= G.dimension:
         raise ValueError("weighted norm requires nu < n")
@@ -313,9 +300,8 @@ class DecayScanReport:
 
 
 def _scan_values(f, radii: np.ndarray) -> np.ndarray:
-    func = f.value if isinstance(f, RadialProfile) else f
     with np.errstate(all="ignore"):
-        return np.abs(np.asarray(func(radii), dtype=float))
+        return np.abs(np.asarray(f(radii), dtype=float))
 
 
 def decay_singularity_scan(f, params: Params, R_outer: float,

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
 
 from .radial_riesz import RadialProfile
@@ -115,27 +114,33 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class GridSolution1D:
-    """Converged grid solution with monotone-cubic off-grid evaluation."""
+    """Converged grid solution, evaluated off the grid as u_h, the
+    piecewise-linear interpolant that the collocation equations solve for."""
 
     x: tuple
     values: tuple
     params: Params
     domain: Domain1D
-    _interp: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_interp",
-                           PchipInterpolator(np.asarray(self.x), np.asarray(self.values)))
 
     def value(self, x):
-        out = self._interp(np.asarray(x, dtype=float))
+        out = np.interp(x, self.x, self.values)
         return out if out.ndim else float(out)
 
     def __call__(self, x):
         return self.value(x)
 
-    def derivative(self, x, order: int = 1):
-        out = self._interp.derivative(order)(np.asarray(x, dtype=float))
+    def derivative_1d(self, x, order: int):
+        """d^k u_h/dx^k for k <= 1: the value, or the slope of the panel to
+        the right of x (of the last panel at the last node).  u_h'' is a
+        measure, so higher orders raise ValueError."""
+        if order == 0:
+            return self.value(x)
+        if order != 1:
+            raise ValueError("u_h is piecewise linear: derivative order must be 0 or 1")
+        nodes = np.asarray(self.x)
+        slopes = np.diff(self.values) / np.diff(nodes)
+        panel = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(slopes) - 1)
+        out = slopes[panel]
         return out if out.ndim else float(out)
 
 

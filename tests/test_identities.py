@@ -376,7 +376,7 @@ class TestComposite:
 
 class TestPairTable:
     """Each check computes each distinct pair integral once; on the line one
-    pair integral is two quadratures, one per half-line."""
+    pair integral is one quadrature, the negative half-line taken by parity."""
 
     @pytest.fixture
     def integrate_calls(self, monkeypatch):
@@ -390,12 +390,12 @@ class TestPairTable:
         p, _, fL = descriptors
         form = parse_form("d1 + d11", 1)
         check_composite(fL, fL, form, form, p)
-        assert len(integrate_calls) == 8    # 4 distinct pairs of 14 read
+        assert len(integrate_calls) == 4    # 4 distinct pairs of 14 read
 
     def test_diagonal_commutativity_runs_once(self, descriptors, integrate_calls):
         p, _, fL = descriptors
         rep = check_commutativity(fL, fL, 1, 1, p)
-        assert len(integrate_calls) == 2
+        assert len(integrate_calls) == 1
         assert rep.lhs == rep.rhs
 
 

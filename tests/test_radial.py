@@ -52,6 +52,17 @@ class TestRadialProfile:
         assert f.derivative_1d(-x, 1) == pytest.approx(-f.derivative_1d(x, 1), rel=1e-13)
         assert f.derivative_1d(-x, 2) == pytest.approx(f.derivative_1d(x, 2), rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["power_singular", "lieb"])
+    def test_derivative_mirror_parity_is_bitwise(self, kind):
+        # D^k f(-x) = (-1)^k D^k f(x) with no rounding difference: identity
+        # pair integrals take the negative half-line from the positive one
+        x = np.random.default_rng(3).uniform(1e-3, 1e3, 100_000)
+        for m in (0.3, 0.75, 1.9):
+            f = RadialProfile(kind, amplitude=1.0, exponent=m)
+            for k in range(7):
+                assert np.array_equal(f.derivative_1d(-x, k),
+                                      (-1.0) ** k * f.derivative_1d(x, k)), (m, k)
+
     def test_lieb_derivative_matches_finite_difference(self):
         f = RadialProfile.lieb(1.7, 0.75)
         x = 0.6

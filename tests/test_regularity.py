@@ -60,6 +60,15 @@ class TestWeightedNorm:
         res = weighted_norm(lambda x: 1.0 / min(x, 1.0 - x), 0, 0.5, G)
         assert res.unbounded and math.isinf(res.total)
 
+    def test_difference_stencil_stays_inside_domain(self):
+        # sqrt(x (1 - x)) raises a math domain error outside [0, 1], so any
+        # stencil point outside G would fail the call
+        G = Domain1D.interval(0.0, 1.0)
+        res = weighted_norm(lambda x: math.sqrt(x * (1.0 - x)), 2, 0.5, G)
+        # u'' = -(x (1 - x))^(-3/2) / 4, so rho^(3/2) |u''| peaks at x = 1/2
+        assert res.per_alpha_suprema[0] == 0.5
+        assert res.per_alpha_suprema[2] == pytest.approx(math.sqrt(0.5), rel=1e-6)
+
     def test_lieb_profile_finite(self, p_half):
         u = lieb_solution(p_half)
         res = weighted_norm(u, 2, 0.5, Domain1D.ball(1, 1.0))

@@ -144,8 +144,28 @@ class TestNewtonScheme:
         _, _, solution, _ = converged
         mid = solution.value(0.0)
         assert mid == pytest.approx(max(solution.values), rel=1e-6)
-        d = solution.derivative(0.5)
+        d = solution.derivative_1d(0.5, 1)
         assert np.isfinite(d)
+
+    def test_grid_solution_is_u_h(self, converged):
+        # oracle: u_h is the piecewise-linear interpolant of the nodal values,
+        # its derivative the secant slope of the panel right of the point
+        _, _, solution, _ = converged
+        x = np.asarray(solution.x)
+        u = np.asarray(solution.values)
+        rng = np.random.default_rng(7)
+        probes = np.concatenate([0.5 * (x[:-1] + x[1:]),
+                                 rng.uniform(x[0], x[-1], 200)])
+        assert np.array_equal(solution.value(probes), np.interp(probes, x, u))
+        slopes = [(u[j + 1] - u[j]) / (x[j + 1] - x[j])
+                  for j in (int(np.sum(x <= t)) - 1 for t in probes)]
+        assert np.array_equal(solution.derivative_1d(probes, 1), slopes)
+        # at a node the right panel's slope, at the last node the last panel's
+        assert solution.derivative_1d(x[3], 1) == (u[4] - u[3]) / (x[4] - x[3])
+        assert solution.derivative_1d(x[-1], 1) == (u[-1] - u[-2]) / (x[-1] - x[-2])
+        assert solution.derivative_1d(0.3, 0) == solution.value(0.3)
+        with pytest.raises(ValueError):
+            solution.derivative_1d(0.3, 2)   # u_h'' is a measure
 
 
 class TestDirectScheme:
