@@ -9,10 +9,16 @@ The naive relaxation sweep u <- (1-d) u + d (T_G u)^(1/(p-1)) is amplitude
 expansive (the exponent 1/(p-1) = (2n-lam)/lam exceeds 1): any amplitude
 error is amplified by roughly 1 + 2d per sweep regardless of the damping
 d, so that scheme diverges from generic starts.  It is kept available as
-scheme="direct" for exactly that failure mode.  The default scheme solves
-the collocation system by bounded trust-region Gauss-Newton in the
-variable v = u^(p-1), restricted to the even (reflection-symmetric)
-subspace of the interval, and reaches machine-level residuals.
+scheme="direct" for exactly that failure mode.  The default scheme works in
+the even (reflection-symmetric) subspace of the interval.  Petviashvili
+sweeps u <- M^gamma (T_G u)^s, with s = 1/(p-1), gamma = s/(s-1) and the
+stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
+(Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
+2004) and bring the relative residual to sqrt(stop_tol).  Bounded
+trust-region Gauss-Newton in the variable v = u^(p-1) then finishes to
+machine-level residuals.  The trust region alone, from a constant start,
+stops at stationary points of the residual norm that are no roots for
+many lam above 0.5.
 
 A caution on interpretation: at the equation's own conjugate exponent
 p = 2n/(2n-lam) the bounded-domain problem has no positive solution.
@@ -101,15 +107,27 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-sweep relative sup-norm residuals of T_G u - u^(p-1), the sup-norm
-    amplitude history (with minima, so positivity of every iterate is on
-    record), and the convergence flag (final residual <= stop_tol)."""
+    """Relative sup-norm residuals of T_G u - u^(p-1) of every recorded
+    iterate, the sup-norm amplitude history (with minima, so positivity of
+    every iterate is on record), and the convergence flag (final residual
+    <= stop_tol).
+
+    iterations is len(residuals): one entry per sweep, per residual
+    evaluation of the trust-region finish and for the returned solution, so
+    at most 2*max_iters + 1.  sweeps counts the fixed-point sweeps; nfev,
+    njev, status and message are least_squares' (zero, zero, None and ""
+    for scheme="direct")."""
 
     residuals: list = field(default_factory=list)
     amplitudes: list = field(default_factory=list)
     minima: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    sweeps: int = 0
+    nfev: int = 0
+    njev: int = 0
+    status: int | None = None
+    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -206,42 +224,69 @@ def _initial_values(init, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _even_matrix(W: np.ndarray):
+    """(Wr, half, mirror): W restricted to even grid functions, which are
+    fixed by their values on the right half, nodes half = c..N-1 with mirror
+    images mirror = c..0.  The centre column is counted once."""
+    N = W.shape[0]
+    c = N // 2
+    half = np.arange(c, N)
+    mirror = N - 1 - half
+    Wr = W[np.ix_(half, half)]
+    Wr[:, 1:] += W[np.ix_(half, mirror[1:])]
+    return Wr, half, mirror
+
+
 def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
                   config: SolverConfig, trace: SolverTrace) -> np.ndarray:
     pm1 = params.pm1
     s = 1.0 / pm1
     N = len(u0)
-    c = N // 2
-    half = np.arange(c, N)
-    mirror = N - 1 - half
-    # reflection-symmetric reduction: W restricted to even grid functions
-    Wr = W[np.ix_(half, half)].copy()
-    for col, j in enumerate(half):
-        if mirror[col] != j:
-            Wr[:, col] += W[half, mirror[col]]
+    Wr, half, mirror = _even_matrix(W)
 
-    def record(v):
-        vfull = np.empty(N)
-        vfull[half] = v
-        vfull[mirror] = v
-        u = vfull ** s
+    def record(uh):
+        u = np.empty(N)
+        u[half] = uh
+        u[mirror] = uh
         trace.residuals.append(_relative_residual(W, u, pm1))
         trace.amplitudes.append(float(np.max(u)))
         trace.minima.append(float(np.min(u)))
         return u
 
+    # Petviashvili sweeps: T = (Wr u)^s is homogeneous of degree s > 1, and
+    # the factor M^gamma, M = <u,u>/<u,T>, cancels the amplitude growth of
+    # the plain sweep; one Gauss-Newton step squares the residual they leave.
+    # Near the ends of the lam window s or gamma is large enough to overflow;
+    # the finish then starts from the last finite iterate.
+    gamma = s / (s - 1.0)
+    uh = 0.5 * (u0[half] + u0[mirror])
+    while trace.sweeps < config.max_iters:
+        with np.errstate(all="ignore"):
+            T = (Wr @ uh) ** s
+            swept = (np.dot(uh, uh) / np.dot(uh, T)) ** gamma * T
+        if not (np.all(np.isfinite(swept)) and np.max(swept) > 0.0):
+            break
+        uh = swept
+        trace.sweeps += 1
+        record(uh)
+        if trace.residuals[-1] <= math.sqrt(config.stop_tol):
+            break
+
     def fun(v):
-        record(v)
-        return Wr @ (v ** s) - v
+        uh = v ** s
+        record(uh)
+        return Wr @ uh - v
 
     def jac(v):
         return s * Wr * (v ** (s - 1.0))[None, :] - np.eye(len(half))
 
-    v0 = np.clip(u0[half] ** pm1, 1e-12, None)
+    v0 = np.clip(uh ** pm1, 1e-12, None)
     sol = least_squares(fun, v0, jac=jac, bounds=(1e-300, np.inf), method="trf",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15,
                         max_nfev=config.max_iters)
-    u = record(sol.x)
+    trace.nfev, trace.njev = int(sol.nfev), int(sol.njev or 0)
+    trace.status, trace.message = int(sol.status), str(sol.message)
+    u = record(sol.x ** s)
     if not np.all(u > 0.0):
         raise NonPositive("solution lost positivity", trace)
     return u
@@ -264,6 +309,7 @@ def _solve_direct(W: np.ndarray, u0: np.ndarray, params: Params,
             raise Diverged("iterate overflowed", trace)
         if np.any(u <= 0.0):
             raise NonPositive("iterate lost positivity", trace)
+        trace.sweeps += 1
         res = _relative_residual(W, u, pm1)
         trace.residuals.append(res)
         trace.amplitudes.append(float(np.max(u)))

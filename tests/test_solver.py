@@ -5,9 +5,9 @@ import pytest
 
 from liebeq.quadrature import NonConvergent, QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
-from liebeq.solver import (Diverged, NonPositive, SolverConfig, graded_grid,
-                           moment_matrix, picard_solve, product_integration_matrix,
-                           residual_on_points)
+from liebeq.solver import (Diverged, NonPositive, SolverConfig, _even_matrix,
+                           graded_grid, moment_matrix, picard_solve,
+                           product_integration_matrix, residual_on_points)
 from liebeq.specfun import Params
 
 
@@ -78,6 +78,20 @@ class TestDiscretization:
             except NonConvergent:
                 continue
             assert abs(value - exact) <= err
+
+    @pytest.mark.parametrize("N", [65, 257])
+    def test_even_matrix_matches_column_loop(self, N):
+        W = product_integration_matrix(graded_grid(-1.0, 1.0, N, 2.0), 0.5)
+        c = N // 2
+        half = np.arange(c, N)
+        mirror = N - 1 - half
+        loop = W[np.ix_(half, half)].copy()
+        for col, j in enumerate(half):
+            if mirror[col] != j:
+                loop[:, col] += W[half, mirror[col]]
+        Wr, got_half, got_mirror = _even_matrix(W)
+        assert np.array_equal(Wr, loop)
+        assert np.array_equal(got_half, half) and np.array_equal(got_mirror, mirror)
 
     def test_lambda_window(self):
         x = graded_grid(0.0, 1.0, 9, 1.0)
@@ -167,6 +181,46 @@ class TestNewtonScheme:
         with pytest.raises(ValueError):
             solution.derivative_1d(0.3, 2)   # u_h'' is a measure
 
+    def test_trace_splits_sweeps_and_finish(self, converged):
+        _, cfg, _, trace = converged
+        # one record per sweep, per finisher residual and for the solution
+        assert trace.sweeps > 0 and trace.nfev > 0 and trace.njev > 0
+        assert trace.iterations == len(trace.residuals) == trace.sweeps + trace.nfev + 1
+        assert trace.iterations <= 2 * cfg.max_iters + 1
+        assert trace.status in (1, 2, 3, 4) and "termination" in trace.message
+        assert len(trace.amplitudes) == len(trace.minima) == trace.iterations
+        # the sweeps bring the residual to sqrt(stop_tol), the finish below it
+        assert trace.residuals[trace.sweeps - 1] <= math.sqrt(cfg.stop_tol)
+        assert max(trace.residuals[:trace.sweeps - 1]) > math.sqrt(cfg.stop_tol)
+
+    # the trust region alone stalls short of a root on these (residuals 2e-3
+    # to 8e-2); the sweeps bring every one into its basin
+    @pytest.mark.parametrize("N, lam", [(257, 0.55), (257, 0.65), (257, 0.74),
+                                        (513, 0.776)])
+    def test_converges_where_trust_region_alone_stalls(self, N, lam):
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        solution, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.converged and trace.residuals[-1] <= 1e-13
+        assert min(solution.values) > 0.0 and all(m > 0.0 for m in trace.minima)
+
+    @pytest.mark.parametrize("lam", [0.001, 0.999])
+    def test_overflowing_sweep_hands_last_finite_iterate_on(self, lam):
+        # s = 1/(p-1) (small lam) or gamma = s/(s-1) (lam near 1) is large
+        # enough for a sweep to overflow; the finish must still get a
+        # finite positive start instead of least_squares raising ValueError
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=33)
+        solution, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.sweeps < cfg.max_iters and trace.nfev > 0
+        assert np.all(np.isfinite(solution.values)) and min(solution.values) > 0.0
+
+    @pytest.mark.parametrize("N, peak", [(129, "1.064"), (257, "1.461"), (513, "2.048")])
+    def test_peak_matches_readme_table(self, N, peak):
+        # the README's critical-interval table at lambda = 0.5
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        solution, trace = picard_solve(cfg, Params(1, 0.5))
+        assert trace.residuals[-1] <= 1e-13
+        assert f"{max(solution.values):.3f}" == peak
+
 
 class TestDirectScheme:
     def test_diverges_from_constant_init(self):
@@ -186,6 +240,8 @@ class TestDirectScheme:
             picard_solve(cfg, p, init=1.0)
         assert err.value.trace is not None
         assert len(err.value.trace.residuals) >= 5
+        assert err.value.trace.sweeps == len(err.value.trace.residuals)
+        assert err.value.trace.nfev == 0 and err.value.trace.status is None
 
 
 class TestConfig:
