@@ -15,10 +15,10 @@ sweeps u <- M^gamma (T_G u)^s, with s = 1/(p-1), gamma = s/(s-1) and the
 stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
 (Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
 2004) and bring the relative residual to sqrt(stop_tol).  Bounded
-trust-region Gauss-Newton in the variable v = u^(p-1) then finishes to
-machine-level residuals.  The trust region alone, from a constant start,
-stops at stationary points of the residual norm that are no roots for
-many lam above 0.5.
+trust-region Gauss-Newton in the variable v = u^(p-1), scaled to unit
+size, then finishes to machine-level residuals.  The trust region alone,
+from a constant start, stops at stationary points of the residual norm
+that are no roots for many lam above 0.5.
 
 A caution on interpretation: at the equation's own conjugate exponent
 p = 2n/(2n-lam) the bounded-domain problem has no positive solution.
@@ -111,6 +111,11 @@ class SolverTrace:
     iterate, the sup-norm amplitude history (with minima, so positivity of
     every iterate is on record), and the convergence flag (final residual
     <= stop_tol).
+
+    A small residual cannot come from an iterate near u = 0: W has
+    nonnegative entries, so at the node of the maximum M the relative
+    residual r is at least 1 - M^(2-p) max_i (W 1)_i, and converged implies
+    M >= ((1 - stop_tol) / max_i (W 1)_i)^(1/(2-p)).
 
     iterations is len(residuals): one entry per sweep, per residual
     evaluation of the trust-region finish and for the returned solution, so
@@ -207,9 +212,9 @@ def product_integration_matrix(x: np.ndarray, lam: float) -> np.ndarray:
     return moment_matrix(x, x, lam)
 
 
-def _relative_residual(W: np.ndarray, u: np.ndarray, pm1: float) -> float:
+def _relative_residual(Wu: np.ndarray, u: np.ndarray, pm1: float) -> float:
     rhs = u ** pm1
-    return float(np.max(np.abs(W @ u - rhs)) / np.max(np.abs(rhs)))
+    return float(np.max(np.abs(Wu - rhs)) / np.max(np.abs(rhs)))
 
 
 def _initial_values(init, x: np.ndarray) -> np.ndarray:
@@ -244,49 +249,58 @@ def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
     N = len(u0)
     Wr, half, mirror = _even_matrix(W)
 
-    def record(uh):
-        u = np.empty(N)
-        u[half] = uh
-        u[mirror] = uh
-        trace.residuals.append(_relative_residual(W, u, pm1))
+    def record(u, Wu):
+        trace.residuals.append(_relative_residual(Wu, u, pm1))
         trace.amplitudes.append(float(np.max(u)))
         trace.minima.append(float(np.min(u)))
-        return u
 
     # Petviashvili sweeps: T = (Wr u)^s is homogeneous of degree s > 1, and
     # the factor M^gamma, M = <u,u>/<u,T>, cancels the amplitude growth of
     # the plain sweep; one Gauss-Newton step squares the residual they leave.
+    # One product Wr u per sweep gives both the residual of u and the next T.
     # Near the ends of the lam window s or gamma is large enough to overflow;
     # the finish then starts from the last finite iterate.
     gamma = s / (s - 1.0)
     uh = 0.5 * (u0[half] + u0[mirror])
+    Wuh = Wr @ uh
     while trace.sweeps < config.max_iters:
         with np.errstate(all="ignore"):
-            T = (Wr @ uh) ** s
+            T = Wuh ** s
             swept = (np.dot(uh, uh) / np.dot(uh, T)) ** gamma * T
         if not (np.all(np.isfinite(swept)) and np.max(swept) > 0.0):
             break
         uh = swept
+        Wuh = Wr @ uh
         trace.sweeps += 1
-        record(uh)
+        record(uh, Wuh)
         if trace.residuals[-1] <= math.sqrt(config.stop_tol):
             break
 
-    def fun(v):
-        uh = v ** s
-        record(uh)
-        return Wr @ uh - v
+    # The finish solves for w = v/b, v = u^(p-1), with b the power of two
+    # nearest max v: the residuals scale exactly by 1/b, and the absolute
+    # gradient test gtol no longer stops the finish early when the solution
+    # amplitude (about the Lieb constant L) is small, as it is near lam = 1.
+    v0 = uh ** pm1
+    b = 2.0 ** round(math.log2(np.max(v0)))
 
-    def jac(v):
-        return s * Wr * (v ** (s - 1.0))[None, :] - np.eye(len(half))
+    def fun(w):
+        uh = (b * w) ** s
+        Wuh = Wr @ uh
+        record(uh, Wuh)
+        return Wuh / b - w
 
-    v0 = np.clip(uh ** pm1, 1e-12, None)
-    sol = least_squares(fun, v0, jac=jac, bounds=(1e-300, np.inf), method="trf",
+    def jac(w):
+        return s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(half))
+
+    sol = least_squares(fun, np.clip(v0 / b, 1e-12, None), jac=jac,
+                        bounds=(1e-300, np.inf), method="trf",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15,
                         max_nfev=config.max_iters)
     trace.nfev, trace.njev = int(sol.nfev), int(sol.njev or 0)
     trace.status, trace.message = int(sol.status), str(sol.message)
-    u = record(sol.x ** s)
+    u = np.empty(N)
+    u[half] = u[mirror] = (b * sol.x) ** s
+    record(u, W @ u)
     if not np.all(u > 0.0):
         raise NonPositive("solution lost positivity", trace)
     return u
@@ -310,7 +324,7 @@ def _solve_direct(W: np.ndarray, u0: np.ndarray, params: Params,
         if np.any(u <= 0.0):
             raise NonPositive("iterate lost positivity", trace)
         trace.sweeps += 1
-        res = _relative_residual(W, u, pm1)
+        res = _relative_residual(W @ u, u, pm1)
         trace.residuals.append(res)
         trace.amplitudes.append(float(np.max(u)))
         trace.minima.append(float(np.min(u)))

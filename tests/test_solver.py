@@ -8,7 +8,20 @@ from liebeq.regularity import Domain1D, weighted_norm
 from liebeq.solver import (Diverged, NonPositive, SolverConfig, _even_matrix,
                            graded_grid, moment_matrix, picard_solve,
                            product_integration_matrix, residual_on_points)
-from liebeq.specfun import Params
+from liebeq.specfun import Params, lieb_constant_L
+
+
+def _bubble_fit(solution):
+    """(max u / L, relative sup distance of u from the Lieb bubble
+    max u (1 + (x/eps)^2)^(-a), a = 1 - lam/2, whose peak L eps^(-a) is
+    max u): the discrete solutions concentrate into this bubble."""
+    x = np.asarray(solution.x)
+    u = np.asarray(solution.values)
+    L = lieb_constant_L(solution.params)
+    a = 1.0 - solution.params.lam / 2.0
+    eps = (u.max() / L) ** (-1.0 / a)
+    bubble = u.max() * (1.0 + (x / eps) ** 2) ** (-a)
+    return u.max() / L, float(np.max(np.abs(u - bubble)) / u.max())
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +215,42 @@ class TestNewtonScheme:
         solution, trace = picard_solve(cfg, Params(1, lam))
         assert trace.converged and trace.residuals[-1] <= 1e-13
         assert min(solution.values) > 0.0 and all(m > 0.0 for m in trace.minima)
+        # a concentrated bubble (max u / L is 11.7 to 16.1 here), not u ~ 0
+        ratio, distance = _bubble_fit(solution)
+        assert 10.0 < ratio < 30.0 and distance < 0.06
+
+    # the Lieb constant L, the whole-line solution's peak, is 4.9e-8 at
+    # lam = 0.9, 1.1e-17 at 0.95 and 4.4e-117 at 0.99: the solutions are that
+    # small, and a finish in unscaled u^(p-1) stops on the absolute gradient
+    # test gtol far above machine residuals
+    @pytest.mark.parametrize("N, lam", [(129, 0.9), (257, 0.95), (129, 0.99)])
+    def test_small_amplitude_solutions_reach_machine_residuals(self, N, lam):
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        solution, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.converged and trace.residuals[-1] <= 1e-13
+        assert min(solution.values) > 0.0
+        ratio, distance = _bubble_fit(solution)
+        assert 5.0 < ratio < 15.0 and distance < 0.1
+
+    def test_small_residual_rules_out_collapse(self):
+        # a relative residual r forces max u >= ((1 - r)/max W1)^(1/(2-p)),
+        # W having nonnegative entries; every recorded iterate obeys it, and
+        # shrinking a solution by t raises its residual to 1 - t^(2-p)
+        p = Params(1, 0.9)
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
+        solution, trace = picard_solve(cfg, p)
+        x = np.asarray(solution.x)
+        u = np.asarray(solution.values)
+        W = product_integration_matrix(x, p.lam)
+        assert np.all(W >= 0.0)
+        row_max = np.max(W @ np.ones(len(x)))
+        for r, amplitude in zip(trace.residuals, trace.amplitudes):
+            if r < 1.0:
+                assert amplitude >= ((1.0 - r) / row_max) ** (1.0 / (2.0 - p.p))
+        for t in (1e-1, 1e-3, 1e-6):
+            rhs = (t * u) ** p.pm1
+            r = np.max(np.abs(W @ (t * u) - rhs)) / np.max(rhs)
+            assert r == pytest.approx(1.0 - t ** (2.0 - p.p), abs=1e-12)
 
     @pytest.mark.parametrize("lam", [0.001, 0.999])
     def test_overflowing_sweep_hands_last_finite_iterate_on(self, lam):
