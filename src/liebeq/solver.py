@@ -16,7 +16,9 @@ stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
 (Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
 2004) and bring the relative residual to sqrt(stop_tol).  Bounded
 trust-region Gauss-Newton in the variable v = u^(p-1), scaled to unit
-size, then finishes to machine-level residuals.  The trust region alone,
+size, then finishes to machine-level residuals; each trust-region step
+comes from LSMR iterations on the Jacobian (Fong & Saunders, SIAM J. Sci.
+Comput. 33, 2011), so no step factorizes it by SVD.  The trust region alone,
 from a constant start, stops at stationary points of the residual norm
 that are no roots for many lam above 0.5.
 
@@ -196,8 +198,11 @@ def moment_matrix(x: np.ndarray, points, lam: float) -> np.ndarray:
     def Q(d):
         return np.abs(d) ** (2.0 - lam) / (2.0 - lam)
 
-    m0 = P(B - t) - P(A - t)
-    m1 = t * m0 + Q(B - t) - Q(A - t)
+    # one power per node distance: panel j's ends are nodes j and j+1
+    d = x - t
+    Pd, Qd = P(d), Q(d)
+    m0 = Pd[:, 1:] - Pd[:, :-1]
+    m1 = t * m0 + Qd[:, 1:] - Qd[:, :-1]
     M = np.zeros((t.shape[0], len(x)))
     # node j's hat function rises as (s - A)/h on the panel to its left and
     # falls as (B - s)/h on the panel to its right
@@ -293,7 +298,7 @@ def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
         return s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(half))
 
     sol = least_squares(fun, np.clip(v0 / b, 1e-12, None), jac=jac,
-                        bounds=(1e-300, np.inf), method="trf",
+                        bounds=(1e-300, np.inf), method="trf", tr_solver="lsmr",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15,
                         max_nfev=config.max_iters)
     trace.nfev, trace.njev = int(sol.nfev), int(sol.njev or 0)

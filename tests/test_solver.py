@@ -106,6 +106,24 @@ class TestDiscretization:
         assert np.array_equal(Wr, loop)
         assert np.array_equal(got_half, half) and np.array_equal(got_mirror, mirror)
 
+    @pytest.mark.parametrize("N", [257, 513])
+    @pytest.mark.parametrize("lam", [0.3, 0.77])
+    def test_moment_matrix_matches_two_sided_panel_formula(self, N, lam):
+        # each panel's moments from the powers at both of its ends; the
+        # matrix shares one power per node distance between adjacent panels
+        x = graded_grid(-1.0, 1.0, N, 2.0)
+        t = x[:, None]
+        A, B = x[:-1], x[1:]
+        h = B - A
+        P = lambda d: np.sign(d) * np.abs(d) ** (1.0 - lam) / (1.0 - lam)
+        Q = lambda d: np.abs(d) ** (2.0 - lam) / (2.0 - lam)
+        m0 = P(B - t) - P(A - t)
+        m1 = t * m0 + Q(B - t) - Q(A - t)
+        ref = np.zeros((N, N))
+        ref[:, 1:] += (-A / h) * m0 + (1.0 / h) * m1
+        ref[:, :-1] += (B / h) * m0 + (-1.0 / h) * m1
+        assert np.array_equal(moment_matrix(x, x, lam), ref)
+
     def test_lambda_window(self):
         x = graded_grid(0.0, 1.0, 9, 1.0)
         with pytest.raises(ValueError):
@@ -251,6 +269,27 @@ class TestNewtonScheme:
             rhs = (t * u) ** p.pm1
             r = np.max(np.abs(W @ (t * u) - rhs)) / np.max(rhs)
             assert r == pytest.approx(1.0 - t ** (2.0 - p.p), abs=1e-12)
+
+    # independent of the trust region's inner solver: one dense LU Newton
+    # step on F(w) = Wr (b w)^s / b - w, w = u^(p-1)/b on the right half,
+    # from the returned solution must leave w where it is
+    @pytest.mark.parametrize("N, lam", [(129, 0.02), (257, 0.5), (513, 0.776),
+                                        (129, 0.99), (257, 0.95)])
+    def test_newton_step_from_solution_stays_put(self, N, lam):
+        p = Params(1, lam)
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        solution, trace = picard_solve(cfg, p)
+        assert trace.converged
+        W = product_integration_matrix(np.asarray(solution.x), lam)
+        Wr, half, _ = _even_matrix(W)
+        s = 1.0 / p.pm1
+        v = np.asarray(solution.values)[half] ** p.pm1
+        b = 2.0 ** round(math.log2(np.max(v)))
+        w = v / b
+        F = Wr @ (b * w) ** s / b - w
+        J = s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(half))
+        step = np.linalg.solve(J, -F)
+        assert np.max(np.abs(step)) <= 1e-12 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("lam", [0.001, 0.999])
     def test_overflowing_sweep_hands_last_finite_iterate_on(self, lam):
