@@ -13,7 +13,8 @@ Subcommands map one-to-one onto library operations:
 
 Exit codes: 0 when every verdict is positive (Verified / Convergent /
 Computed), 1 on any Refuted, Diverged or otherwise failed result
-(Inconclusive counts as failure), 2 on usage or configuration errors, and
+(Inconclusive counts as failure, and a NonConvergent quadrature prints one
+error line instead of a report), 2 on usage or configuration errors, and
 3 when the only results are NotApplicable (screen-rejected instances).
 
 Reports are JSON with stable keys; floats serialize at full round-trip
@@ -35,8 +36,8 @@ import numpy as np
 
 from .identities import (check_commutativity, check_composite, check_orthogonality,
                          parse_form, solution_descriptor)
-from .quadrature import QuadratureSpec
-from .radial_riesz import RadialProfile, riesz_potential_radial
+from .quadrature import NonConvergent, QuadratureSpec
+from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
 from .regularity import (Domain1D, decay_singularity_scan, kernel_growth_check,
                          translation_annihilation_check, weighted_norm)
 from .solutions import lieb_solution, singular_solution, verify_solution
@@ -114,7 +115,7 @@ def _overall_verdict(verdicts) -> str:
         return "Refuted"
     if all(v == "NotApplicable" for v in verdicts):
         return "NotApplicable"
-    if all(v in ("Computed", "Converged") for v in verdicts):
+    if all(v in ("Computed", "Converged", "NotApplicable") for v in verdicts):
         return "Computed"
     return "Verified"
 
@@ -162,9 +163,14 @@ def _run_riesz(args, params, quad):
         f = _profile_by_name(args.which, params)
     results, errs = [], []
     for r in _floats(args.r):
-        value, err = riesz_potential_radial(f, params, r, quad, with_error=True)
+        try:
+            value, err = riesz_potential_radial(f, params, r, quad, with_error=True)
+            outcome = {"verdict": "Computed"}
+        except ScreenRejected as exc:  # this radius only; the others still run
+            value = err = math.nan
+            outcome = {"verdict": "NotApplicable", "message": str(exc)}
         results.append({"name": f"potential(r={r!r})", "r": r, "value": value,
-                        "err_estimate": err, "verdict": "Computed"})
+                        "err_estimate": err, **outcome})
         errs.append(err)
     return ({"which": args.which, "r": _floats(args.r)}, results, {}, errs)
 
@@ -428,6 +434,9 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, OSError) as exc:
         print(f"liebeq: error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergent as exc:  # a failed result, not a usage error
+        print(f"liebeq: error: {exc}", file=sys.stderr)
+        return 1
 
     overall = _overall_verdict(r.get("verdict", "Computed") for r in results)
     payload = {

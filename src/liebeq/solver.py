@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .radial_riesz import RadialProfile
 from .regularity import Domain1D
@@ -57,6 +56,14 @@ __all__ = [
     "picard_solve",
     "residual_on_points",
 ]
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first solve: the import
+    takes about 0.5 s, and no other path of the package needs scipy."""
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(*args, **kwargs)
 
 
 class Diverged(Exception):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from liebeq import Params, QuadratureSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -11,3 +18,16 @@ def p_half():
 @pytest.fixture
 def quad():
     return QuadratureSpec()
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a new interpreter on the checkout's sources: scipy is not loaded
+    there until a solve imports it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                              check=False)
+    return run

@@ -1,12 +1,10 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+import liebeq.quadrature as quadrature
 from liebeq.cli import load_report, main
 from liebeq.specfun import Params, lieb_constant_C
 
@@ -120,6 +118,42 @@ class TestIdentity:
             runs[tol] = load_report(str(out))["quadrature"]
         assert runs["1e-11"]["rel_tol"] == 1e-11
         assert runs["1e-11"]["err_estimates"][0] < runs["1e-9"]["err_estimates"][0]
+
+
+class TestRiesz:
+    @pytest.mark.parametrize("args,code,verdicts", [
+        (["--which", "singular", "--r", "0"], 3, ["NotApplicable"]),
+        (["--which", "singular", "--r", "0,1"], 0, ["NotApplicable", "Computed"]),
+        (["--which", "power", "--exponent", "3", "--r", "1"], 3, ["NotApplicable"]),
+    ])
+    def test_divergent_potential_is_not_applicable(self, tmp_path, args, code, verdicts):
+        # a screen-rejected radius gets its own NotApplicable result; the
+        # other radii are still computed
+        out = tmp_path / "riesz.json"
+        assert main(["riesz", "--n", "1", "--lambda", "0.5", *args,
+                     "--no-timestamp", "--out", str(out)]) == code
+        report = load_report(str(out))
+        assert [r["verdict"] for r in report["results"]] == verdicts
+        assert report["verdict"] == ("NotApplicable" if code == 3 else "Computed")
+        for result in report["results"]:
+            if result["verdict"] == "NotApplicable":
+                assert result["value"] == "nan"
+                assert "diverges" in result["message"]
+            else:
+                assert math.isfinite(result["value"])
+
+
+def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
+    def integrate(*args, **kwargs):
+        raise quadrature.NonConvergent("budget exhausted")
+
+    monkeypatch.setattr(quadrature, "integrate", integrate)
+    code = main(["verify-solution", "--which", "singular", "--n", "1",
+                 "--lambda", "0.5", "--radii", "0.5,2", "--no-timestamp"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "liebeq: error: budget exhausted\n"
 
 
 class TestCorollaryAndScan:
@@ -245,8 +279,8 @@ README_INVOCATIONS = {
 }
 
 # paths the README invocations miss, with their exit codes: the angular
-# kernel (n = 2), the n = 3 closed form, the r = 0 potential and a
-# NotApplicable identity
+# kernel (n = 2), the n = 3 closed form, the r = 0 potential, a
+# NotApplicable identity and a potential that diverges at one radius
 MORE_INVOCATIONS = {
     "verify_lieb_n2": (["verify-solution", "--which", "lieb", "--n", "2",
                         "--lambda", "1", "--radii", "0.5,1,2"], 0),
@@ -257,6 +291,8 @@ MORE_INVOCATIONS = {
     "identity_commutativity_notapplicable": (
         ["identity", "--kind", "commutativity", "--f", "singular", "--g", "lieb",
          "--alpha", "1", "--beta", "1", "--n", "1", "--lambda", "0.5"], 3),
+    "riesz_singular_r0": (["riesz", "--which", "singular", "--n", "1",
+                           "--lambda", "0.5", "--r", "0,1"], 0),
 }
 GOLDEN_RUNS = {**{name: (args, 0) for name, args in README_INVOCATIONS.items()},
                **MORE_INVOCATIONS}
@@ -272,13 +308,24 @@ def test_readme_invocation_matches_golden_bytes(name, capsys):
 
 
 @pytest.mark.parametrize("module", ["liebeq", "liebeq.cli"])
-def test_module_invocation_writes_golden_bytes(module):
+def test_module_invocation_writes_golden_bytes(module, fresh_python):
     # a checkout without the console script runs the CLI as a module
-    src = str(Path(__file__).parent.parent / "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", module, "constants", "--n", "4",
-                           "--lambda", "2", "--no-timestamp"],
-                          capture_output=True, env=env, check=False)
+    proc = fresh_python("-m", module, "constants", "--n", "4", "--lambda", "2",
+                         "--no-timestamp")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "constants.json").read_bytes()
+
+
+def test_fresh_solve_writes_golden_bytes(fresh_python):
+    # the first solve in a process imports scipy.optimize
+    proc = fresh_python("-m", "liebeq.cli", *README_INVOCATIONS["solve"], "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "solve.json").read_bytes()
+
+
+def test_import_loads_no_scipy(fresh_python):
+    proc = fresh_python("-c", "import sys, liebeq, liebeq.cli; "
+                              "print(sorted(m for m in sys.modules "
+                              "if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"

@@ -2,6 +2,7 @@
 name; every binding it needs must exist, and remove() must restore them."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -40,3 +41,37 @@ def test_tracer_installs_and_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+# Run in a new interpreter, where scipy is not loaded until the first solve
+# imports it behind solver.least_squares.
+_LAZY_SOLVE = """
+import importlib.util, json, sys
+import liebeq.solver as solver
+from liebeq import Domain1D, Params, SolverConfig, picard_solve
+
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+loaded_before = "scipy.optimize" in sys.modules
+shim = solver.least_squares
+rec = spans.Recorder()
+installed = spans.Installed(rec)
+picard_solve(SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=33),
+             Params(1, 0.5))
+installed.remove()
+print(json.dumps({"loaded_before": loaded_before,
+                  "loaded_after": "scipy.optimize" in sys.modules,
+                  "names": rec.names, "nfev": rec.counters["solver.nfev"],
+                  "restored": solver.least_squares is shim}))
+"""
+
+
+def test_tracer_survives_the_lazy_scipy_import(fresh_python):
+    proc = fresh_python("-c", _LAZY_SOLVE, str(SPANS))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["loaded_before"] and out["loaded_after"]
+    assert "solver.lsq" in out["names"]
+    assert out["nfev"] > 0
+    assert out["restored"]
