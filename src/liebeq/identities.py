@@ -365,7 +365,7 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
 
     g_unit, f_unit, amplitude = _unit_factors(g, g_side, f, f_side)
     integrand = _pair_integrand(g_unit, beta, f_unit, alpha, n)
-    spec = quad.with_tail(tail)
+    spec = replace(quad, singularities=((0.0, at_zero), (math.inf, tail)))
     halves = [quadrature.integrate(integrand, 0.0, math.inf, spec)]
     if n == 1:
         # the integrand has the parity of alpha + beta, bit for bit, and the

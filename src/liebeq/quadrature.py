@@ -1,29 +1,32 @@
 """Deterministic adaptive quadrature for weakly singular 1-D integrals.
 
-Handles integrands that are analytic between declared split points, with
-algebraic or logarithmic singularities of exponent > -1 at interval
-endpoints and split points, and power-law tails on [a, inf).  Infinite
+Handles integrands that are analytic between declared singular points,
+with algebraic or logarithmic singularities of exponent > -1 at interval
+endpoints and singular points, and power-law tails on [a, inf).  Infinite
 tails are folded to a finite cell by the substitution t = 1/u, which turns
 a power tail into an algebraic endpoint singularity at u = 0.
 
-Panels are graded geometrically toward cell boundaries.  Next to a boundary
-x0 != 0 float spacing ends the grading at widths near eps*|x0|; the panels
-on both sides of x0 then become a settled zone, whose mass is the limit of
-a dyadic ladder's partial sums by Wynn's epsilon algorithm, as in QUADPACK's
-QAGS (Wynn 1956; Piessens et al. 1983).
+Panels are graded geometrically toward cell boundaries.  A panel that
+touches a declared exponent e at x0 integrates with the Gauss-Jacobi rule
+for the weight |t - x0|^e (Golub & Welsch 1969), every other panel with
+Gauss-Legendre; each panel's error is the difference of two orders, at
+least QUADPACK's roundoff floor (Piessens et al. 1983).  A singularity that
+is not declared must be resolved by grading alone: at x0 != 0 float
+spacing stops the grading near widths eps*|x0|, and such a panel raises
+NonConvergent.
 
 Integrands must be vectorized: f(x) for a float 1-D ndarray x returns an
 ndarray of the same shape.  Everything here is pure and deterministic;
-panel and zone values are summed with math.fsum, so the result does not
-depend on refinement order.
+panel values are summed with math.fsum, so the result does not depend on
+refinement order.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,32 +63,31 @@ class DivergentTail(Exception):
 class QuadratureSpec:
     """Tolerances and singularity declarations for one integral.
 
-    split_points are interior locations where the integrand is singular or
-    non-smooth; they become cell boundaries and are never evaluated.
-    tail_exponent_hint, when given for an infinite upper limit, asserts the
-    asymptotic power-law decay f(t) ~ t**hint and must be < -1; without it
+    singularities are (location, exponent) pairs, as in SingularityBudget,
+    declaring integrand ~ |t - location|**exponent there, in increasing
+    order of location.  A finite location inside (a, b) becomes a cell
+    boundary and is never evaluated; exponent 0.0 marks a plain split point
+    (a kink, or a singularity left to grading), and a finite exponent must
+    be > -1.  (inf, e) declares the decay f(t) ~ t**e of a tail; without it
     an automatic geometric probe estimates the decay.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    split_points: tuple = ()
-    tail_exponent_hint: float | None = None
+    singularities: tuple = ()
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        pts = tuple(float(s) for s in self.split_points)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("split_points must be strictly increasing")
-        object.__setattr__(self, "split_points", pts)
-
-    def with_tail(self, exponent: float) -> "QuadratureSpec":
-        return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_subdivisions,
-                              self.split_points, float(exponent))
+        entries = tuple((float(loc), float(e)) for loc, e in self.singularities)
+        if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
+            raise ValueError("singularity locations must be strictly increasing")
+        if any(math.isfinite(loc) and e <= -1.0 for loc, e in entries):
+            raise ValueError("a finite singularity needs an exponent > -1")
+        object.__setattr__(self, "singularities", entries)
 
 
 class QuadResult(NamedTuple):
@@ -142,7 +144,7 @@ def convergence_screen(budget: SingularityBudget) -> ScreenResult:
 # panel machinery
 
 _GRADING_RATIO = 0.25          # geometric grading toward singular endpoints
-_RULE_LO, _RULE_HI = 7, 15     # Gauss-Legendre pair for value/error estimation
+_RULE_LO, _RULE_HI = 7, 15     # Gauss pair for value/error estimation
 _EPS = float(np.finfo(float).eps)
 
 
@@ -152,161 +154,114 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=256)
+def _rule(order: int, ea: float, eb: float):
+    """Gauss-Jacobi nodes on [-1, 1] for the weight (1+x)^ea (1-x)^eb, and
+    its weights divided by that weight, so that sum(w * f(x)) integrates f
+    itself; Gauss-Legendre when both exponents are 0.
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the monic recurrence, the weights the squared first
+    components of its eigenvectors times the weight's mass.
+    """
+    if ea == 0.0 and eb == 0.0:
+        return _gl_rule(order)
+    al, be = eb, ea                    # the usual (1-x)^alpha (1+x)^beta
+    ab = al + be
+    k = np.arange(float(order))
+    s = 2.0 * k + ab
+    # ab / s at k = 0 and (k + ab) / (s - 1) at k = 1 cancel to 1: ab may be 0, 1 + ab too
+    diag = (be - al) * np.divide(ab, s, out=np.ones(order), where=k > 0) / (s + 2.0)
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + al) * (k + be) / (s * s * (s + 1.0))
+                  * np.divide(k + ab, s - 1.0, out=np.ones(order - 1), where=k > 1))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = math.exp((ab + 1.0) * math.log(2.0) + math.lgamma(al + 1.0)
+                    + math.lgamma(be + 1.0) - math.lgamma(ab + 2.0))
+    weights = mass * vectors[0] ** 2 / ((1.0 + nodes) ** ea * (1.0 - nodes) ** eb)
+    return nodes, weights
+
+
 @dataclass
 class _Panel:
+    """A panel [a, b].  left and right are the exponents declared at a and b
+    when those are cell boundaries (0.0 when none is declared), and None
+    inside a cell."""
+
     a: float
     b: float
-    left_singular: bool
-    right_singular: bool
+    left: float | None
+    right: float | None
     value: float = 0.0
     error: float = math.inf
 
     def evaluate(self, f) -> None:
+        """Value from the 15-point rule for the panel's end exponents, error
+        max(|G15 - G7|, roundoff floor).  The floor is QUADPACK's
+        50 eps sum|w f|, each term scaled by the first-order gain
+        1 + |e x0 / (t - x0)| of rounding t in |t - x0|^e at a declared end x0.
+        """
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
-        vals = {}
+        ea, eb = self.left or 0.0, self.right or 0.0
+        vals = []
         for order in (_RULE_HI, _RULE_LO):
-            nodes, weights = _gl_rule(order)
+            nodes, weights = _rule(order, ea, eb)
             with np.errstate(all="ignore"):
                 fx = np.asarray(f(mid + half * nodes), dtype=float)
-            vals[order] = half * float(np.dot(weights, fx))
-        self.value = vals[_RULE_HI]
-        if math.isfinite(self.value) and math.isfinite(vals[_RULE_LO]):
-            self.error = abs(vals[_RULE_HI] - vals[_RULE_LO])
+                vals.append(half * float(np.dot(weights, fx)))
+                if order == _RULE_HI:
+                    gain = 1.0 + (abs(ea * self.a) / (1.0 + nodes)
+                                  + abs(eb * self.b) / (1.0 - nodes)) / half
+                    floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
+        hi, lo = vals
+        if math.isfinite(hi) and math.isfinite(lo):
+            self.value, self.error = hi, max(abs(hi - lo), floor)
         else:
-            self.value = 0.0
-            self.error = math.inf
+            self.value, self.error = 0.0, math.inf
 
     def split_point(self) -> float:
         w = self.b - self.a
-        if self.left_singular and not self.right_singular:
+        if self.left is not None and self.right is None:
             return self.a + _GRADING_RATIO * w
-        if self.right_singular and not self.left_singular:
+        if self.right is not None and self.left is None:
             return self.b - _GRADING_RATIO * w
         return self.a + 0.5 * w
 
 
-def _ladder(f, x0: float, side: int, depth: float):
-    """Masses and |G31 - G15| errors of f on ratio-2 rungs from x0 + side*depth
-    toward x0, outermost first.
-
-    The 8 to 60 rungs stop near sqrt(eps)*|x0|: closer in, x0 + d no longer
-    resolves the distance d, and the integrand's own arguments lose digits.
-    """
-    floor = max(math.sqrt(_EPS) * abs(x0), 1e-280)
-    count = min(max(int(math.log2(depth / floor)), 8), 60)
-    edges = depth * 0.5 ** np.arange(count + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
-    masses = []
-    for order in (31, 15):
-        nodes, weights = _gl_rule(order)
-        with np.errstate(all="ignore"):
-            fx = np.asarray(f(x0 + side * (mid[:, None] + half[:, None] * nodes).ravel()),
-                            dtype=float)
-        masses.append(half * (fx.reshape(count, order) @ weights))
-    return masses[0], np.abs(masses[0] - masses[1])
-
-
-def _wynn_epsilon(partial_sums) -> tuple:
-    """Limit of a sequence by Wynn's epsilon algorithm (Wynn 1956).
-
-    Each even column k >= 2 of the epsilon table accelerates the sequence;
-    the newest entry of the column whose newest two entries agree best is
-    the limit, and their spread its error.
-    """
-    best = (math.nan, math.inf)
-    prev, col = np.zeros(len(partial_sums) + 1), np.asarray(partial_sums, dtype=float)
-    k = 0
-    while len(col) > 1:
-        with np.errstate(all="ignore"):
-            prev, col = col, prev[1:len(col)] + 1.0 / np.diff(col)
-        k += 1
-        if k % 2 == 0 and len(col) > 1:
-            spread = abs(col[-1] - col[-2])
-            if spread < best[1]:
-                best = (float(col[-1]), float(spread))
-    return best
-
-
-def _settle(f, panels: list, boundaries: Sequence[float], x0: float):
-    """Take the panels on both sides of the cell boundary x0 out of the panel
-    list and return their masses as (value, error) pairs, or None when a side
-    does not decay geometrically toward x0 (a divergent singularity).
-
-    A side's zone reaches from x0 to the first panel edge at least a quarter
-    of the neighbouring cell away.  Its mass is Wynn's limit of the ladder's
-    partial sums, its error the limit's spread plus the rung errors.  The
-    decay is checked on the inner half of the rungs, where a smooth factor
-    of the integrand no longer bends the ratios.
-    """
-    at = boundaries.index(x0)
-    zones, taken = [], []
-    for side in (-1, 1):
-        if not 0 <= at + side < len(boundaries):
-            continue
-        reach = 0.25 * abs(boundaries[at + side] - x0)
-        edge, depth = x0, 0.0
-        for i in range(len(panels))[::side]:
-            near, far = (panels[i].a, panels[i].b)[::side]
-            if depth < reach and near == edge:
-                taken.append(i)
-                edge, depth = far, abs(far - x0)
-        if depth == 0.0:
-            continue
-        masses, errors = _ladder(f, x0, side, depth)
-        inner = masses[len(masses) // 2:]
-        with np.errstate(all="ignore"):
-            ratios = inner[1:] / inner[:-1]
-        limit, spread = _wynn_epsilon(np.cumsum(masses))
-        if not (math.isfinite(spread) and np.all((ratios > 0) & (ratios < 0.97))):
-            return None
-        zones.append((limit, spread + math.fsum(errors)))
-    for i in sorted(taken, reverse=True):
-        del panels[i]
-    return zones
-
-
-def _integrate_cells(f, boundaries: Sequence[float], spec: QuadratureSpec) -> QuadResult:
+def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
+                     spec: QuadratureSpec) -> QuadResult:
     """Adaptive integration over cells whose boundaries may all be singular.
 
-    The worst panel is split until the error target is met.  A panel at the
-    float width floor cannot be split; when it touches a cell boundary, the
-    panels on both sides of that boundary become settled zones, summed by
-    _settle and never refined again.
+    exponents maps a boundary to the exponent declared there.  The worst
+    panel, the top of a heap keyed (-error, a), is split until the error
+    target is met; a panel at the float width floor cannot be split and
+    raises NonConvergent.
     """
-    panels = []
+    heap = []
     for a, b in zip(boundaries, boundaries[1:]):
-        p = _Panel(a, b, True, True)
+        p = _Panel(a, b, exponents.get(a, 0.0), exponents.get(b, 0.0))
         p.evaluate(f)
-        panels.append(p)
-    settled = []
+        heap.append((-p.error, a, p))
+    heapq.heapify(heap)
     while True:
-        total = math.fsum(chain((p.value for p in panels), (v for v, _ in settled)))
-        err = math.fsum(chain((p.error for p in panels), (e for _, e in settled)))
+        total = math.fsum(p.value for _, _, p in heap)
+        err = math.fsum(p.error for _, _, p in heap)
         target = max(spec.rel_tol * abs(total), spec.abs_tol)
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
-        held = math.fsum(e for _, e in settled)  # no refinement lowers it
-        if panels and len(panels) < spec.max_subdivisions and held <= target:
-            worst = max(range(len(panels)), key=lambda i: (panels[i].error, -panels[i].a))
-            p = panels[worst]
-            # the width floor scales with position: toward 0 panels shrink on
-            if p.b - p.a > 8.0 * _EPS * max(abs(p.a), abs(p.b)):
-                cut = p.split_point()
-                left = _Panel(p.a, cut, p.left_singular, False)
-                right = _Panel(cut, p.b, False, p.right_singular)
-                left.evaluate(f)
-                right.evaluate(f)
-                panels[worst:worst + 1] = [left, right]
-                continue
-            x0 = p.a if p.a in boundaries else p.b
-            zones = _settle(f, panels, boundaries, x0) if x0 in boundaries else None
-            if zones is not None:
-                settled += zones
-                continue
-        raise NonConvergent(
-            f"estimated error {err:.3e} above target {target:.3e} with "
-            f"{len(panels)} panels", value=total, error=err)
+        p = heap[0][2]
+        # the width floor scales with position: toward 0 panels shrink on
+        if len(heap) >= spec.max_subdivisions or \
+                p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
+            raise NonConvergent(
+                f"estimated error {err:.3e} above target {target:.3e} with "
+                f"{len(heap)} panels", value=total, error=err)
+        heapq.heappop(heap)
+        cut = p.split_point()
+        for child in (_Panel(p.a, cut, p.left, None), _Panel(cut, p.b, None, p.right)):
+            child.evaluate(f)
+            heapq.heappush(heap, (-child.error, child.a, child))
 
 
 def _probe_tail_exponent(f, T: float) -> float:
@@ -331,12 +286,10 @@ def integrate(f: Callable, a: float, b: float,
     """Integrate f over (a, b), b possibly infinite, to the spec tolerances.
 
     Returns (value, err_estimate) with err_estimate the summed error
-    estimates of the panels and settled zones.  It is meant to overestimate
-    the error, but the |G15 - G7| difference of a panel at an algebraic
-    singularity can fall short of it.  Raises NonConvergent when the
-    subdivision budget runs out or a singularity does not decay, and
-    DivergentTail when b is infinite and the declared or probed decay
-    exponent is >= -1.
+    estimates of the panels.  Raises NonConvergent when the subdivision
+    budget runs out or a panel reaches the float width floor (an undeclared
+    singularity away from 0, or a divergent one), and DivergentTail when b
+    is infinite and the declared or probed decay exponent is >= -1.
     """
     spec = spec or QuadratureSpec()
     a = float(a)
@@ -347,19 +300,16 @@ def integrate(f: Callable, a: float, b: float,
         b = float(b)
         if b <= a:
             raise ValueError("need a < b")
-    interior = [s for s in spec.split_points if s > a and (infinite or s < b)]
+    exponents = dict(spec.singularities)
+    interior = [s for s in exponents if a < s < b]
 
     if not infinite:
-        cells = [a] + interior + [b]
-        return _integrate_cells(f, cells, spec)
+        return _integrate_cells(f, [a, *interior, b], exponents, spec)
 
     # infinite upper limit: finite part up to T, then fold [T, inf) to (0, 1/T]
-    s_max = max(interior) if interior else 0.0
-    T = max(1.0, 2.0 * s_max, a)
-    if spec.tail_exponent_hint is not None:
-        tail_exp = float(spec.tail_exponent_hint)
-    else:
-        tail_exp = _probe_tail_exponent(f, T)
+    T = max(1.0, 2.0 * max(interior, default=0.0), a)
+    declared = math.inf in exponents
+    tail_exp = exponents[math.inf] if declared else _probe_tail_exponent(f, T)
     if not convergence_screen(SingularityBudget(((math.inf, tail_exp),))):
         raise DivergentTail(
             f"tail decay exponent {tail_exp:.6g} is >= -1; integral diverges at infinity")
@@ -368,9 +318,12 @@ def integrate(f: Callable, a: float, b: float,
         u = np.asarray(u, dtype=float)
         return np.asarray(f(1.0 / u), dtype=float) / (u * u)
 
-    tail = _integrate_cells(folded, [0.0, 1.0 / T], spec)
+    # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps the
+    # exponent declared at T, which can only be a = T
+    folded_exponents = {0.0: -2.0 - tail_exp if declared else 0.0,
+                        1.0 / T: exponents.get(T, 0.0)}
+    tail = _integrate_cells(folded, [0.0, 1.0 / T], folded_exponents, spec)
     if T == a:
         return tail
-    cells = [a] + interior + [T]
-    head = _integrate_cells(f, cells, spec)
+    head = _integrate_cells(f, [a, *interior, T], exponents, spec)
     return QuadResult(head.value + tail.value, head.error + tail.error)

@@ -7,7 +7,7 @@ radial integral against the angular kernel
 
 which is closed-form in dimensions 1 and 3 and a one-dimensional angular
 integral otherwise.  The kernel has an integrable singularity on the
-diagonal s = r, always declared as a quadrature split point.
+diagonal s = r, which the quadrature sees at d = 0 of the diagonal distance.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def angular_kernel(n: int, lam: float, r: float, s: float):
     logarithmic limit 2 pi log((r+s)/|r-s|) / (r s) when lam = 2.  Other
     dimensions integrate the angular variable numerically.  Requires
     nonnegative radii with s != r (the diagonal singularity is integrable
-    but must be declared as a split point by callers).
+    but must be declared to the quadrature by callers).
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -249,7 +249,8 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     n, lam = params.n, params.lam
     r = float(r)
 
-    screen = convergence_screen(_potential_budget(f, params, r))
+    budget = _potential_budget(f, params, r)
+    screen = convergence_screen(budget)
     if not screen:
         raise ScreenRejected(
             f"potential integral diverges at {screen.failing_location}",
@@ -258,7 +259,7 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     # T(Af) = A Tf exactly: integrate the unit-amplitude profile, so the
     # absolute tolerance compares against O(1) values whatever A is
     unit = replace(f, amplitude=1.0)
-    tail_exp = f.exponent_at_infinity() - lam + (n - 1)
+    origin, *diagonal, tail = budget.local_exponents
 
     def smooth_integrand(s):
         s = np.asarray(s, dtype=float)
@@ -266,7 +267,7 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
 
     if r == 0.0:
         value, err = quadrature.integrate(smooth_integrand, 0.0, math.inf,
-                                          quad.with_tail(tail_exp))
+                                          replace(quad, singularities=(origin, tail)))
     else:
         def folded_band(d):
             d = np.asarray(d, dtype=float)
@@ -275,10 +276,13 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
                     + unit.value(lo) * lo ** (n - 1) * _kernel_from_distance(n, lam, r, lo, d))
 
         half = 0.5 * r
-        inner = quadrature.integrate(smooth_integrand, 0.0, half, quad)
-        band = quadrature.integrate(folded_band, 0.0, half, quad)
+        (_, at_diagonal), = diagonal     # at d = 0 of the band
+        inner = quadrature.integrate(smooth_integrand, 0.0, half,
+                                     replace(quad, singularities=(origin,)))
+        band = quadrature.integrate(folded_band, 0.0, half,
+                                    replace(quad, singularities=((0.0, at_diagonal),)))
         outer = quadrature.integrate(smooth_integrand, 1.5 * r, math.inf,
-                                     quad.with_tail(tail_exp))
+                                     replace(quad, singularities=(tail,)))
         value = inner.value + band.value + outer.value
         err = inner.error + band.error + outer.error
     value, err = f.amplitude * value, f.amplitude * err

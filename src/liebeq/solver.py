@@ -177,11 +177,13 @@ class GridSolution1D:
 
 
 def graded_grid(a: float, b: float, count: int, exponent: float) -> np.ndarray:
-    """Symmetric grid on [a, b] geometrically clustered toward both ends."""
-    t = np.linspace(0.0, 1.0, count)
-    g = np.where(t <= 0.5, 0.5 * (2.0 * t) ** exponent,
-                 1.0 - 0.5 * (2.0 * (1.0 - t)) ** exponent)
-    return a + (b - a) * g
+    """Grid on [a, b] geometrically clustered toward both ends.
+
+    The right half mirrors the left half's offsets d from a as b - d, with
+    the centre (a + b)/2 for odd counts, so the grid is bitwise symmetric.
+    """
+    d = (b - a) * (0.5 * (2.0 * np.linspace(0.0, 1.0, count)[:count // 2]) ** exponent)
+    return np.concatenate([a + d, [0.5 * (a + b)] * (count % 2), b - d[::-1]])
 
 
 def moment_matrix(x: np.ndarray, points, lam: float) -> np.ndarray:

@@ -323,9 +323,26 @@ def test_fresh_solve_writes_golden_bytes(fresh_python):
     assert proc.stdout == (GOLDEN / "solve.json").read_bytes()
 
 
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
 def test_import_loads_no_scipy(fresh_python):
-    proc = fresh_python("-c", "import sys, liebeq, liebeq.cli; "
-                              "print(sorted(m for m in sys.modules "
-                              "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = fresh_python("-c", "import sys, liebeq, liebeq.cli; " + _PRINT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
+def test_verify_and_identity_load_no_scipy(fresh_python):
+    # the Gauss-Jacobi endpoint rules come from numpy, not scipy.special
+    proc = fresh_python("-c", "; ".join([
+        "import sys",
+        "from liebeq import (Params, check_commutativity, lieb_solution, "
+        "singular_solution, solution_descriptor, verify_solution)",
+        "p = Params(3, 0.15)",
+        "assert verify_solution(singular_solution(p), p, [0.5, 2.0]).verdict == 'Verified'",
+        "fC = solution_descriptor(singular_solution(p), p, 'singular')",
+        "fL = solution_descriptor(lieb_solution(p), p, 'lieb')",
+        "assert check_commutativity(fC, fL, 0, 0, p).verdict == 'Verified'",
+        _PRINT_SCIPY]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"

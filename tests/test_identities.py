@@ -13,7 +13,6 @@ from liebeq.identities import (NOT_APPLICABLE, VERIFIED, DifferentialForm,
                                check_commutativity, check_composite,
                                check_orthogonality, cutoff_pair_integral,
                                parity_split, parse_form, solution_descriptor)
-from liebeq.quadrature import NonConvergent
 from liebeq.solutions import lieb_solution, singular_solution
 from liebeq.specfun import Params, lieb_constant_L
 
@@ -223,13 +222,7 @@ def _beta_sides(fC, fL, n):
     return lhs, rhs
 
 
-_SMALL_LAMBDA = "singular solution near the origin's integrability border, ROADMAP item 2"
-_ORACLE_CELLS = [(n, t) for n in range(1, 6) for t in (0.15, 0.5, 0.85, 0.95)] + [
-    pytest.param(1, 0.05, marks=pytest.mark.xfail(
-        strict=True, raises=NonConvergent, reason=_SMALL_LAMBDA)),
-    *(pytest.param(n, 0.05, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="rhs error bar too small: " + _SMALL_LAMBDA)) for n in range(2, 6))]
+_ORACLE_CELLS = [(n, t) for n in range(1, 6) for t in (0.05, 0.15, 0.5, 0.85, 0.95)]
 
 
 @pytest.mark.parametrize("n,frac", _ORACLE_CELLS)

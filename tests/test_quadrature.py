@@ -1,12 +1,13 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from liebeq.quadrature import (DivergentTail, NonConvergent, QuadratureSpec,
-                               SingularityBudget, _wynn_epsilon,
-                               convergence_screen, integrate)
+                               SingularityBudget, _rule, convergence_screen,
+                               integrate)
 
 
 def log_beta(a, b):
@@ -19,43 +20,46 @@ def half_beta(a, b):
 
 
 # Closed-form oracle corpus: endpoint/interior algebraic singularities,
-# logarithmic singularities, power-law and fast tails.
+# logarithmic singularities, power-law and fast tails.  Each case lists the
+# singularities it declares; a singularity away from 0 must be declared.
 CORPUS = [
-    ("sqrt_endpoint", lambda s: s ** -0.5, 0, 1, (), None, 2.0),
-    ("strong_endpoint", lambda s: s ** -0.9, 0, 1, (), None, 10.0),
-    ("mild_endpoint", lambda s: s ** -0.1, 0, 1, (), None, 1.0 / 0.9),
-    ("right_endpoint", lambda s: (1 - s) ** -0.3, 0, 1, (), None, 1.0 / 0.7),
+    ("sqrt_endpoint", lambda s: s ** -0.5, 0, 1, (), 2.0),
+    ("strong_endpoint", lambda s: s ** -0.9, 0, 1, (), 10.0),
+    ("mild_endpoint", lambda s: s ** -0.1, 0, 1, (), 1.0 / 0.9),
+    ("right_endpoint", lambda s: (1 - s) ** -0.3, 0, 1, (), 1.0 / 0.7),
     ("both_endpoints", lambda s: s ** -0.25 * (1 - s) ** -0.5,
-     0, 1, (), None, math.exp(log_beta(0.75, 0.5))),
+     0, 1, ((0.0, -0.25), (1.0, -0.5)), math.exp(log_beta(0.75, 0.5))),
     ("interior_split", lambda s: np.abs(s - 0.5) ** -0.5,
-     0, 1, (0.5,), None, 2.0 * math.sqrt(2.0)),
-    ("log_singularity", lambda s: np.log(1.0 / s), 0, 1, (), None, 1.0),
-    ("log_times_power", lambda s: s ** -0.5 * np.log(1.0 / s), 0, 1, (), None, 4.0),
-    ("smooth_poly", lambda s: 3.0 * s * s, 0, 1, (), None, 1.0),
-    ("smooth_cos", lambda s: np.cos(s), 0, math.pi / 2, (), None, 1.0),
-    ("gauss_like", lambda s: np.exp(-s * s), 0, math.inf, (), None, math.sqrt(math.pi) / 2),
-    ("exp_tail", lambda s: np.exp(-s), 0, math.inf, (), None, 1.0),
-    ("power_tail", lambda s: s ** -2.0, 1, math.inf, (), -2.0, 1.0),
-    ("slow_power_tail", lambda s: s ** -1.25, 1, math.inf, (), -1.25, 4.0),
-    ("lorentzian", lambda s: 1.0 / (1.0 + s * s), 0, math.inf, (), -2.0, math.pi / 2),
-    ("beta_2_3", lambda s: s ** 1.0 * (1 + s * s) ** -3.0, 0, math.inf, (), -5.0,
+     0, 1, ((0.5, -0.5),), 2.0 * math.sqrt(2.0)),
+    ("log_singularity", lambda s: np.log(1.0 / s), 0, 1, (), 1.0),
+    ("log_times_power", lambda s: s ** -0.5 * np.log(1.0 / s), 0, 1, (), 4.0),
+    ("smooth_poly", lambda s: 3.0 * s * s, 0, 1, (), 1.0),
+    ("smooth_cos", lambda s: np.cos(s), 0, math.pi / 2, (), 1.0),
+    ("gauss_like", lambda s: np.exp(-s * s), 0, math.inf, (), math.sqrt(math.pi) / 2),
+    ("exp_tail", lambda s: np.exp(-s), 0, math.inf, (), 1.0),
+    ("power_tail", lambda s: s ** -2.0, 1, math.inf, ((math.inf, -2.0),), 1.0),
+    ("slow_power_tail", lambda s: s ** -1.25, 1, math.inf, ((math.inf, -1.25),), 4.0),
+    ("lorentzian", lambda s: 1.0 / (1.0 + s * s), 0, math.inf, ((math.inf, -2.0),),
+     math.pi / 2),
+    ("beta_2_3", lambda s: s ** 1.0 * (1 + s * s) ** -3.0, 0, math.inf, ((math.inf, -5.0),),
      half_beta(2.0, 3.0)),
-    ("beta_half_2", lambda s: s ** -0.5 * (1 + s * s) ** -2.0, 0, math.inf, (), -4.5,
+    ("beta_half_2", lambda s: s ** -0.5 * (1 + s * s) ** -2.0, 0, math.inf,
+     ((math.inf, -4.5),),
      half_beta(0.5, 2.0)),
-    ("beta_slow", lambda s: s ** 0.25 * (1 + s * s) ** -1.0, 0, math.inf, (), -1.75,
+    ("beta_slow", lambda s: s ** 0.25 * (1 + s * s) ** -1.0, 0, math.inf, ((math.inf, -1.75),),
      half_beta(1.25, 1.0)),
-    ("shifted_power", lambda s: s ** -0.5 / (1.0 + s) ** 2, 0, math.inf, (), -2.5,
+    ("shifted_power", lambda s: s ** -0.5 / (1.0 + s) ** 2, 0, math.inf, ((math.inf, -2.5),),
      # int_0^inf s^(a-1)(1+s)^(-a-b) ds = B(a, b) with a = 1/2, b = 3/2
      math.exp(log_beta(0.5, 1.5))),
-    ("singular_plus_tail", lambda s: s ** -0.75 * np.exp(-s), 0, math.inf, (), None,
+    ("singular_plus_tail", lambda s: s ** -0.75 * np.exp(-s), 0, math.inf, (),
      math.gamma(0.25)),
-    ("offset_interior", lambda s: np.abs(s - 2.0) ** -0.5, 0, 3, (2.0,), None,
+    ("offset_interior", lambda s: np.abs(s - 2.0) ** -0.5, 0, 3, ((2.0, -0.5),),
      2.0 * math.sqrt(2.0) + 2.0),
 ]
 @pytest.mark.parametrize("case", CORPUS, ids=[c[0] for c in CORPUS])
 def test_oracle_corpus(case):
-    name, f, a, b, splits, tail, exact = case
-    spec = QuadratureSpec(split_points=splits, tail_exponent_hint=tail)
+    name, f, a, b, singularities, exact = case
+    spec = QuadratureSpec(singularities=singularities)
     value, err = integrate(f, a, b, spec)
     actual = abs(value - exact)
     assert actual <= max(spec.rel_tol * abs(exact), spec.abs_tol) * 5
@@ -68,10 +72,10 @@ def test_riesz_composition_line_integral():
     # slow power tails in one integral
     expected = 17.904528926373967
     f = lambda y: np.abs(1.0 - y) ** -0.75 * np.abs(y) ** -0.75
-    plus = integrate(f, 0, math.inf,
-                     QuadratureSpec(split_points=(1.0,), tail_exponent_hint=-1.5))
+    plus = integrate(f, 0, math.inf, QuadratureSpec(
+        singularities=((0.0, -0.75), (1.0, -0.75), (math.inf, -1.5))))
     minus = integrate(lambda t: f(-np.asarray(t, dtype=float)), 0, math.inf,
-                      QuadratureSpec(tail_exponent_hint=-1.5))
+                      QuadratureSpec(singularities=((0.0, -0.75), (math.inf, -1.5))))
     assert plus.value + minus.value == pytest.approx(expected, rel=2e-9)
 
 
@@ -81,7 +85,7 @@ def test_corpus_is_large_enough():
 
 def test_trivial_examples():
     assert integrate(lambda s: s ** -0.5, 0, 1).value == pytest.approx(2.0, rel=1e-9)
-    spec = QuadratureSpec(split_points=(0.5,))
+    spec = QuadratureSpec(singularities=((0.5, -0.5),))
     assert integrate(lambda s: np.abs(s - 0.5) ** -0.5, 0, 1, spec).value == \
         pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
     assert integrate(lambda s: s ** -2.0, 1, math.inf).value == pytest.approx(1.0, rel=1e-9)
@@ -101,15 +105,15 @@ def test_linearity_within_three_tolerances():
 def test_redundant_split_invariance():
     f = lambda s: np.exp(-s * s)
     base = integrate(f, 0, 2)
-    split = integrate(f, 0, 2, QuadratureSpec(split_points=(0.7,)))
+    split = integrate(f, 0, 2, QuadratureSpec(singularities=((0.7, 0.0),)))
     assert abs(base.value - split.value) <= 2 * max(base.error, split.error)
 
 
 def test_determinism_bitwise():
-    spec = QuadratureSpec(split_points=(0.5,))
+    spec = QuadratureSpec(singularities=((0.5, -0.3), (math.inf, -10.0)))
     f = lambda s: np.abs(s - 0.5) ** -0.3 * np.exp(-s)
-    r1 = integrate(f, 0, math.inf, spec.with_tail(-10.0))
-    r2 = integrate(f, 0, math.inf, spec.with_tail(-10.0))
+    r1 = integrate(f, 0, math.inf, spec)
+    r2 = integrate(f, 0, math.inf, spec)
     assert r1.value == r2.value and r1.error == r2.error
 
 
@@ -122,19 +126,20 @@ def test_divergent_tail_probe():
 
 def test_divergent_tail_hint():
     with pytest.raises(DivergentTail):
-        integrate(lambda s: s ** -2.0, 1, math.inf, QuadratureSpec(tail_exponent_hint=-1.0))
+        integrate(lambda s: s ** -2.0, 1, math.inf,
+                  QuadratureSpec(singularities=((math.inf, -1.0),)))
 
 
 def test_nonconvergent_on_divergent_singularity():
     with pytest.raises(NonConvergent):
         integrate(lambda s: s ** -1.2, 0, 1, QuadratureSpec(max_subdivisions=300))
-    # away from 0 the panels reach the float width floor at c; the dyadic
-    # ladder toward c does not decay there, so the zone is not summed
+    # away from 0 the panels toward the plain split point c reach the float
+    # width floor, where a panel cannot be split
     for c in (0.5, 2.0):
         for e in (-1.0, -1.05, -1.2, -1.5):
             with pytest.raises(NonConvergent):
                 integrate(lambda s: np.abs(s - c) ** e, 0, c + 1.0,
-                          QuadratureSpec(split_points=(c,)))
+                          QuadratureSpec(singularities=((c, 0.0),)))
 
 
 # -- singularities away from 0 -----------------------------------------------
@@ -157,7 +162,7 @@ BATTERY = [(c, b, e, w) for c in (0.3, 0.5, 1.0, 2.0, 7.3)
 @functools.lru_cache(maxsize=None)
 def _battery_result(c, b, e, w):
     f = lambda s: np.abs(s - c) ** e * (1.0 if w == "1" else s)
-    return integrate(f, 0.0, b, QuadratureSpec(split_points=(c,)))
+    return integrate(f, 0.0, b, QuadratureSpec(singularities=((c, e),)))
 
 
 def _battery_id(case):
@@ -172,23 +177,28 @@ def test_split_power_battery_value(case):
     assert abs(value - exact) <= 5 * QuadratureSpec().rel_tol * abs(exact)
 
 
-_UNDER_REPORTED = (0.3, 3.3, -0.5, "s")
-
-
-@pytest.mark.parametrize("case", [
-    pytest.param(k, marks=pytest.mark.xfail(
-        strict=True, reason="raw |G15-G7| estimator, ROADMAP item 2"))
-    if k == _UNDER_REPORTED else k for k in BATTERY],
-    ids=[_battery_id(k) for k in BATTERY])
+@pytest.mark.parametrize("case", BATTERY, ids=[_battery_id(k) for k in BATTERY])
 def test_split_power_battery_error_bar(case):
     value, err = _battery_result(*case)
     assert err >= abs(value - _split_power_exact(*case))
 
 
-def test_wynn_epsilon_sums_two_geometric_series():
-    partial = np.cumsum([0.5 ** k + (-0.3) ** k for k in range(20)])
-    limit, _ = _wynn_epsilon(partial)
-    assert abs(limit - (2.0 + 1.0 / 1.3)) <= 1e-14
+_JACOBI_EXPONENTS = (-0.999, -0.975, -0.9, -0.5, 0.0, 0.3, 2.5)
+
+
+@pytest.mark.parametrize("order", [7, 15])
+@pytest.mark.parametrize("ea", _JACOBI_EXPONENTS)
+@pytest.mark.parametrize("eb", _JACOBI_EXPONENTS)
+def test_jacobi_rule_against_beta_closed_form(order, ea, eb):
+    # int_{-1}^{1} (1+x)^ea (1-x)^eb ((1+x)/2)^k dx = 2^(ea+eb+1) B(ea+k+1, eb+1),
+    # exact for every k < 2 order; the rule's weights have the weight divided out
+    nodes, weights = _rule(order, ea, eb)
+    for k in range(2 * order):
+        got = math.fsum(weights * (1.0 + nodes) ** ea * (1.0 - nodes) ** eb
+                        * ((1.0 + nodes) / 2.0) ** k)
+        with mpmath.workdps(30):
+            exact = mpmath.mpf(2) ** (ea + eb + 1) * mpmath.beta(ea + k + 1, eb + 1)
+        assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_spec_validation():
@@ -197,7 +207,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
     with pytest.raises(ValueError):
-        QuadratureSpec(split_points=(0.5, 0.4))
+        QuadratureSpec(singularities=((0.5, 0.0), (0.4, 0.0)))
+    with pytest.raises(ValueError):
+        QuadratureSpec(singularities=((0.5, -1.0),))
     with pytest.raises(ValueError):
         integrate(lambda s: s, 1.0, 0.5)
 

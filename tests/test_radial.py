@@ -233,7 +233,7 @@ class TestRieszPotential:
                                                for ri in np.atleast_1d(r)]))
             return area * integrate(integrand, 0.0, math.inf,
                                     QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10,
-                                                   tail_exponent_hint=-2.5)).value
+                                                   singularities=((math.inf, -2.5),))).value
 
         assert pair(g, h) == pytest.approx(pair(h, g), rel=1e-7)
 

@@ -106,6 +106,20 @@ class TestVerifySolution:
             return
         assert rep.verdict != REFUTED
 
+    @pytest.mark.parametrize("family", ["singular", "lieb"])
+    @pytest.mark.parametrize("n,frac", [(n, frac) for n in range(1, 6)
+                                        for frac in (0.05, 0.5, 0.95)])
+    def test_error_bars_bound_the_residual(self, n, frac, family):
+        # both solutions are exact, so each residual is the quadrature's own
+        # error and must lie within its bar; at lam = 0.05n the singular
+        # solution's radial integrand has the exponent -0.975 at the origin
+        p = Params(n, frac * n)
+        f = singular_solution(p) if family == "singular" else lieb_solution(p)
+        rep = verify_solution(f, p, [0.5, 1.0, 2.0, 5.0])
+        assert rep.verdict == VERIFIED
+        for lhs, rhs, err in zip(rep.lhs_values, rep.rhs_values, rep.err_estimates):
+            assert abs(lhs - rhs) <= err
+
     def test_scaled_candidate_refuted(self, p_half):
         # T is linear and the exponent pins the amplitude: 1.1 f has relative
         # residual |1.1 - 1.1^(p-1)| / 1.1^(p-1) at every radius

@@ -42,6 +42,18 @@ class TestDiscretization:
         # clustering toward the endpoints
         assert x[1] - x[0] < (x[33] - x[32]) / 4
 
+    @pytest.mark.parametrize("N", [33, 65, 101, 129, 201, 257, 513, 1025])
+    def test_graded_grid_is_bitwise_symmetric(self, N):
+        # _even_matrix folds each column onto its mirror node
+        x = graded_grid(-1.0, 1.0, N, 2.0)
+        assert np.array_equal(x, -x[::-1])
+        if (N - 1) & (N - 2) == 0:
+            # at N = 2^k + 1 the nodes are those of the one-formula grid
+            t = np.linspace(0.0, 1.0, N)
+            g = np.where(t <= 0.5, 0.5 * (2.0 * t) ** 2.0,
+                         1.0 - 0.5 * (2.0 * (1.0 - t)) ** 2.0)
+            assert np.array_equal(x, -1.0 + 2.0 * g)
+
     def test_matrix_against_closed_form(self):
         lam = 0.5
         x = graded_grid(-1.0, 1.0, 65, 2.0)
@@ -60,8 +72,8 @@ class TestDiscretization:
         def oracle(t, values):
             # the nodes split the range too: u_h has a kink at each of them
             lin = lambda s: np.interp(s, x, values)
-            spec = QuadratureSpec(split_points=tuple(
-                sorted({t, *x[1:-1]} - {-1.0, 1.0})))
+            kinks = {s: 0.0 for s in x[1:-1]}
+            spec = QuadratureSpec(singularities=sorted(({**kinks, t: -lam}).items()))
             return integrate(lambda s: np.abs(t - s) ** -lam * lin(s),
                              -1.0, 1.0, spec).value
 
@@ -87,7 +99,7 @@ class TestDiscretization:
             try:
                 value, err = integrate(
                     lambda s: np.abs(t - s) ** -lam * np.interp(s, x, values),
-                    -1.0, 1.0, QuadratureSpec(split_points=(t,)))
+                    -1.0, 1.0, QuadratureSpec(singularities=((t, 0.0),)))
             except NonConvergent:
                 continue
             assert abs(value - exact) <= err

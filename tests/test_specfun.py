@@ -116,10 +116,10 @@ class TestRieszPowerConstant:
         # independent route: int over R of |1-y|^(-3/4) |y|^(-3/4) dy equals
         # the constant times |1|^(n-lam-mu) = the constant itself
         f = lambda y: np.abs(1.0 - y) ** -0.75 * np.abs(y) ** -0.75
-        plus = integrate(f, 0, math.inf,
-                         QuadratureSpec(split_points=(1.0,), tail_exponent_hint=-1.5))
+        plus = integrate(f, 0, math.inf, QuadratureSpec(
+            singularities=((0.0, -0.75), (1.0, -0.75), (math.inf, -1.5))))
         minus = integrate(lambda t: f(-np.asarray(t, dtype=float)), 0, math.inf,
-                          QuadratureSpec(tail_exponent_hint=-1.5))
+                          QuadratureSpec(singularities=((0.0, -0.75), (math.inf, -1.5))))
         assert plus.value + minus.value == \
             pytest.approx(riesz_power_constant(1, 0.75, 0.75), rel=1e-8)
 
@@ -191,7 +191,7 @@ class TestLiebConstantL:
         # like r^(-n-1); the amplitude exponent then gives L
         m = n - 0.5 * lam
         radial = integrate(lambda r: r ** (n - 1 - lam) * (1.0 + r * r) ** (-m),
-                           0.0, math.inf, QuadratureSpec(tail_exponent_hint=-(n + 1.0)))
+                           0.0, math.inf, QuadratureSpec(singularities=((math.inf, -(n + 1.0)),)))
         i0 = sphere_surface_area(n) * radial.value
         assert i0 == pytest.approx(sphere_surface_area(n) * 0.5
                                    * beta(0.5 * (n - lam), 0.5 * n), rel=1e-9)
