@@ -19,8 +19,8 @@ from .regularity import (DecayScanReport, Domain1D, GridSchedule,
                          translation_annihilation_check, weight, weighted_norm)
 from .solutions import (ResidualReport, lieb_solution, singular_solution,
                         verify_solution)
-from .solver import (Diverged, GridSolution1D, NonPositive, SolverConfig,
-                     SolverTrace, picard_solve, residual_on_points)
+from .solver import (GridSolution1D, NonPositive, SolverConfig, SolverTrace,
+                     picard_solve, residual_on_points)
 from .specfun import (Params, beta, ft_riesz_coefficient, lieb_constant_C,
                       lieb_constant_L, log_gamma, riesz_power_constant,
                       sphere_surface_area)

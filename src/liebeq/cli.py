@@ -12,7 +12,7 @@ Subcommands map one-to-one onto library operations:
   solve            bounded-domain solver on an interval
 
 Exit codes: 0 when every verdict is positive (Verified / Convergent /
-Computed), 1 on any Refuted, Diverged or otherwise failed result
+Computed), 1 on any Refuted, NonPositive or otherwise failed result
 (Inconclusive counts as failure, and a NonConvergent quadrature prints one
 error line instead of a report), 2 on usage or configuration errors, and
 3 when the only results are NotApplicable (screen-rejected instances).
@@ -41,13 +41,13 @@ from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
 from .regularity import (Domain1D, decay_singularity_scan, kernel_growth_check,
                          translation_annihilation_check, weighted_norm)
 from .solutions import lieb_solution, singular_solution, verify_solution
-from .solver import Diverged, NonPositive, SolverConfig, picard_solve
+from .solver import NonPositive, SolverConfig, picard_solve
 from .specfun import (Params, ft_riesz_coefficient, lieb_constant_C, lieb_constant_L,
                       riesz_power_constant)
 
 __all__ = ["main", "console_main", "load_report"]
 
-_FAILURE_VERDICTS = {"Refuted", "Diverged", "NonPositive", "Inconclusive", "Failed"}
+_FAILURE_VERDICTS = {"Refuted", "NonPositive", "Inconclusive", "Failed"}
 
 
 class _UsageError(Exception):
@@ -260,14 +260,13 @@ def _run_solve(args, params, quad):
     G = Domain1D.interval(args.a, args.b)
     config = SolverConfig(domain=G, grid_size=args.grid_size,
                           grading_exponent=args.grading_exponent,
-                          max_iters=args.max_iters, stop_tol=args.stop_tol,
-                          damping=args.damping, scheme=args.scheme)
+                          max_iters=args.max_iters, stop_tol=args.stop_tol)
     inputs = {"a": args.a, "b": args.b, "grid_size": args.grid_size,
-              "scheme": args.scheme, "stop_tol": args.stop_tol}
+              "stop_tol": args.stop_tol}
     try:
         solution, trace = picard_solve(config, params, init=args.init)
-    except (Diverged, NonPositive) as exc:
-        results = [{"name": "solve", "verdict": type(exc).__name__,
+    except NonPositive as exc:
+        results = [{"name": "solve", "verdict": "NonPositive",
                     "message": str(exc),
                     "residuals": list(getattr(exc.trace, "residuals", []) or [])}]
         return inputs, results, {"stop_tol": args.stop_tol}, []
@@ -275,7 +274,7 @@ def _run_solve(args, params, quad):
         "name": "solve",
         "verdict": "Converged" if trace.converged else "Failed",
         "iterations": trace.iterations,
-        "final_residual": trace.residuals[-1] if trace.residuals else None,
+        "final_residual": trace.residuals[-1],
         "x": list(solution.x),
         "values": list(solution.values),
     }]
@@ -360,8 +359,6 @@ def _build_parser():
     sub.add_argument("--grading-exponent", type=float, default=2.0)
     sub.add_argument("--max-iters", type=int, default=200)
     sub.add_argument("--stop-tol", type=float, default=1e-8)
-    sub.add_argument("--damping", type=float, default=0.5)
-    sub.add_argument("--scheme", choices=("newton", "direct"), default="newton")
     sub.add_argument("--init", type=float, default=1.0)
 
     return parser, subs.choices

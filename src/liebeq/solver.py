@@ -8,9 +8,9 @@ kernel singularity is never sampled.
 The naive relaxation sweep u <- (1-d) u + d (T_G u)^(1/(p-1)) is amplitude
 expansive (the exponent 1/(p-1) = (2n-lam)/lam exceeds 1): any amplitude
 error is amplified by roughly 1 + 2d per sweep regardless of the damping
-d, so that scheme diverges from generic starts.  It is kept available as
-scheme="direct" for exactly that failure mode.  The default scheme works in
-the even (reflection-symmetric) subspace of the interval.  Petviashvili
+d, so that sweep diverges from generic starts.  The solver instead works in
+the even (reflection-symmetric) subspace of the interval, on the
+collocation equations at the right-half nodes.  Petviashvili
 sweeps u <- M^gamma (T_G u)^s, with s = 1/(p-1), gamma = s/(s-1) and the
 stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
 (Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
@@ -51,7 +51,6 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "GridSolution1D",
-    "Diverged",
     "NonPositive",
     "picard_solve",
     "residual_on_points",
@@ -64,14 +63,6 @@ def least_squares(*args, **kwargs):
     from scipy.optimize import least_squares as scipy_least_squares
 
     return scipy_least_squares(*args, **kwargs)
-
-
-class Diverged(Exception):
-    """Residual grew for five consecutive sweeps (or blew up outright)."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class NonPositive(Exception):
@@ -88,7 +79,8 @@ class SolverConfig:
 
     grid_size is rounded up to an odd node count so the grid has a center
     node; grading_exponent >= 1 clusters nodes toward both endpoints.
-    damping enters the explicit scheme="direct" sweep only.
+    max_iters caps both the Petviashvili sweeps and the residual
+    evaluations of the trust-region finish.
     """
 
     domain: Domain1D
@@ -96,8 +88,6 @@ class SolverConfig:
     grading_exponent: float = 2.0
     max_iters: int = 200
     stop_tol: float = 1e-8
-    damping: float = 0.5
-    scheme: str = "newton"
 
     def __post_init__(self):
         if self.domain.kind != "interval" and self.domain.dimension != 1:
@@ -106,31 +96,29 @@ class SolverConfig:
             raise ValueError("grid_size must be at least 5")
         if self.grading_exponent < 1.0:
             raise ValueError("grading_exponent must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
-        if self.scheme not in ("newton", "direct"):
-            raise ValueError("scheme must be 'newton' or 'direct'")
 
 
 @dataclass
 class SolverTrace:
-    """Relative sup-norm residuals of T_G u - u^(p-1) of every recorded
-    iterate, the sup-norm amplitude history (with minima, so positivity of
-    every iterate is on record), and the convergence flag (final residual
-    <= stop_tol).
+    """Relative sup-norm residuals of T_G u - u^(p-1) at the right-half
+    nodes, the equations the even solve solves, of every recorded iterate;
+    the sup-norm amplitude history (with minima, so positivity of every
+    iterate is on record), and the convergence flag (final residual <=
+    stop_tol).
 
-    A small residual cannot come from an iterate near u = 0: W has
+    A small residual cannot come from an iterate near u = 0: Wr has
     nonnegative entries, so at the node of the maximum M the relative
-    residual r is at least 1 - M^(2-p) max_i (W 1)_i, and converged implies
-    M >= ((1 - stop_tol) / max_i (W 1)_i)^(1/(2-p)).
+    residual r is at least 1 - M^(2-p) max_i (Wr 1)_i, and converged implies
+    M >= ((1 - stop_tol) / max_i (Wr 1)_i)^(1/(2-p)).
 
     iterations is len(residuals): one entry per sweep, per residual
     evaluation of the trust-region finish and for the returned solution, so
     at most 2*max_iters + 1.  sweeps counts the fixed-point sweeps; nfev,
-    njev, status and message are least_squares' (zero, zero, None and ""
-    for scheme="direct")."""
+    njev, status and message are least_squares'."""
 
     residuals: list = field(default_factory=list)
     amplitudes: list = field(default_factory=list)
@@ -177,7 +165,8 @@ class GridSolution1D:
 
 
 def graded_grid(a: float, b: float, count: int, exponent: float) -> np.ndarray:
-    """Grid on [a, b] geometrically clustered toward both ends.
+    """Grid on [a, b] algebraically clustered toward both ends: the left
+    half's offsets from a are (b - a)/2 (2t)^exponent, t uniform on [0, 1/2).
 
     The right half mirrors the left half's offsets d from a as b - d, with
     the centre (a + b)/2 for odd counts, so the grid is bitwise symmetric.
@@ -221,9 +210,16 @@ def moment_matrix(x: np.ndarray, points, lam: float) -> np.ndarray:
 
 
 def product_integration_matrix(x: np.ndarray, lam: float) -> np.ndarray:
-    """W with (W u)_i = int_G |x_i - s|^(-lam) u_h(s) ds: the moment matrix
-    at the grid nodes.  Requires 0 < lam < 1."""
-    return moment_matrix(x, x, lam)
+    """Wr, the collocation matrix on even grid functions: for u_h even with
+    values uh at the right-half nodes x[c:] (c = N//2, N odd),
+    (Wr uh)_i = int_G |x_{c+i} - s|^(-lam) u_h(s) ds.  Each column of the
+    moment matrix at x[c:] folds in its mirror node's; the centre column is
+    counted once.  Requires a symmetric grid and 0 < lam < 1."""
+    c = len(x) // 2
+    M = moment_matrix(x, x[c:], lam)
+    Wr = M[:, c:].copy()
+    Wr[:, 1:] += M[:, c - 1::-1]
+    return Wr
 
 
 def _relative_residual(Wu: np.ndarray, u: np.ndarray, pm1: float) -> float:
@@ -243,25 +239,11 @@ def _initial_values(init, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _even_matrix(W: np.ndarray):
-    """(Wr, half, mirror): W restricted to even grid functions, which are
-    fixed by their values on the right half, nodes half = c..N-1 with mirror
-    images mirror = c..0.  The centre column is counted once."""
-    N = W.shape[0]
-    c = N // 2
-    half = np.arange(c, N)
-    mirror = N - 1 - half
-    Wr = W[np.ix_(half, half)]
-    Wr[:, 1:] += W[np.ix_(half, mirror[1:])]
-    return Wr, half, mirror
-
-
-def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
-                  config: SolverConfig, trace: SolverTrace) -> np.ndarray:
+def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
+                config: SolverConfig, trace: SolverTrace) -> np.ndarray:
+    """The right-half values of the even solution, from the start uh."""
     pm1 = params.pm1
     s = 1.0 / pm1
-    N = len(u0)
-    Wr, half, mirror = _even_matrix(W)
 
     def record(u, Wu):
         trace.residuals.append(_relative_residual(Wu, u, pm1))
@@ -275,7 +257,6 @@ def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
     # Near the ends of the lam window s or gamma is large enough to overflow;
     # the finish then starts from the last finite iterate.
     gamma = s / (s - 1.0)
-    uh = 0.5 * (u0[half] + u0[mirror])
     Wuh = Wr @ uh
     while trace.sweeps < config.max_iters:
         with np.errstate(all="ignore"):
@@ -304,7 +285,7 @@ def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
         return Wuh / b - w
 
     def jac(w):
-        return s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(half))
+        return s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(w))
 
     sol = least_squares(fun, np.clip(v0 / b, 1e-12, None), jac=jac,
                         bounds=(1e-300, np.inf), method="trf", tr_solver="lsmr",
@@ -312,44 +293,11 @@ def _solve_newton(W: np.ndarray, u0: np.ndarray, params: Params,
                         max_nfev=config.max_iters)
     trace.nfev, trace.njev = int(sol.nfev), int(sol.njev or 0)
     trace.status, trace.message = int(sol.status), str(sol.message)
-    u = np.empty(N)
-    u[half] = u[mirror] = (b * sol.x) ** s
-    record(u, W @ u)
-    if not np.all(u > 0.0):
+    uh = (b * sol.x) ** s
+    record(uh, Wr @ uh)
+    if not np.all(uh > 0.0):
         raise NonPositive("solution lost positivity", trace)
-    return u
-
-
-def _solve_direct(W: np.ndarray, u0: np.ndarray, params: Params,
-                  config: SolverConfig, trace: SolverTrace) -> np.ndarray:
-    """The literal damped relaxation sweep; diverges in practice (see module
-    docstring) and exists to exercise exactly that contract."""
-    pm1 = params.pm1
-    s = 1.0 / pm1
-    d = config.damping
-    u = u0.copy()
-    growth_streak = 0
-    prev = math.inf
-    for _ in range(config.max_iters):
-        with np.errstate(all="ignore"):
-            u = (1.0 - d) * u + d * (W @ u) ** s
-        if not np.all(np.isfinite(u)):
-            raise Diverged("iterate overflowed", trace)
-        if np.any(u <= 0.0):
-            raise NonPositive("iterate lost positivity", trace)
-        trace.sweeps += 1
-        res = _relative_residual(W @ u, u, pm1)
-        trace.residuals.append(res)
-        trace.amplitudes.append(float(np.max(u)))
-        trace.minima.append(float(np.min(u)))
-        growth_streak = growth_streak + 1 if res > prev else 0
-        if growth_streak >= 5:
-            raise Diverged(
-                f"residual grew for 5 consecutive sweeps (now {res:.3e})", trace)
-        prev = res
-        if res <= config.stop_tol:
-            break
-    return u
+    return uh
 
 
 def picard_solve(config: SolverConfig, params: Params, init=1.0):
@@ -357,28 +305,25 @@ def picard_solve(config: SolverConfig, params: Params, init=1.0):
     (GridSolution1D, SolverTrace).
 
     init is a positive constant, callable, or radial profile evaluated on
-    the grid.  The default scheme reaches residuals near machine precision;
-    the converged flag records final residual <= stop_tol.  scheme="direct"
-    runs the explicit damped sweep instead and raises Diverged or
-    NonPositive when it fails, with the trace attached.
+    the grid, and symmetrized.  The solve reaches residuals near machine
+    precision; the converged flag records final residual <= stop_tol.  A
+    start that is not strictly positive raises NonPositive, and so, with
+    the trace attached, does a solution that lost positivity.
     """
     if params.n != 1:
         raise ValueError("the bounded-domain solver runs in dimension 1")
-    lam = params.lam
     G = config.domain
     count = config.grid_size if config.grid_size % 2 == 1 else config.grid_size + 1
     x = graded_grid(G.a, G.b, count, config.grading_exponent)
-    W = product_integration_matrix(x, lam)
+    Wr = product_integration_matrix(x, params.lam)
     u0 = _initial_values(init, x)
+    c = count // 2
 
     trace = SolverTrace()
-    if config.scheme == "direct":
-        u = _solve_direct(W, u0, params, config, trace)
-    else:
-        u = _solve_newton(W, u0, params, config, trace)
+    uh = _solve_even(Wr, 0.5 * (u0[c:] + u0[c::-1]), params, config, trace)
     trace.iterations = len(trace.residuals)
-    trace.converged = bool(trace.residuals and trace.residuals[-1] <= config.stop_tol)
-    solution = GridSolution1D(tuple(x), tuple(u), params, G)
+    trace.converged = trace.residuals[-1] <= config.stop_tol
+    solution = GridSolution1D(tuple(x), tuple(np.concatenate([uh[:0:-1], uh])), params, G)
     return solution, trace
 
 

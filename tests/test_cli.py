@@ -191,14 +191,17 @@ class TestSolve:
         assert result["verdict"] == "Converged"
         assert result["final_residual"] <= 1e-8
 
-    def test_direct_scheme_diverges(self, tmp_path):
-        out = tmp_path / "d.json"
-        code = main(["solve", "--n", "1", "--lambda", "0.5", "--grid-size",
-                     "65", "--scheme", "direct", "--max-iters", "40",
-                     "--no-timestamp", "--out", str(out)])
-        assert code == 1
-        assert load_report(str(out))["results"][0]["verdict"] in ("Diverged",
-                                                                  "NonPositive")
+    def test_zero_max_iters_is_usage_error(self, capsys):
+        code = main(["solve", "--grid-size", "65", "--max-iters", "0", "--no-timestamp"])
+        assert code == 2
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+
+    # one solve path: the removed scheme and damping options are usage errors
+    @pytest.mark.parametrize("option", [["--scheme", "direct"], ["--damping", "0.5"]])
+    def test_removed_solver_options_are_usage_errors(self, option, tmp_path):
+        code = main(["solve", "--n", "1", "--lambda", "0.5", "--grid-size", "65",
+                     *option, "--no-timestamp", "--out", str(tmp_path / "d.json")])
+        assert code == 2
 
 
 class TestConfigFile:

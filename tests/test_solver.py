@@ -5,9 +5,9 @@ import pytest
 
 from liebeq.quadrature import NonConvergent, QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
-from liebeq.solver import (Diverged, NonPositive, SolverConfig, _even_matrix,
-                           graded_grid, moment_matrix, picard_solve,
-                           product_integration_matrix, residual_on_points)
+from liebeq.solver import (NonPositive, SolverConfig, graded_grid, moment_matrix,
+                           picard_solve, product_integration_matrix,
+                           residual_on_points)
 from liebeq.specfun import Params, lieb_constant_L
 
 
@@ -44,7 +44,7 @@ class TestDiscretization:
 
     @pytest.mark.parametrize("N", [33, 65, 101, 129, 201, 257, 513, 1025])
     def test_graded_grid_is_bitwise_symmetric(self, N):
-        # _even_matrix folds each column onto its mirror node
+        # product_integration_matrix folds each column onto its mirror node
         x = graded_grid(-1.0, 1.0, N, 2.0)
         assert np.array_equal(x, -x[::-1])
         if (N - 1) & (N - 2) == 0:
@@ -57,7 +57,7 @@ class TestDiscretization:
     def test_matrix_against_closed_form(self):
         lam = 0.5
         x = graded_grid(-1.0, 1.0, 65, 2.0)
-        W = product_integration_matrix(x, lam)
+        W = moment_matrix(x, x, lam)
         exact = 2.0 * (np.sqrt(np.maximum(1 - x, 0)) + np.sqrt(np.maximum(1 + x, 0)))
         assert np.max(np.abs(W @ np.ones_like(x) - exact)) < 1e-13
 
@@ -66,7 +66,7 @@ class TestDiscretization:
         # piecewise-linear integrand, at nodes and at probes between them
         lam = 0.6
         x = graded_grid(-1.0, 1.0, 33, 1.5)
-        W = product_integration_matrix(x, lam)
+        W = moment_matrix(x, x, lam)
         u = 1.0 + x / 3.0
 
         def oracle(t, values):
@@ -106,7 +106,8 @@ class TestDiscretization:
 
     @pytest.mark.parametrize("N", [65, 257])
     def test_even_matrix_matches_column_loop(self, N):
-        W = product_integration_matrix(graded_grid(-1.0, 1.0, N, 2.0), 0.5)
+        x = graded_grid(-1.0, 1.0, N, 2.0)
+        W = moment_matrix(x, x, 0.5)
         c = N // 2
         half = np.arange(c, N)
         mirror = N - 1 - half
@@ -114,9 +115,7 @@ class TestDiscretization:
         for col, j in enumerate(half):
             if mirror[col] != j:
                 loop[:, col] += W[half, mirror[col]]
-        Wr, got_half, got_mirror = _even_matrix(W)
-        assert np.array_equal(Wr, loop)
-        assert np.array_equal(got_half, half) and np.array_equal(got_mirror, mirror)
+        assert np.array_equal(product_integration_matrix(x, 0.5), loop)
 
     @pytest.mark.parametrize("N", [257, 513])
     @pytest.mark.parametrize("lam", [0.3, 0.77])
@@ -167,9 +166,19 @@ class TestNewtonScheme:
         p, cfg, solution, _ = converged
         x = np.asarray(solution.x)
         u = np.asarray(solution.values)
-        W = product_integration_matrix(x, p.lam)
+        W = moment_matrix(x, x, p.lam)
         swept = (W @ u) ** (1.0 / p.pm1)
         assert np.max(np.abs(swept - u)) / np.max(u) <= 10 * cfg.stop_tol
+
+    def test_final_record_is_the_right_half_residual(self, converged):
+        # the last record is the residual of the equations the even solve
+        # solves, Wr uh = uh^(p-1) at the right-half nodes
+        p, _, solution, trace = converged
+        x = np.asarray(solution.x)
+        uh = np.asarray(solution.values)[len(x) // 2:]
+        rhs = uh ** p.pm1
+        Wr = product_integration_matrix(x, p.lam)
+        assert trace.residuals[-1] == np.max(np.abs(Wr @ uh - rhs)) / np.max(rhs)
 
     def test_collocation_residual_at_nodes(self, converged):
         p, _, solution, _ = converged
@@ -263,17 +272,17 @@ class TestNewtonScheme:
         assert 5.0 < ratio < 15.0 and distance < 0.1
 
     def test_small_residual_rules_out_collapse(self):
-        # a relative residual r forces max u >= ((1 - r)/max W1)^(1/(2-p)),
-        # W having nonnegative entries; every recorded iterate obeys it, and
+        # a relative residual r forces max u >= ((1 - r)/max Wr1)^(1/(2-p)),
+        # Wr having nonnegative entries; every recorded iterate obeys it, and
         # shrinking a solution by t raises its residual to 1 - t^(2-p)
         p = Params(1, 0.9)
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
         solution, trace = picard_solve(cfg, p)
         x = np.asarray(solution.x)
-        u = np.asarray(solution.values)
+        u = np.asarray(solution.values)[len(x) // 2:]
         W = product_integration_matrix(x, p.lam)
         assert np.all(W >= 0.0)
-        row_max = np.max(W @ np.ones(len(x)))
+        row_max = np.max(W @ np.ones(len(u)))
         for r, amplitude in zip(trace.residuals, trace.amplitudes):
             if r < 1.0:
                 assert amplitude >= ((1.0 - r) / row_max) ** (1.0 / (2.0 - p.p))
@@ -284,7 +293,8 @@ class TestNewtonScheme:
 
     # independent of the trust region's inner solver: one dense LU Newton
     # step on F(w) = Wr (b w)^s / b - w, w = u^(p-1)/b on the right half,
-    # from the returned solution must leave w where it is
+    # from the returned solution must leave w where it is; the left-half
+    # equations, which the even solve does not solve, must hold as well
     @pytest.mark.parametrize("N, lam", [(129, 0.02), (257, 0.5), (513, 0.776),
                                         (129, 0.99), (257, 0.95)])
     def test_newton_step_from_solution_stays_put(self, N, lam):
@@ -292,16 +302,20 @@ class TestNewtonScheme:
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
         solution, trace = picard_solve(cfg, p)
         assert trace.converged
-        W = product_integration_matrix(np.asarray(solution.x), lam)
-        Wr, half, _ = _even_matrix(W)
+        x = np.asarray(solution.x)
+        u = np.asarray(solution.values)
+        Wr = product_integration_matrix(x, lam)
         s = 1.0 / p.pm1
-        v = np.asarray(solution.values)[half] ** p.pm1
+        v = u[N // 2:] ** p.pm1
         b = 2.0 ** round(math.log2(np.max(v)))
         w = v / b
         F = Wr @ (b * w) ** s / b - w
-        J = s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(half))
+        J = s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(w))
         step = np.linalg.solve(J, -F)
         assert np.max(np.abs(step)) <= 1e-12 * np.max(np.abs(w))
+        rhs = u ** p.pm1
+        full = np.max(np.abs(moment_matrix(x, x, lam) @ u - rhs)) / np.max(rhs)
+        assert full <= 1e-13
 
     @pytest.mark.parametrize("lam", [0.001, 0.999])
     def test_overflowing_sweep_hands_last_finite_iterate_on(self, lam):
@@ -322,28 +336,6 @@ class TestNewtonScheme:
         assert f"{max(solution.values):.3f}" == peak
 
 
-class TestDirectScheme:
-    def test_diverges_from_constant_init(self):
-        p = Params(1, 0.5)
-        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=65,
-                           scheme="direct", max_iters=60)
-        with pytest.raises(Diverged):
-            picard_solve(cfg, p, init=1.0)
-
-    def test_growth_streak_detection(self):
-        # small damping slows the blow-up enough to observe five consecutive
-        # residual increases before overflow
-        p = Params(1, 0.5)
-        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=65,
-                           scheme="direct", damping=0.02, max_iters=200)
-        with pytest.raises(Diverged) as err:
-            picard_solve(cfg, p, init=1.0)
-        assert err.value.trace is not None
-        assert len(err.value.trace.residuals) >= 5
-        assert err.value.trace.sweeps == len(err.value.trace.residuals)
-        assert err.value.trace.nfev == 0 and err.value.trace.status is None
-
-
 class TestConfig:
     def test_validation(self):
         G = Domain1D.interval(-1.0, 1.0)
@@ -352,9 +344,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(domain=G, grading_exponent=0.5)
         with pytest.raises(ValueError):
-            SolverConfig(domain=G, damping=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(domain=G, scheme="magic")
+            SolverConfig(domain=G, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(domain=G, stop_tol=0.0)
 

@@ -73,5 +73,6 @@ def test_tracer_survives_the_lazy_scipy_import(fresh_python):
     out = json.loads(proc.stdout)
     assert not out["loaded_before"] and out["loaded_after"]
     assert "solver.lsq" in out["names"]
+    assert "solver.matrix" in out["names"]  # the solve's one assembly is traced
     assert out["nfev"] > 0
     assert out["restored"]
