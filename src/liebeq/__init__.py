@@ -8,9 +8,8 @@ from .identities import (DifferentialForm, IdentityReport, MultiIndex,
                          apply_form, check_commutativity, check_composite,
                          check_orthogonality, cutoff_pair_integral, parity_split,
                          parse_form, solution_descriptor)
-from .quadrature import (DivergentTail, NonConvergent, QuadratureSpec,
-                         ScreenResult, SingularityBudget, convergence_screen,
-                         integrate)
+from .quadrature import (NonConvergent, QuadratureSpec, ScreenResult,
+                         convergence_screen, integrate)
 from .radial_riesz import (RadialProfile, ScreenRejected, angular_kernel,
                            riesz_potential_radial)
 from .regularity import (DecayScanReport, Domain1D, GridSchedule,

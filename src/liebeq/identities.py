@@ -30,10 +30,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import quadrature
-from .quadrature import (QuadratureSpec, QuadResult, ScreenResult, SingularityBudget,
-                         convergence_screen)
+from .quadrature import QuadratureSpec, QuadResult, ScreenResult, convergence_screen
 from .radial_riesz import POWER_SINGULAR, RadialProfile
-from .solutions import INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify
+from .solutions import (INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify,
+                        check_tolerance)
 from .specfun import Params, sphere_surface_area
 
 __all__ = [
@@ -350,7 +350,7 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
     dimension.  The integral is bilinear, so the factors are
     integrated at unit amplitude and value, error and scale are multiplied
     by the product of the amplitudes.  Returns value NaN with the screen
-    attached when the screen rejects the budget.
+    attached when the screen rejects the (location, exponent) pairs.
     """
     n = params.n
     if n > 1 and (alpha or beta):
@@ -358,14 +358,15 @@ def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
                          "dimensions support only the order-zero radial case")
     at_zero = g.zero_exponent(g_side, beta) + f.zero_exponent(f_side, alpha) + (n - 1)
     tail = g.infinity_exponent(g_side, beta) + f.infinity_exponent(f_side, alpha) + (n - 1)
-    screen = convergence_screen(SingularityBudget(((0.0, at_zero), (math.inf, tail))))
+    singularities = ((0.0, at_zero), (math.inf, tail))
+    screen = convergence_screen(singularities)
     parity_forced = (alpha + beta) % 2 == 1  # even profiles, odd integrand
     if not screen:
         return _PairResult(math.nan, math.nan, screen, parity_forced)
 
     g_unit, f_unit, amplitude = _unit_factors(g, g_side, f, f_side)
     integrand = _pair_integrand(g_unit, beta, f_unit, alpha, n)
-    spec = replace(quad, singularities=((0.0, at_zero), (math.inf, tail)))
+    spec = replace(quad, singularities=singularities)
     halves = [quadrature.integrate(integrand, 0.0, math.inf, spec)]
     if n == 1:
         # the integrand has the parity of alpha + beta, bit for bit, and the
@@ -464,6 +465,7 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
     zeroth cross identity between the two; a divergent screen on either
     side yields NotApplicable.
     """
+    check_tolerance(tolerance)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = pair(g, "base", b, f, "power", a)
@@ -482,6 +484,7 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     signed equality (-1)^|beta| I(beta, alpha) = (-1)^|alpha| I(alpha, beta)
     is certified.
     """
+    check_tolerance(tolerance, zero_tolerance)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = pair(f, "base", b, f, "power", a)
@@ -531,6 +534,7 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     plain commutativity.  Singleton forms reproduce check_commutativity and
     check_orthogonality values exactly (same code path).
     """
+    check_tolerance(tolerance, zero_tolerance)
     pair = partial(_form_pair_integral, _pair_table(params, quad or QuadratureSpec()))
     same = f == g
     lam_e, lam_o = parity_split(lam_form)

@@ -2,9 +2,10 @@
 
 Handles integrands that are analytic between declared singular points,
 with algebraic or logarithmic singularities of exponent > -1 at interval
-endpoints and singular points, and power-law tails on [a, inf).  Infinite
-tails are folded to a finite cell by the substitution t = 1/u, which turns
-a power tail into an algebraic endpoint singularity at u = 0.
+endpoints and singular points, and declared power-law tails on [a, inf):
+(inf, e) for f(t) ~ t**e, e < -1, and (inf, -2.0) for faster decay.  The
+substitution t = 1/u folds a tail to an endpoint exponent -2 - e at u = 0.
+Building a QuadratureSpec validates its declarations by convergence_screen.
 
 Panels are graded geometrically toward cell boundaries.  A panel that
 touches a declared exponent e at x0 integrates with the Gauss-Jacobi rule
@@ -33,11 +34,9 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
-    "SingularityBudget",
     "ScreenResult",
     "QuadResult",
     "NonConvergent",
-    "DivergentTail",
     "integrate",
     "convergence_screen",
 ]
@@ -55,21 +54,43 @@ class NonConvergent(Exception):
         self.error = error
 
 
-class DivergentTail(Exception):
-    """The integrand decays too slowly at infinity (exponent >= -1)."""
+@dataclass(frozen=True)
+class ScreenResult:
+    convergent: bool
+    failing_location: float | None = None
+
+    def __bool__(self):
+        return self.convergent
+
+
+def convergence_screen(singularities) -> ScreenResult:
+    """Decide absolute convergence from (location, exponent) pairs.
+
+    Each pair declares integrand ~ |t - location|**exponent near a finite
+    location, or ~ t**exponent as t -> inf for location inf.  Returns
+    Convergent iff all finite-location exponents are > -1 and the infinity
+    exponent is < -1; the first failing location (in listed order) is
+    reported otherwise.  Exponents within 1e-9 of -1 are treated as the
+    borderline -1 and classified divergent.
+    """
+    for loc, e in singularities:
+        tail = math.isinf(loc)
+        if e >= -1.0 - _BORDERLINE_EPS if tail else e <= -1.0 + _BORDERLINE_EPS:
+            return ScreenResult(False, math.inf if tail else loc)
+    return ScreenResult(True)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and singularity declarations for one integral.
 
-    singularities are (location, exponent) pairs, as in SingularityBudget,
-    declaring integrand ~ |t - location|**exponent there, in increasing
-    order of location.  A finite location inside (a, b) becomes a cell
-    boundary and is never evaluated; exponent 0.0 marks a plain split point
-    (a kink, or a singularity left to grading), and a finite exponent must
-    be > -1.  (inf, e) declares the decay f(t) ~ t**e of a tail; without it
-    an automatic geometric probe estimates the decay.
+    singularities are (location, exponent) pairs declaring integrand
+    ~ |t - location|**exponent there, in increasing order of location.  A
+    finite location inside (a, b) becomes a cell boundary and is never
+    evaluated; exponent 0.0 marks a plain split point (a kink, or a
+    singularity left to grading).  (inf, e) declares the decay f(t) ~ t**e
+    that integrate needs for an infinite upper limit.  The pairs must pass
+    convergence_screen, or ValueError names the first failing location.
     """
 
     rel_tol: float = 1e-9
@@ -85,59 +106,15 @@ class QuadratureSpec:
         entries = tuple((float(loc), float(e)) for loc, e in self.singularities)
         if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
             raise ValueError("singularity locations must be strictly increasing")
-        if any(math.isfinite(loc) and e <= -1.0 for loc, e in entries):
-            raise ValueError("a finite singularity needs an exponent > -1")
+        screen = convergence_screen(entries)
+        if not screen:
+            raise ValueError(f"declared singularity at {screen.failing_location} diverges")
         object.__setattr__(self, "singularities", entries)
 
 
 class QuadResult(NamedTuple):
     value: float
     error: float
-
-
-@dataclass(frozen=True)
-class SingularityBudget:
-    """Local power exponents of an integrand at its singular locations.
-
-    Each entry is (location, exponent) with location a finite float or
-    math.inf, describing integrand ~ |t - t0|**e near t0 (respectively
-    ~ t**e as t -> inf).  The integral converges absolutely iff every
-    finite exponent is > -1 and the infinity exponent is < -1; an exponent
-    of exactly -1 anywhere is the divergent logarithmic borderline.
-    """
-
-    local_exponents: tuple = ()
-
-    def __post_init__(self):
-        entries = tuple((float(loc), float(e)) for loc, e in self.local_exponents)
-        object.__setattr__(self, "local_exponents", entries)
-
-
-@dataclass(frozen=True)
-class ScreenResult:
-    convergent: bool
-    failing_location: float | None = None
-
-    def __bool__(self):
-        return self.convergent
-
-
-def convergence_screen(budget: SingularityBudget) -> ScreenResult:
-    """Decide absolute convergence from a singularity budget.
-
-    Returns Convergent iff all finite-location exponents are > -1 and the
-    infinity exponent is < -1; the first failing location (in listed
-    order) is reported otherwise.  Exponents within 1e-9 of -1 are treated
-    as the borderline -1 and classified divergent.
-    """
-    for loc, e in budget.local_exponents:
-        if math.isinf(loc):
-            if e >= -1.0 - _BORDERLINE_EPS:
-                return ScreenResult(False, math.inf)
-        else:
-            if e <= -1.0 + _BORDERLINE_EPS:
-                return ScreenResult(False, loc)
-    return ScreenResult(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +241,6 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
             heapq.heappush(heap, (-child.error, child.a, child))
 
 
-def _probe_tail_exponent(f, T: float) -> float:
-    """Estimate the power-law decay exponent of f by geometric sampling."""
-    ts = T * 4.0 ** np.arange(8)
-    with np.errstate(all="ignore"):
-        vals = np.abs(np.asarray(f(ts), dtype=float))
-    good = np.isfinite(vals) & (vals > 0)
-    if not good.any() or vals[good][-1] == 0.0:
-        return -math.inf  # identically tiny tail: treat as fast decay
-    est = []
-    for i in range(len(ts) - 1):
-        if good[i] and good[i + 1]:
-            est.append(math.log(vals[i + 1] / vals[i]) / math.log(4.0))
-    if not est:
-        return -math.inf
-    return max(est[-3:])  # conservative: slowest recent decay
-
-
 def integrate(f: Callable, a: float, b: float,
               spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate f over (a, b), b possibly infinite, to the spec tolerances.
@@ -288,31 +248,25 @@ def integrate(f: Callable, a: float, b: float,
     Returns (value, err_estimate) with err_estimate the summed error
     estimates of the panels.  Raises NonConvergent when the subdivision
     budget runs out or a panel reaches the float width floor (an undeclared
-    singularity away from 0, or a divergent one), and DivergentTail when b
-    is infinite and the declared or probed decay exponent is >= -1.
+    singularity away from 0, or a divergent one), and ValueError when b is
+    infinite and spec declares no (inf, e) tail.
     """
     spec = spec or QuadratureSpec()
-    a = float(a)
+    a, b = float(a), float(b)
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
-    infinite = math.isinf(b)
-    if not infinite:
-        b = float(b)
-        if b <= a:
-            raise ValueError("need a < b")
+    if not b > a:
+        raise ValueError("need a < b")
     exponents = dict(spec.singularities)
     interior = [s for s in exponents if a < s < b]
 
-    if not infinite:
+    if math.isfinite(b):
         return _integrate_cells(f, [a, *interior, b], exponents, spec)
+    if math.inf not in exponents:
+        raise ValueError("an infinite upper limit needs a declared (inf, exponent) tail")
 
     # infinite upper limit: finite part up to T, then fold [T, inf) to (0, 1/T]
     T = max(1.0, 2.0 * max(interior, default=0.0), a)
-    declared = math.inf in exponents
-    tail_exp = exponents[math.inf] if declared else _probe_tail_exponent(f, T)
-    if not convergence_screen(SingularityBudget(((math.inf, tail_exp),))):
-        raise DivergentTail(
-            f"tail decay exponent {tail_exp:.6g} is >= -1; integral diverges at infinity")
 
     def folded(u):
         u = np.asarray(u, dtype=float)
@@ -320,7 +274,7 @@ def integrate(f: Callable, a: float, b: float,
 
     # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps the
     # exponent declared at T, which can only be a = T
-    folded_exponents = {0.0: -2.0 - tail_exp if declared else 0.0,
+    folded_exponents = {0.0: -2.0 - exponents[math.inf],
                         1.0 / T: exponents.get(T, 0.0)}
     tail = _integrate_cells(folded, [0.0, 1.0 / T], folded_exponents, spec)
     if T == a:

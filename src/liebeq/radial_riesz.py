@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureSpec, SingularityBudget, convergence_screen
+from .quadrature import QuadratureSpec, convergence_screen
 from .specfun import Params, sphere_surface_area
 
 __all__ = [
@@ -213,18 +213,13 @@ def angular_kernel(n: int, lam: float, r: float, s: float):
 # ---------------------------------------------------------------------------
 # the radial Riesz potential
 
-def _potential_budget(f: RadialProfile, params: Params, r: float) -> SingularityBudget:
+def _potential_budget(f: RadialProfile, params: Params, r: float) -> tuple:
     n, lam = params.n, params.lam
-    entries = []
     zero_exp = f.exponent_at_zero() + (n - 1)
+    tail = (math.inf, f.exponent_at_infinity() - lam + (n - 1))
     if r == 0.0:
-        zero_exp -= lam
-    entries.append((0.0, zero_exp))
-    if r > 0.0:
-        kernel_local = -lam if n == 1 else min(0.0, (n - 1) - lam)
-        entries.append((r, kernel_local))
-    entries.append((math.inf, f.exponent_at_infinity() - lam + (n - 1)))
-    return SingularityBudget(tuple(entries))
+        return (0.0, zero_exp - lam), tail
+    return (0.0, zero_exp), (r, -lam if n == 1 else min(0.0, (n - 1) - lam)), tail
 
 
 def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
@@ -232,8 +227,8 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
                            with_error: bool = False):
     """(Tf)(r) = int_0^inf f(s) s^(n-1) K(r, s) ds for radial f.
 
-    The singularity budget (origin, diagonal s = r, infinity) is screened
-    before any quadrature runs; ScreenRejected is raised when it fails.
+    The (location, exponent) pairs at 0, s = r and inf are screened before
+    any quadrature runs; ScreenRejected is raised when the screen fails.
     At r = 0 the kernel is exactly |S^(n-1)| s^(-lam).
 
     For r > 0 the band |s - r| < r/2 is integrated in the diagonal distance
@@ -259,7 +254,7 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     # T(Af) = A Tf exactly: integrate the unit-amplitude profile, so the
     # absolute tolerance compares against O(1) values whatever A is
     unit = replace(f, amplitude=1.0)
-    origin, *diagonal, tail = budget.local_exponents
+    origin, *diagonal, tail = budget
 
     def smooth_integrand(s):
         s = np.asarray(s, dtype=float)

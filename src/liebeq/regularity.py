@@ -263,7 +263,13 @@ def kernel_growth_check(params: Params, m: int, sample_count: int = 50,
 def translation_annihilation_check(params: Params, points, h: float = 1e-4) -> float:
     """Central-difference estimate of (d/dx + d/dy)|x-y|^(-lam) at the given
     (x, y) pairs; the identity is exactly zero, so the returned maximum
-    absolute value reflects only rounding (<= about 1e-8 for sane h)."""
+    absolute value reflects only rounding (<= about 1e-8 for sane h).  No
+    points, or h not positive and finite, would check nothing: ValueError."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    points = list(points)
+    if not points:
+        raise ValueError("need at least one (x, y) point")
     lam = params.lam
     worst = 0.0
     for x, y in points:

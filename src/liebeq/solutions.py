@@ -12,6 +12,7 @@ right-hand side because both solutions span many orders of magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .quadrature import QuadratureSpec
@@ -28,12 +29,20 @@ __all__ = [
     "INCONCLUSIVE",
     "NOT_APPLICABLE",
     "certify",
+    "check_tolerance",
 ]
 
 VERIFIED = "Verified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 NOT_APPLICABLE = "NotApplicable"
+
+
+def check_tolerance(*tolerances: float) -> None:
+    """Refuse a tolerance that is not positive and finite: -1 refutes an exact 0."""
+    for tol in tolerances:
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def certify(gap: float, errors, tolerance: float) -> str:
@@ -88,6 +97,7 @@ def verify_solution(f: RadialProfile, params: Params, radii,
     that are singular there.  Raises ScreenRejected if the potential's
     convergence screen fails at any radius.
     """
+    check_tolerance(tolerance)
     radii = tuple(float(r) for r in radii)
     if not radii:
         raise ValueError("need at least one sample radius")

@@ -19,7 +19,7 @@ from liebeq.identities import (VERIFIED, check_commutativity,
                                check_composite, check_orthogonality,
                                cutoff_pair_integral, parse_form,
                                solution_descriptor)
-from liebeq.quadrature import SingularityBudget, convergence_screen
+from liebeq.quadrature import convergence_screen
 from liebeq.regularity import (Domain1D, decay_singularity_scan,
                                kernel_growth_check,
                                translation_annihilation_check, weighted_norm)
@@ -149,12 +149,12 @@ def test_criterion_08_screen_soundness():
     for f, g in [(fC, fC), (fC, fL), (fL, fC)]:
         for a in range(3):
             for b in range(3):
-                budget = SingularityBudget((
+                singularities = (
                     (0.0, g.zero_exponent("base", b) + f.zero_exponent("power", a)),
                     (math.inf, g.infinity_exponent("base", b)
                      + f.infinity_exponent("power", a)),
-                ))
-                if convergence_screen(budget):
+                )
+                if convergence_screen(singularities):
                     continue
                 vals = [cutoff_pair_integral(f, a, g, b, p, R)
                         for R in (1e2, 1e3, 1e4)]

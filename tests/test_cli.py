@@ -60,6 +60,13 @@ class TestVerifySolution:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_nonpositive_tolerance_is_usage_error(self, tol, capsys):
+        # a negative tolerance would refute an exact solution
+        code = main(["verify-solution", f"--tolerance={tol}", "--no-timestamp"])
+        assert code == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -107,6 +114,18 @@ class TestIdentity:
                      "--no-timestamp", "--out", str(out)])
         assert code == 0
         assert len(load_report(str(out))["results"]) == 5
+
+    @pytest.mark.parametrize("option", [["--zero-tolerance", "-1"], ["--tolerance", "-1"]])
+    def test_nonpositive_tolerance_is_usage_error(self, option, capsys):
+        # Lambda_o of d11 is empty, so the composite-orthogonality integrals
+        # are exactly 0; a negative tolerance would refute them
+        code = main(["identity", "--kind", "composite", "--f", "lieb", "--g", "lieb",
+                     "--form-lambda", "d11", "--form-omega", "d11", *option,
+                     "--no-timestamp"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be positive and finite" in captured.err
 
     def test_quadrature_flags_reach_the_check(self, tmp_path):
         runs = {}
@@ -179,6 +198,17 @@ class TestCorollaryAndScan:
                      "--lambda", "0.5", "--m", "4",
                      "--no-timestamp", "--out", str(out)])
         assert code == 0
+
+
+    @pytest.mark.parametrize("option,message", [
+        (["--step", "0"], "step h must be positive"),
+        (["--step=-1e-4"], "step h must be positive"),
+        (["--samples", "0"], "at least one"),
+    ])
+    def test_translation_that_checks_nothing_is_usage_error(self, option, message, capsys):
+        code = main(["regularity", "--check", "translation", *option, "--no-timestamp"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSolve:

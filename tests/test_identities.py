@@ -385,6 +385,23 @@ class TestPairTable:
         check_composite(fL, fL, form, form, p)
         assert len(integrate_calls) == 4    # 4 distinct pairs of 14 read
 
+    @pytest.mark.parametrize("tolerances", [{"tolerance": -1.0}, {"zero_tolerance": -1.0},
+                                            {"zero_tolerance": 0.0},
+                                            {"tolerance": math.inf}])
+    def test_bad_tolerance_refused_before_any_quadrature(self, descriptors, integrate_calls,
+                                                          tolerances):
+        p, fC, fL = descriptors
+        form = parse_form("d11", 1)
+        checks = [lambda: check_composite(fL, fL, form, form, p, **tolerances),
+                  lambda: check_orthogonality(fL, 1, 0, p, **tolerances)]
+        if "tolerance" in tolerances:
+            # the screen rejects this pair: the NotApplicable path refuses it too
+            checks.append(lambda: check_commutativity(fC, fC, 1, 0, p, **tolerances))
+        for check in checks:
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                check()
+        assert integrate_calls == []
+
     def test_diagonal_commutativity_runs_once(self, descriptors, integrate_calls):
         p, _, fL = descriptors
         rep = check_commutativity(fL, fL, 1, 1, p)

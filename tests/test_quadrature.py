@@ -5,9 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from liebeq.quadrature import (DivergentTail, NonConvergent, QuadratureSpec,
-                               SingularityBudget, _rule, convergence_screen,
-                               integrate)
+from liebeq.quadrature import (NonConvergent, QuadratureSpec, _rule,
+                               convergence_screen, integrate)
 
 
 def log_beta(a, b):
@@ -21,7 +20,8 @@ def half_beta(a, b):
 
 # Closed-form oracle corpus: endpoint/interior algebraic singularities,
 # logarithmic singularities, power-law and fast tails.  Each case lists the
-# singularities it declares; a singularity away from 0 must be declared.
+# singularities it declares; a singularity away from 0 must be declared, and
+# so must every tail, a fast one as (inf, -2.0).
 CORPUS = [
     ("sqrt_endpoint", lambda s: s ** -0.5, 0, 1, (), 2.0),
     ("strong_endpoint", lambda s: s ** -0.9, 0, 1, (), 10.0),
@@ -35,8 +35,9 @@ CORPUS = [
     ("log_times_power", lambda s: s ** -0.5 * np.log(1.0 / s), 0, 1, (), 4.0),
     ("smooth_poly", lambda s: 3.0 * s * s, 0, 1, (), 1.0),
     ("smooth_cos", lambda s: np.cos(s), 0, math.pi / 2, (), 1.0),
-    ("gauss_like", lambda s: np.exp(-s * s), 0, math.inf, (), math.sqrt(math.pi) / 2),
-    ("exp_tail", lambda s: np.exp(-s), 0, math.inf, (), 1.0),
+    ("gauss_like", lambda s: np.exp(-s * s), 0, math.inf, ((math.inf, -2.0),),
+     math.sqrt(math.pi) / 2),
+    ("exp_tail", lambda s: np.exp(-s), 0, math.inf, ((math.inf, -2.0),), 1.0),
     ("power_tail", lambda s: s ** -2.0, 1, math.inf, ((math.inf, -2.0),), 1.0),
     ("slow_power_tail", lambda s: s ** -1.25, 1, math.inf, ((math.inf, -1.25),), 4.0),
     ("lorentzian", lambda s: 1.0 / (1.0 + s * s), 0, math.inf, ((math.inf, -2.0),),
@@ -51,8 +52,8 @@ CORPUS = [
     ("shifted_power", lambda s: s ** -0.5 / (1.0 + s) ** 2, 0, math.inf, ((math.inf, -2.5),),
      # int_0^inf s^(a-1)(1+s)^(-a-b) ds = B(a, b) with a = 1/2, b = 3/2
      math.exp(log_beta(0.5, 1.5))),
-    ("singular_plus_tail", lambda s: s ** -0.75 * np.exp(-s), 0, math.inf, (),
-     math.gamma(0.25)),
+    ("singular_plus_tail", lambda s: s ** -0.75 * np.exp(-s), 0, math.inf,
+     ((math.inf, -2.0),), math.gamma(0.25)),
     ("offset_interior", lambda s: np.abs(s - 2.0) ** -0.5, 0, 3, ((2.0, -0.5),),
      2.0 * math.sqrt(2.0) + 2.0),
 ]
@@ -88,7 +89,9 @@ def test_trivial_examples():
     spec = QuadratureSpec(singularities=((0.5, -0.5),))
     assert integrate(lambda s: np.abs(s - 0.5) ** -0.5, 0, 1, spec).value == \
         pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
-    assert integrate(lambda s: s ** -2.0, 1, math.inf).value == pytest.approx(1.0, rel=1e-9)
+    tail = QuadratureSpec(singularities=((math.inf, -2.0),))
+    assert integrate(lambda s: s ** -2.0, 1, math.inf, tail).value == \
+        pytest.approx(1.0, rel=1e-9)
 
 
 def test_linearity_within_three_tolerances():
@@ -117,17 +120,18 @@ def test_determinism_bitwise():
     assert r1.value == r2.value and r1.error == r2.error
 
 
-def test_divergent_tail_probe():
-    with pytest.raises(DivergentTail):
-        integrate(lambda s: 1.0 / s, 1, math.inf)
-    with pytest.raises(DivergentTail):
-        integrate(lambda s: s ** -0.5, 1, math.inf)
+def test_undeclared_tail_is_refused():
+    # an infinite upper limit needs its decay declared; nothing guesses it
+    for f in (lambda s: 1.0 / s, lambda s: s ** -0.5, lambda s: np.exp(-s)):
+        with pytest.raises(ValueError, match="declared"):
+            integrate(f, 1, math.inf)
+    with pytest.raises(ValueError, match="declared"):
+        integrate(lambda s: s ** -2.0, 0.5, math.inf, QuadratureSpec(singularities=((1.0, 0.0),)))
 
 
 def test_divergent_tail_hint():
-    with pytest.raises(DivergentTail):
-        integrate(lambda s: s ** -2.0, 1, math.inf,
-                  QuadratureSpec(singularities=((math.inf, -1.0),)))
+    with pytest.raises(ValueError, match="inf"):
+        QuadratureSpec(singularities=((math.inf, -1.0),))
 
 
 def test_nonconvergent_on_divergent_singularity():
@@ -208,10 +212,19 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureSpec(singularities=((0.5, 0.0), (0.4, 0.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0.5"):
         QuadratureSpec(singularities=((0.5, -1.0),))
+    # the spec and convergence_screen share one rule, borderline band included
+    with pytest.raises(ValueError, match="0.0"):
+        QuadratureSpec(singularities=((0.0, -1.0 + 1e-10),))
+    with pytest.raises(ValueError, match="inf"):
+        QuadratureSpec(singularities=((math.inf, -0.5),))
     with pytest.raises(ValueError):
         integrate(lambda s: s, 1.0, 0.5)
+    # -inf is below every lower limit, not a second spelling of the inf tail
+    with pytest.raises(ValueError, match="a < b"):
+        integrate(lambda s: np.exp(-np.abs(s)), 0.0, -math.inf,
+                  QuadratureSpec(singularities=((math.inf, -2.0),)))
 
 
 def test_error_estimate_is_conservative_on_smooth():
@@ -224,8 +237,7 @@ def test_error_estimate_is_conservative_on_smooth():
 def test_screen_borderline_is_divergent():
     # the order-zero singular-solution self pairing in n = 1: exponent at the
     # origin is exactly -1, the logarithmic borderline
-    budget = SingularityBudget(((0.0, -1.0), (math.inf, -1.5)))
-    res = convergence_screen(budget)
+    res = convergence_screen(((0.0, -1.0), (math.inf, -1.5)))
     assert not res.convergent and res.failing_location == 0.0
 
 
@@ -233,19 +245,19 @@ def test_screen_convergent_cross_pair():
     n, lam = 3, 1.0
     at_zero = -(n - lam / 2) + (n - 1)
     at_inf = -(n + lam / 2) + (n - 1)
-    res = convergence_screen(SingularityBudget(((0.0, at_zero), (math.inf, at_inf))))
+    res = convergence_screen(((0.0, at_zero), (math.inf, at_inf)))
     assert res.convergent and res.failing_location is None
 
 
 def test_screen_empty_budget_convergent():
-    assert convergence_screen(SingularityBudget()).convergent
+    assert convergence_screen(()).convergent
 
 
 def test_screen_divergent_at_infinity():
-    res = convergence_screen(SingularityBudget(((0.0, 0.5), (math.inf, -1.0))))
+    res = convergence_screen(((0.0, 0.5), (math.inf, -1.0)))
     assert not res.convergent and math.isinf(res.failing_location)
 
 
 def test_screen_reports_first_failure():
-    res = convergence_screen(SingularityBudget(((0.0, -2.0), (1.0, -3.0))))
+    res = convergence_screen(((0.0, -2.0), (1.0, -3.0)))
     assert res.failing_location == 0.0

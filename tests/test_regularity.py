@@ -144,6 +144,16 @@ class TestTranslationAnnihilation:
     def test_spec_point(self, p_half):
         assert translation_annihilation_check(p_half, [(1.0, 0.3)], h=1e-4) <= 1e-8
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, p_half, h):
+        # h = 0 gives 0/0 = NaN, which max(0.0, nan) silently drops
+        with pytest.raises(ValueError, match="step h"):
+            translation_annihilation_check(p_half, [(1.0, 0.3)], h=h)
+
+    def test_no_points_is_an_error(self, p_half):
+        with pytest.raises(ValueError, match="at least one"):
+            translation_annihilation_check(p_half, [])
+
     def test_dyadic_stencil_cancels_bitwise(self, p_half):
         # with dyadic x, y, h the shifted arguments are exact, so the
         # symmetric stencil difference K(x+h, y+h) - K(x-h, y-h) is exactly 0

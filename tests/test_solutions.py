@@ -56,6 +56,11 @@ class TestLiebSolution:
 
 
 class TestVerdictRule:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_verify_refuses_a_tolerance_that_is_not_positive(self, p_half, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            verify_solution(lieb_solution(p_half), p_half, [1.0], tolerance=tol)
+
     def test_gap_at_tolerance_is_verified(self):
         assert certify(1e-6, [1.0], 1e-6) == VERIFIED
 
