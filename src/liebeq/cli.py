@@ -40,7 +40,7 @@ from .quadrature import NonConvergent, QuadratureSpec
 from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
 from .regularity import (Domain1D, decay_singularity_scan, kernel_growth_check,
                          translation_annihilation_check, weighted_norm)
-from .solutions import lieb_solution, singular_solution, verify_solution
+from .solutions import check_tolerance, lieb_solution, singular_solution, verify_solution
 from .solver import NonPositive, SolverConfig, picard_solve
 from .specfun import (Params, ft_riesz_coefficient, lieb_constant_C, lieb_constant_L,
                       riesz_power_constant)
@@ -142,8 +142,6 @@ def _run_constants(args, params, quad):
 def _run_verify_solution(args, params, quad):
     f = _profile_by_name(args.which, params)
     radii = _floats(args.radii)
-    if args.which == "singular":
-        radii = [r for r in radii if r > 0.0] or radii
     report = verify_solution(f, params, radii, args.tolerance, quad)
     result = _json_ready(report)
     result.pop("params", None)
@@ -180,6 +178,8 @@ def _identity_result(report) -> dict:
 
 
 def _run_identity(args, params, quad):
+    # every kind echoes both tolerances, so both are checked whether used or not
+    check_tolerance(args.tolerance, args.zero_tolerance)
     fdesc = solution_descriptor(_profile_by_name(args.f, params), params, args.f)
     gdesc = solution_descriptor(_profile_by_name(args.g, params), params, args.g)
     reports = []

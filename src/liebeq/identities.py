@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureSpec, QuadResult, ScreenResult, convergence_screen
-from .radial_riesz import POWER_SINGULAR, RadialProfile
+from .quadrature import QuadratureSpec, ScreenResult, convergence_screen
+from .radial_riesz import RadialProfile
 from .solutions import (INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify,
                         check_tolerance)
 from .specfun import Params, sphere_surface_area
@@ -124,30 +124,17 @@ class DifferentialForm:
         (dimension 1), a component tuple, or a MultiIndex."""
         return cls(tuple(terms), dimension)
 
-    @property
-    def even_part(self) -> "DifferentialForm":
-        return DifferentialForm(
-            tuple(t for t in self.terms if t[1].parity == 1), self.dimension)
-
-    @property
-    def odd_part(self) -> "DifferentialForm":
-        return DifferentialForm(
-            tuple(t for t in self.terms if t[1].parity == -1), self.dimension)
-
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         return DifferentialForm(self.terms + other.terms, self.dimension)
 
-    def __rmul__(self, scalar: float) -> "DifferentialForm":
-        return DifferentialForm(
-            tuple((scalar * c, idx) for c, idx in self.terms), self.dimension)
-
 
 def parity_split(form: DifferentialForm):
     """Split a form into its even and odd parts; they partition the terms
     and sum back to the input."""
-    return form.even_part, form.odd_part
+    return tuple(DifferentialForm(tuple(t for t in form.terms if t[1].parity == sign),
+                                  form.dimension) for sign in (1, -1))
 
 
 _TERM_RE = re.compile(r"^(?P<sign>-?)(?:(?P<coeff>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*?)?"
@@ -234,15 +221,17 @@ def apply_form(form: DifferentialForm, f, x):
     f may be a RadialProfile (closed forms differentiate analytically on
     the line), a SolutionDescriptor, or a plain callable of an n-vector
     (handled by central finite differences of order >= 4 with step
-    eps^(1/(|a|+2)) * scale(x)).  Singular points of power profiles are
-    domain errors; derivative orders are capped at 6.
+    eps^(1/(|a|+2)) * scale(x)).  A point where the profile, or on the line
+    one of the form's derivatives of it, is singular is a domain error;
+    derivative orders are capped at 6.
     """
     if isinstance(f, SolutionDescriptor):
         f = f.base
     n = form.dimension
     if isinstance(f, RadialProfile) and n == 1:
         x_arr = np.asarray(x, dtype=float)
-        if f.kind == POWER_SINGULAR and np.any(x_arr == 0.0):
+        top = max((idx.order for _, idx in form.terms), default=0)
+        if f.exponent_at_zero(top) < 0.0 and np.any(x_arr == 0.0):
             raise ValueError("x = 0 is a singular point of this profile")
         total = 0.0
         for coeff, idx in form.terms:
@@ -254,7 +243,7 @@ def apply_form(form: DifferentialForm, f, x):
     if point.size != n:
         raise ValueError(f"point has dimension {point.size}, form has {n}")
     if isinstance(f, RadialProfile):
-        if f.kind == POWER_SINGULAR and not np.any(point != 0.0):
+        if f.exponent_at_zero() < 0.0 and not np.any(point != 0.0):
             raise ValueError("the origin is a singular point of this profile")
         target = lambda p: float(f.value(float(np.linalg.norm(np.atleast_1d(p)))))
     else:
@@ -264,29 +253,17 @@ def apply_form(form: DifferentialForm, f, x):
 
 
 # ---------------------------------------------------------------------------
-# solution descriptors and their exponent bookkeeping
+# solution descriptors
 
 @dataclass(frozen=True)
 class SolutionDescriptor:
     """A solution profile together with its (p-1) power, ready for identity
-    integrals: exact line derivatives and endpoint exponents of both."""
+    integrals; each profile gives the exponents of its own derivatives."""
 
     base: RadialProfile
     power: RadialProfile
     params: Params
     label: str = ""
-
-    def _side(self, side: str) -> RadialProfile:
-        return self.base if side == "base" else self.power
-
-    def zero_exponent(self, side: str, order: int) -> float:
-        exponent = self._side(side).exponent_at_zero()
-        # each derivative costs one power at a singular origin; a profile
-        # bounded there stays bounded, derivatives included
-        return exponent - order if exponent < 0.0 else 0.0
-
-    def infinity_exponent(self, side: str, order: int) -> float:
-        return self._side(side).exponent_at_infinity() - order
 
 
 def solution_descriptor(profile: RadialProfile, params: Params,
@@ -296,11 +273,11 @@ def solution_descriptor(profile: RadialProfile, params: Params,
 
 
 # ---------------------------------------------------------------------------
-# pair integrals: int D_beta(g_side) * D_alpha(f_side) over R^n
+# pair integrals: int D_beta(g) * D_alpha(f) over R^n for factors (g, beta), (f, alpha)
 
 @dataclass(frozen=True)
 class _PairResult:
-    """A certified integral (or sum of term-pair integrals) with its screen.
+    """A certified integral (or weighted sum of pair integrals) with its screen.
 
     scale is the sum of the magnitudes of the pieces that were added to
     give value (half-lines, form terms); it bounds |value|, and dividing
@@ -314,70 +291,57 @@ class _PairResult:
     scale: float = math.nan
 
 
-# the rhs of a one-sided zero target: exactly zero, with nothing to condition
-_ZERO = _PairResult(0.0, 0.0, ScreenResult(True), True, 0.0)
-
-
-def _pair_integrand(g: RadialProfile, beta: int, f: RadialProfile, alpha: int, n: int):
-    """D_beta(g) * D_alpha(f) as a radial integrand on R^n."""
+def _pair_integrand(u: tuple, v: tuple, n: int):
+    """D_beta(g) * D_alpha(f) for factors u = (g, beta), v = (f, alpha) as a
+    radial integrand on R^n, at unit amplitude, and the product of the two
+    amplitudes it leaves out (the integral is bilinear)."""
+    (g, beta), (f, alpha) = u, v
+    g_unit, f_unit = replace(g, amplitude=1.0), replace(f, amplitude=1.0)
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
-        out = g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
+        out = g_unit.derivative_1d(x, beta) * f_unit.derivative_1d(x, alpha)
         if n > 1:
             out = out * sphere_surface_area(n) * x ** (n - 1)
         return out
 
-    return integrand
+    return integrand, g.amplitude * f.amplitude
 
 
-def _unit_factors(g: SolutionDescriptor, g_side: str, f: SolutionDescriptor, f_side: str):
-    """The two factors with unit amplitude, and the product of their amplitudes."""
-    gp, fp = g._side(g_side), f._side(f_side)
-    return (replace(gp, amplitude=1.0), replace(fp, amplitude=1.0),
-            gp.amplitude * fp.amplitude)
-
-
-def _pair_integral(g: SolutionDescriptor, g_side: str, beta: int,
-                   f: SolutionDescriptor, f_side: str, alpha: int,
-                   params: Params, quad: QuadratureSpec) -> _PairResult:
-    """Certified integral of D_beta(g_side) * D_alpha(f_side) over R^n.
+def _pair_integral(u: tuple, v: tuple, params: Params,
+                   quad: QuadratureSpec) -> _PairResult:
+    """Certified integral of D_beta(g) * D_alpha(f) over R^n for the factors
+    u = (g, beta) and v = (f, alpha), each a RadialProfile and an order.
 
     On the line the positive half-line is integrated and the negative one
     taken by parity: both factors are even, and derivative_1d(-x, k) is
     (-1)^k derivative_1d(x, k) exactly.  Otherwise the radius is
     integrated; the radial reduction covers alpha = beta = 0 in higher
-    dimension.  The integral is bilinear, so the factors are
-    integrated at unit amplitude and value, error and scale are multiplied
-    by the product of the amplitudes.  Returns value NaN with the screen
-    attached when the screen rejects the (location, exponent) pairs.
+    dimension.  Returns value NaN with the screen attached when the screen
+    rejects the (location, exponent) pairs.
     """
     n = params.n
+    (g, beta), (f, alpha) = u, v
     if n > 1 and (alpha or beta):
         raise ValueError("derivative identities run on the line; higher "
                          "dimensions support only the order-zero radial case")
-    at_zero = g.zero_exponent(g_side, beta) + f.zero_exponent(f_side, alpha) + (n - 1)
-    tail = g.infinity_exponent(g_side, beta) + f.infinity_exponent(f_side, alpha) + (n - 1)
+    at_zero = g.exponent_at_zero(beta) + f.exponent_at_zero(alpha) + (n - 1)
+    tail = g.exponent_at_infinity(beta) + f.exponent_at_infinity(alpha) + (n - 1)
     singularities = ((0.0, at_zero), (math.inf, tail))
     screen = convergence_screen(singularities)
     parity_forced = (alpha + beta) % 2 == 1  # even profiles, odd integrand
     if not screen:
         return _PairResult(math.nan, math.nan, screen, parity_forced)
 
-    g_unit, f_unit, amplitude = _unit_factors(g, g_side, f, f_side)
-    integrand = _pair_integrand(g_unit, beta, f_unit, alpha, n)
-    spec = replace(quad, singularities=singularities)
-    halves = [quadrature.integrate(integrand, 0.0, math.inf, spec)]
-    if n == 1:
-        # the integrand has the parity of alpha + beta, bit for bit, and the
-        # quadrature commutes with negation, so the mirror half-line is free
-        h = halves[0]
-        halves.append(QuadResult(-h.value if parity_forced else h.value, h.error))
-    value = sum(h.value for h in halves)
-    error = sum(h.error for h in halves)
-    scale = sum(abs(h.value) for h in halves)
-    return _PairResult(amplitude * value, amplitude * error, screen, parity_forced,
-                       amplitude * scale)
+    integrand, amplitude = _pair_integrand(u, v, n)
+    h = quadrature.integrate(integrand, 0.0, math.inf, replace(quad, singularities=singularities))
+    # the line integrand has the parity of alpha + beta, bit for bit, and the
+    # quadrature commutes with negation: the mirror half-line doubles an
+    # even integrand (2 x == x + x exactly) and cancels an odd one
+    halves = 2.0 if n == 1 else 1.0
+    value = 0.0 if parity_forced else halves * h.value
+    return _PairResult(amplitude * value, amplitude * (halves * h.error), screen,
+                       parity_forced, amplitude * (halves * abs(h.value)))
 
 
 def _pair_table(params: Params, quad: QuadratureSpec):
@@ -390,13 +354,32 @@ def _pair_table(params: Params, quad: QuadratureSpec):
     """
     table = {}
 
-    def pair(g, g_side, beta, f, f_side, alpha):
-        key = frozenset(((g, g_side, beta), (f, f_side, alpha)))
+    def pair(u, v):
+        key = frozenset((u, v))
         if key not in table:
-            table[key] = _pair_integral(g, g_side, beta, f, f_side, alpha, params, quad)
+            table[key] = _pair_integral(u, v, params, quad)
         return table[key]
 
     return pair
+
+
+def _sum(terms) -> _PairResult:
+    """The weighted sum of (coefficient, part) terms, built left to right.
+
+    Values add with their coefficients, errors and scales with the
+    coefficients' magnitudes.  The first part the screen rejects stands for
+    the whole sum, and no later part is read; the empty sum is an exact 0.
+    """
+    value = error = scale = 0.0
+    forced = True
+    for coeff, part in terms:
+        if not part.screen:
+            return part
+        value += coeff * part.value
+        error += abs(coeff) * part.error
+        scale += abs(coeff) * part.scale
+        forced = forced and part.parity_forced
+    return _PairResult(value, error, ScreenResult(True), forced, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +421,13 @@ def _relative(x: float, scale: float) -> float:
 
 
 def _report(identity_id: str, description: str, lhs: _PairResult, rhs: _PairResult,
-            tolerance: float, zero_target: bool = False,
-            lhs_sign: float = 1.0, rhs_sign: float = 1.0) -> IdentityReport:
+            tolerance: float, zero_target: bool = False) -> IdentityReport:
     for side in (lhs, rhs):
         if not side.screen:
             return IdentityReport(identity_id, description, math.nan, math.nan,
                                   side.screen, math.nan, NOT_APPLICABLE, tolerance,
                                   math.nan, zero_target, lhs.parity_forced)
-    a, b = lhs_sign * lhs.value, rhs_sign * rhs.value
+    a, b = lhs.value, rhs.value
     conditioning = max(lhs.scale, rhs.scale)
     gap = _relative(max(abs(a), abs(b)) if zero_target else abs(a - b), conditioning)
     verdict = certify(gap, [_relative(lhs.error + rhs.error, conditioning)], tolerance)
@@ -468,8 +450,8 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
     check_tolerance(tolerance)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    lhs = pair(g, "base", b, f, "power", a)
-    rhs = pair(f, "base", a, g, "power", b)
+    lhs = pair((g.base, b), (f.power, a))
+    rhs = pair((f.base, a), (g.power, b))
     desc = (f"int D{b}[{g.label or 'g'}] D{a}[{f.label or 'f'}^(p-1)] = "
             f"int D{a}[{f.label or 'f'}] D{b}[{g.label or 'g'}^(p-1)]")
     return _report("cross-commutativity", desc, lhs, rhs, tolerance)
@@ -487,8 +469,8 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     check_tolerance(tolerance, zero_tolerance)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    lhs = pair(f, "base", b, f, "power", a)
-    rhs = pair(f, "base", a, f, "power", b)
+    lhs = pair((f.base, b), (f.power, a))
+    rhs = pair((f.base, a), (f.power, b))
     name = f.label or "f"
     if (a + b) % 2 == 1:
         desc = (f"int D{b}[{name}] D{a}[{name}^(p-1)] = "
@@ -497,29 +479,8 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
                        zero_target=True)
     desc = (f"(-1)^{b} int D{b}[{name}] D{a}[{name}^(p-1)] = "
             f"(-1)^{a} int D{a}[{name}] D{b}[{name}^(p-1)]")
-    return _report("signed-self-commutativity", desc, lhs, rhs, tolerance,
-                   lhs_sign=(-1.0) ** b, rhs_sign=(-1.0) ** a)
-
-
-def _form_pair_integral(pair, lam_form: DifferentialForm, f: SolutionDescriptor,
-                        f_side: str, omega_form: DifferentialForm,
-                        g: SolutionDescriptor, g_side: str) -> _PairResult:
-    """Sum of certified term-pair integrals for form(f_side) * form(g_side),
-    read from the check's pair table."""
-    value = 0.0
-    error = 0.0
-    scale = 0.0
-    forced = True
-    for cf, idx_f in lam_form.terms:
-        for cg, idx_g in omega_form.terms:
-            part = pair(g, g_side, idx_g.order, f, f_side, idx_f.order)
-            if not part.screen:
-                return _PairResult(math.nan, math.nan, part.screen, part.parity_forced)
-            value += cf * cg * part.value
-            error += abs(cf * cg) * part.error
-            scale += abs(cf * cg) * part.scale
-            forced = forced and part.parity_forced
-    return _PairResult(value, error, ScreenResult(True), forced, scale)
+    return _report("signed-self-commutativity", desc, _sum([((-1.0) ** b, lhs)]),
+                   _sum([((-1.0) ** a, rhs)]), tolerance)
 
 
 def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
@@ -535,36 +496,30 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     check_orthogonality values exactly (same code path).
     """
     check_tolerance(tolerance, zero_tolerance)
-    pair = partial(_form_pair_integral, _pair_table(params, quad or QuadratureSpec()))
-    same = f == g
+    pair = _pair_table(params, quad or QuadratureSpec())
+
+    def side(lam: DifferentialForm, x: RadialProfile,
+             om: DifferentialForm, y: RadialProfile) -> _PairResult:
+        """int Lam(x) Om(y) as the weighted sum of its term-pair integrals."""
+        return _sum((cl * co, pair((y, io.order), (x, il.order)))
+                    for cl, il in lam.terms for co, io in om.terms)
+
     lam_e, lam_o = parity_split(lam_form)
     om_e, om_o = parity_split(omega_form)
     reports = []
-    if not same:
-        lhs = pair(lam_form, f, "base", omega_form, g, "power")
-        rhs = pair(lam_form, f, "power", omega_form, g, "base")
+    if f != g:
         reports.append(_report(
             "composite-commutativity",
             "int Lam(f) Om(g^(p-1)) = int Lam(f^(p-1)) Om(g)",
-            lhs, rhs, tolerance))
+            side(lam_form, f.base, omega_form, g.power),
+            side(lam_form, f.power, omega_form, g.base), tolerance))
     else:
-        A = pair(lam_form, f, "base", omega_form, f, "power")
-        B = pair(lam_form, f, "power", omega_form, f, "base")
-        C_ee = pair(lam_e, f, "base", om_e, f, "power")
-        C_oo = pair(lam_o, f, "base", om_o, f, "power")
-        D_ee = pair(lam_e, f, "power", om_e, f, "base")
-        D_oo = pair(lam_o, f, "power", om_o, f, "base")
-
-        def combine(x: _PairResult, y: _PairResult) -> _PairResult:
-            if not x.screen:
-                return x
-            if not y.screen:
-                return y
-            return _PairResult(x.value + y.value, x.error + y.error, ScreenResult(True),
-                               x.parity_forced and y.parity_forced, x.scale + y.scale)
-
-        C = combine(C_ee, C_oo)
-        D = combine(D_ee, D_oo)
+        A = side(lam_form, f.base, omega_form, f.power)
+        B = side(lam_form, f.power, omega_form, f.base)
+        C = _sum([(1.0, side(lam_e, f.base, om_e, f.power)),
+                  (1.0, side(lam_o, f.base, om_o, f.power))])
+        D = _sum([(1.0, side(lam_e, f.power, om_e, f.base)),
+                  (1.0, side(lam_o, f.power, om_o, f.base))])
         reports.append(_report(
             "parity-chain-direct",
             "int Lam(f) Om(f^(p-1)) = int Lam(f^(p-1)) Om(f)",
@@ -578,16 +533,14 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
             "even-even + odd-odd expansion equals its (f, f^(p-1)) swap",
             C, D, tolerance))
 
-    zero_a = pair(lam_e, f, "base", lam_o, f, "power")
-    zero_b = pair(lam_e, f, "power", lam_o, f, "base")
     reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f) Lam_o(f^(p-1)) = 0",
-        zero_a, _ZERO, zero_tolerance, zero_target=True))
+        side(lam_e, f.base, lam_o, f.power), _sum([]), zero_tolerance, zero_target=True))
     reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f^(p-1)) Lam_o(f) = 0",
-        zero_b, _ZERO, zero_tolerance, zero_target=True))
+        side(lam_e, f.power, lam_o, f.base), _sum([]), zero_tolerance, zero_target=True))
     return reports
 
 
@@ -605,6 +558,5 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    g_unit, f_unit, amplitude = _unit_factors(g, "base", f, "power")
-    integrand = _pair_integrand(g_unit, b, f_unit, a, params.n)
+    integrand, amplitude = _pair_integrand((g.base, b), (f.power, a), params.n)
     return amplitude * quadrature.integrate(integrand, 1.0 / R, R, quad).value

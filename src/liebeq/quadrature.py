@@ -212,8 +212,10 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
 
     exponents maps a boundary to the exponent declared there.  The worst
     panel, the top of a heap keyed (-error, a), is split until the error
-    target is met; a panel at the float width floor cannot be split and
-    raises NonConvergent.
+    target is met; a panel at the float width floor, or one whose cut
+    does not land strictly inside it, cannot be split and raises
+    NonConvergent; so panels keep distinct left ends, and the heap never
+    compares two panels.
     """
     heap = []
     for a, b in zip(boundaries, boundaries[1:]):
@@ -228,14 +230,15 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
         p = heap[0][2]
+        cut = p.split_point()
         # the width floor scales with position: toward 0 panels shrink on
-        if len(heap) >= spec.max_subdivisions or \
+        # through the subnormals until the cut lands on an end
+        if len(heap) >= spec.max_subdivisions or not p.a < cut < p.b or \
                 p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
             raise NonConvergent(
                 f"estimated error {err:.3e} above target {target:.3e} with "
                 f"{len(heap)} panels", value=total, error=err)
         heapq.heappop(heap)
-        cut = p.split_point()
         for child in (_Panel(p.a, cut, p.left, None), _Panel(cut, p.b, None, p.right)):
             child.evaluate(f)
             heapq.heappush(heap, (-child.error, child.a, child))

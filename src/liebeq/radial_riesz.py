@@ -91,13 +91,15 @@ class RadialProfile:
 
     # -- exponent bookkeeping for convergence screens ------------------------
 
-    def exponent_at_zero(self) -> float:
-        """Power of r governing the profile as r -> 0."""
-        return -self.exponent if self.kind == POWER_SINGULAR else 0.0
+    def exponent_at_zero(self, order: int = 0) -> float:
+        """Power of r governing D^order of the profile as r -> 0: each
+        derivative of a power costs one power, and a Lieb profile is smooth."""
+        return -self.exponent - order if self.kind == POWER_SINGULAR else 0.0
 
-    def exponent_at_infinity(self) -> float:
-        """Power of r governing the profile as r -> infinity."""
-        return -self.exponent if self.kind == POWER_SINGULAR else -2.0 * self.exponent
+    def exponent_at_infinity(self, order: int = 0) -> float:
+        """Power of r governing D^order of the profile as r -> infinity."""
+        decay = -self.exponent if self.kind == POWER_SINGULAR else -2.0 * self.exponent
+        return decay - order
 
     # -- 1-D coordinate derivatives ------------------------------------------
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .quadrature import QuadratureSpec
-from .radial_riesz import POWER_SINGULAR, RadialProfile, riesz_potential_radial
+from .radial_riesz import RadialProfile, riesz_potential_radial
 from .specfun import Params, lieb_constant_C, lieb_constant_L
 
 __all__ = [
@@ -103,7 +103,7 @@ def verify_solution(f: RadialProfile, params: Params, radii,
         raise ValueError("need at least one sample radius")
     if any(r < 0 for r in radii):
         raise ValueError("radii must be nonnegative")
-    if f.kind == POWER_SINGULAR and any(r == 0.0 for r in radii):
+    if f.exponent_at_zero() < 0.0 and any(r == 0.0 for r in radii):
         raise ValueError("r = 0 is a singular point of this profile")
     quad = quad or QuadratureSpec()
 

@@ -150,9 +150,9 @@ def test_criterion_08_screen_soundness():
         for a in range(3):
             for b in range(3):
                 singularities = (
-                    (0.0, g.zero_exponent("base", b) + f.zero_exponent("power", a)),
-                    (math.inf, g.infinity_exponent("base", b)
-                     + f.infinity_exponent("power", a)),
+                    (0.0, g.base.exponent_at_zero(b) + f.power.exponent_at_zero(a)),
+                    (math.inf, g.base.exponent_at_infinity(b)
+                     + f.power.exponent_at_infinity(a)),
                 )
                 if convergence_screen(singularities):
                     continue

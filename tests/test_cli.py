@@ -68,6 +68,18 @@ class TestVerifySolution:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("which,radii", [("singular", "-1,1"), ("lieb", "-1,1"),
+                                             ("singular", "0,1")])
+    def test_bad_radius_is_usage_error(self, which, radii, capsys):
+        # no radius is dropped: the library's own check refuses it
+        code = main(["verify-solution", "--which", which, f"--radii={radii}",
+                     "--no-timestamp"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radii must be nonnegative" in captured.err or "singular point" in captured.err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -126,6 +138,13 @@ class TestIdentity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be positive and finite" in captured.err
+
+    def test_unused_tolerance_is_still_checked(self, capsys):
+        # commutativity reads no zero tolerance, but the report echoes it
+        code = main(["identity", "--kind", "commutativity", "--zero-tolerance", "-1",
+                     "--no-timestamp"])
+        assert code == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     def test_quadrature_flags_reach_the_check(self, tmp_path):
         runs = {}

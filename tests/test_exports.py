@@ -31,6 +31,16 @@ def _package_reexports():
             for alias in node.names]
 
 
+def test_profile_kinds_named_only_by_radial_riesz():
+    # where a profile is singular is read from RadialProfile's exponents
+    src = Path(liebeq.__file__).parent
+    named = {path.name for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Name) and node.id in ("POWER_SINGULAR", "LIEB"))
+             or (isinstance(node, ast.alias) and node.name in ("POWER_SINGULAR", "LIEB"))}
+    assert named == {"radial_riesz.py"}
+
+
 def test_package_reexports_resolve():
     reexports = _package_reexports()
     assert len(reexports) > 20

@@ -13,6 +13,7 @@ from liebeq.identities import (NOT_APPLICABLE, VERIFIED, DifferentialForm,
                                check_commutativity, check_composite,
                                check_orthogonality, cutoff_pair_integral,
                                parity_split, parse_form, solution_descriptor)
+from liebeq.radial_riesz import RadialProfile
 from liebeq.solutions import lieb_solution, singular_solution
 from liebeq.specfun import Params, lieb_constant_L
 
@@ -145,6 +146,12 @@ class TestApplyForm:
         _, fC, _ = descriptors
         with pytest.raises(ValueError):
             apply_form(parse_form("d1", 1), fC.base, 0.0)
+
+    def test_vanishing_power_singular_only_where_its_derivative_is(self):
+        h = RadialProfile.power_singular(1.0, -0.5)    # |x|^(1/2)
+        assert apply_form(parse_form("d", 1), h, 0.0) == 0.0
+        with pytest.raises(ValueError, match="singular point"):
+            apply_form(parse_form("d + d1", 1), h, 0.0)
 
     def test_order_cap(self, descriptors):
         _, _, fL = descriptors
@@ -401,6 +408,14 @@ class TestPairTable:
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 check()
         assert integrate_calls == []
+
+    def test_pair_keyed_on_profiles_not_labels(self, descriptors, integrate_calls):
+        # two descriptors of one profile share every pair integral
+        p, _, fL = descriptors
+        other = solution_descriptor(fL.base, p, "bounded")
+        rep = check_commutativity(fL, other, 1, 1, p)
+        assert len(integrate_calls) == 1
+        assert rep.lhs == rep.rhs
 
     def test_diagonal_commutativity_runs_once(self, descriptors, integrate_calls):
         p, _, fL = descriptors

@@ -137,6 +137,11 @@ def test_divergent_tail_hint():
 def test_nonconvergent_on_divergent_singularity():
     with pytest.raises(NonConvergent):
         integrate(lambda s: s ** -1.2, 0, 1, QuadratureSpec(max_subdivisions=300))
+    # with the default budget the panels at 0 shrink into the subnormals
+    # until the cut lands on an end, which must refuse, not crash the heap
+    for e in (-1.0, -1.2, -1.5):
+        with pytest.raises(NonConvergent):
+            integrate(lambda s: s ** e, 0, 1, QuadratureSpec())
     # away from 0 the panels toward the plain split point c reach the float
     # width floor, where a panel cannot be split
     for c in (0.5, 2.0):
