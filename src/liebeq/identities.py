@@ -216,40 +216,31 @@ def _fd_derivative(func, x: np.ndarray, index: MultiIndex,
 
 
 def apply_form(form: DifferentialForm, f, x):
-    """Evaluate (sum_a coeff_a D_a f)(x).
+    """Evaluate (sum_a coeff_a D_a f)(x), for derivative orders up to 6.
 
-    f may be a RadialProfile (closed forms differentiate analytically on
-    the line), a SolutionDescriptor, or a plain callable of an n-vector
-    (handled by central finite differences of order >= 4 with step
-    eps^(1/(|a|+2)) * scale(x)).  A point where the profile, or on the line
-    one of the form's derivatives of it, is singular is a domain error;
-    derivative orders are capped at 6.
+    f may be a RadialProfile or a SolutionDescriptor (exact, by
+    RadialProfile.partial, at an n-vector x or an array of them, or of
+    abscissae on the line), or a plain callable of an n-vector (central
+    differences of order >= 4 with step eps^(1/(|a|+2)) * scale(x)).  The
+    origin is a domain error where the form's top order of f is singular.
     """
     if isinstance(f, SolutionDescriptor):
         f = f.base
     n = form.dimension
-    if isinstance(f, RadialProfile) and n == 1:
-        x_arr = np.asarray(x, dtype=float)
-        top = max((idx.order for _, idx in form.terms), default=0)
-        if f.exponent_at_zero(top) < 0.0 and np.any(x_arr == 0.0):
-            raise ValueError("x = 0 is a singular point of this profile")
-        total = 0.0
-        for coeff, idx in form.terms:
-            if idx.order > MAX_DERIVATIVE_ORDER:
-                raise ValueError(f"derivative order {idx.order} exceeds the cap")
-            total += coeff * f.derivative_1d(x_arr, idx.order)
-        return total
+    top = max((idx.order for _, idx in form.terms), default=0)
+    if top > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order {top} exceeds the cap {MAX_DERIVATIVE_ORDER}")
+    if isinstance(f, RadialProfile):
+        points = np.asarray(x, dtype=float)
+        if n == 1:
+            points = points[..., None]
+        if f.exponent_at_zero(top) < 0.0 and not np.all(np.any(points != 0.0, axis=-1)):
+            raise ValueError("the origin is a singular point of this profile")
+        return sum((coeff * f.partial(points, idx.components) for coeff, idx in form.terms), 0.0)
     point = np.atleast_1d(np.asarray(x, dtype=float))
     if point.size != n:
         raise ValueError(f"point has dimension {point.size}, form has {n}")
-    if isinstance(f, RadialProfile):
-        if f.exponent_at_zero() < 0.0 and not np.any(point != 0.0):
-            raise ValueError("the origin is a singular point of this profile")
-        target = lambda p: float(f.value(float(np.linalg.norm(np.atleast_1d(p)))))
-    else:
-        target = f
-    return math.fsum(
-        coeff * _fd_derivative(target, point, idx) for coeff, idx in form.terms)
+    return math.fsum(coeff * _fd_derivative(f, point, idx) for coeff, idx in form.terms)
 
 
 # ---------------------------------------------------------------------------

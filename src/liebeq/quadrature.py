@@ -71,11 +71,11 @@ def convergence_screen(singularities) -> ScreenResult:
     Convergent iff all finite-location exponents are > -1 and the infinity
     exponent is < -1; the first failing location (in listed order) is
     reported otherwise.  Exponents within 1e-9 of -1 are treated as the
-    borderline -1 and classified divergent.
+    borderline -1 and classified divergent, and a NaN exponent fails.
     """
     for loc, e in singularities:
         tail = math.isinf(loc)
-        if e >= -1.0 - _BORDERLINE_EPS if tail else e <= -1.0 + _BORDERLINE_EPS:
+        if not (e < -1.0 - _BORDERLINE_EPS if tail else e > -1.0 + _BORDERLINE_EPS):
             return ScreenResult(False, math.inf if tail else loc)
     return ScreenResult(True)
 

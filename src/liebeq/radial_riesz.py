@@ -12,9 +12,9 @@ diagonal s = r, which the quadrature sees at d = 0 of the diagonal distance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class RadialProfile:
     def __post_init__(self):
         if self.kind not in (POWER_SINGULAR, LIEB):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+        if not (0.0 < self.amplitude < math.inf and math.isfinite(self.exponent)):
+            raise ValueError("amplitude must be positive and finite, exponent finite")
 
     # -- constructors -------------------------------------------------------
 
@@ -101,38 +101,47 @@ class RadialProfile:
         decay = -self.exponent if self.kind == POWER_SINGULAR else -2.0 * self.exponent
         return decay - order
 
-    # -- 1-D coordinate derivatives ------------------------------------------
+    # -- derivatives ----------------------------------------------------------
 
-    def derivative_1d(self, x, order: int):
-        """d^k/dx^k of the even extension f(|x|) on the line, exact closed form."""
+    def partial(self, x, index):
+        """D^index f(|x|) at points x of shape (..., n), exact.  With t = r^2/2
+        and f = A (c + r^2)^(-e) (c = 0, e = exponent/2 for the power kind;
+        c = 1, e = exponent for Lieb), (d/dt)^i f = A (-2)^i (e)_i (c + r^2)^(-e-i)
+        is a profile of the same kind, and D^a f = sum_(j <= a/2) prod_i a_i! /
+        (j_i! (a_i-2j_i)! 2^j_i) |x_i|^(a_i-2j_i) (d/dt)^(|a|-|j|) f, times the
+        signs of the odd components: D^0 f is value() and D^a f(-x) =
+        (-1)^|a| D^a f(x), bit for bit."""
         x = np.asarray(x, dtype=float)
-        k = int(order)
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        if self.kind == POWER_SINGULAR:
-            # f(x) = A |x|^(-m);  d^k f = A (-m)(-m-1)...(-m-k+1) |x|^(-m-k) sign(x)^k
-            m = self.exponent
-            coef = self.amplitude
-            for j in range(k):
-                coef *= -m - j
-            with np.errstate(divide="ignore"):
-                out = coef * np.abs(x) ** (-m - k) * np.sign(x) ** k
-            return out if out.ndim else float(out)
-        m = self.exponent
-        out = self.amplitude * _lieb_polynomial(m, k)(x) * (1.0 + x * x) ** (-m - k)
+        if x.shape[-1:] != (len(index),) or min(index, default=0) < 0:
+            raise ValueError(f"need points of dimension {len(index)} and orders >= 0")
+        absx = np.abs(x)
+        r = absx[..., 0] if len(index) == 1 else np.hypot.reduce(x, axis=-1)
+        c, per_e = (0.0, 2.0) if self.kind == POWER_SINGULAR else (1.0, 1.0)
+        order, rising = sum(index), [1.0]                   # rising[i] = (-2)^i (e)_i
+        for q in range(order):
+            rising.append(rising[-1] * -2.0 * (self.exponent / per_e + q))
+        out, bare = np.zeros(r.shape), 0.0
+        for j in itertools.product(*(range(a // 2 + 1) for a in index)):
+            coef, powers = rising[order - sum(j)], []
+            for axis, (a, b) in enumerate(zip(index, j)):
+                coef *= math.factorial(a) // math.factorial(a - 2 * b) // math.factorial(b) >> b
+                if a > 2 * b:
+                    powers.append(absx[..., axis] ** (a - 2 * b))
+            if coef:
+                rung = RadialProfile(self.kind, self.amplitude,
+                                     self.exponent + per_e * (order - sum(j)))
+                term = math.prod(powers, start=coef * rung.value(r))
+                bare = bare if powers else term
+                out = out + term
+        if not c and self.exponent_at_zero(order) >= 0.0 and not r.all():  # bare is D^a f(0)
+            out = np.where(r > 0.0, out, bare)
+        for axis in [axis for axis, a in enumerate(index) if a % 2]:
+            out = out * np.sign(x[..., axis])
         return out if out.ndim else float(out)
 
-
-@lru_cache(maxsize=256)
-def _lieb_polynomial(m: float, k: int) -> np.polynomial.Polynomial:
-    """P_k with d^k/dx^k (1+x^2)^(-m) = P_k(x) (1+x^2)^(-m-k), from the
-    recursion P_0 = 1, P_(j+1) = (1+x^2) P_j' - 2(m+j) x P_j."""
-    poly = np.polynomial.Polynomial([1.0])
-    xpoly = np.polynomial.Polynomial([0.0, 1.0])
-    onepx2 = np.polynomial.Polynomial([1.0, 0.0, 1.0])
-    for j in range(k):
-        poly = onepx2 * poly.deriv() - 2.0 * (m + j) * xpoly * poly
-    return poly
+    def derivative_1d(self, x, order: int):
+        """d^k/dx^k of the even extension f(|x|) on the line: partial with n = 1."""
+        return self.partial(np.asarray(x, dtype=float)[..., None], (int(order),))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +249,8 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     so scaling f by a power of two scales value and error exactly.  With
     with_error=True returns (value, err).
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("radius must be nonnegative and finite")
     quad = quad or QuadratureSpec()
     n, lam = params.n, params.lam
     r = float(r)

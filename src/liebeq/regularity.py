@@ -224,9 +224,9 @@ def kernel_growth_check(params: Params, m: int, sample_count: int = 50,
                         seed: int = 20260810) -> KernelGrowthReport:
     """Verify |D^k_x K| <= b1 |x-y|^(-lam-k) with finite b1 for k <= m.
 
-    Samples are deterministic (seeded); the kernel derivative is evaluated
-    by the exact power rule, so the empirical constants reproduce the
-    analytic coefficients up to float rounding.
+    Samples are deterministic (seeded); the kernel derivative is the t-ladder
+    sum of RadialProfile.partial, not the rising factorial it is compared
+    with, so the constants agree up to the ladder's rounding.
     """
     if m > 4:
         raise ValueError("growth check supports derivative orders up to 4")

@@ -93,16 +93,16 @@ def verify_solution(f: RadialProfile, params: Params, radii,
                     quad: QuadratureSpec | None = None) -> ResidualReport:
     """Certify or refute a candidate solution on the given sample radii.
 
-    Radii must be nonnegative and nonempty; r = 0 is rejected for profiles
-    that are singular there.  Raises ScreenRejected if the potential's
-    convergence screen fails at any radius.
+    Radii must be nonnegative, finite and nonempty; r = 0 is rejected for
+    profiles that are singular there.  Raises ScreenRejected if the
+    potential's convergence screen fails at any radius.
     """
     check_tolerance(tolerance)
     radii = tuple(float(r) for r in radii)
     if not radii:
         raise ValueError("need at least one sample radius")
-    if any(r < 0 for r in radii):
-        raise ValueError("radii must be nonnegative")
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ValueError("radii must be nonnegative and finite")
     if f.exponent_at_zero() < 0.0 and any(r == 0.0 for r in radii):
         raise ValueError("r = 0 is a singular point of this profile")
     quad = quad or QuadratureSpec()

@@ -69,7 +69,8 @@ class TestVerifySolution:
 
 
     @pytest.mark.parametrize("which,radii", [("singular", "-1,1"), ("lieb", "-1,1"),
-                                             ("singular", "0,1")])
+                                             ("singular", "0,1"), ("lieb", "inf"),
+                                             ("lieb", "nan"), ("singular", "1,inf")])
     def test_bad_radius_is_usage_error(self, which, radii, capsys):
         # no radius is dropped: the library's own check refuses it
         code = main(["verify-solution", "--which", which, f"--radii={radii}",
@@ -179,6 +180,20 @@ class TestRiesz:
                 assert "diverges" in result["message"]
             else:
                 assert math.isfinite(result["value"])
+
+
+    @pytest.mark.parametrize("args", [
+        ["--which", "power", "--exponent", "0.7", "--amplitude", "inf"],
+        ["--which", "power", "--exponent", "nan"],
+        ["--which", "lieb", "--r", "nan"],
+        ["--which", "lieb", "--r", "inf"],
+    ])
+    def test_non_finite_input_is_usage_error(self, args, capsys):
+        # nothing that is not finite reaches the quadrature
+        assert main(["riesz", "--n", "1", "--lambda", "0.5", *args, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
 
 def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
@@ -350,13 +365,45 @@ GOLDEN_RUNS = {**{name: (args, 0) for name, args in README_INVOCATIONS.items()},
                **MORE_INVOCATIONS}
 
 
+def _json_leaves(node, path="$"):
+    """(path, value) for every leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _json_leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def golden_diff(got: bytes, name: str) -> str:
+    """What moved against tests/golden/<name>.json: each JSON path whose value
+    differs, with its old value, new value and relative change."""
+    try:
+        old = dict(_json_leaves(json.loads((GOLDEN / f"{name}.json").read_bytes())))
+        new = dict(_json_leaves(json.loads(got)))
+    except ValueError as exc:
+        return f"{name}: output is not JSON ({exc})"
+    lines = []
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if a == b:
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        rel = f"  (relative change {abs(b - a) / abs(a):.3g})" if numbers and a else ""
+        lines.append(f"  {path}: {a!r} -> {b!r}{rel}")
+    return "\n".join([f"{name} moved from its golden at:"] + lines if lines else
+                     [f"{name}: the same values, formatted differently"])
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_readme_invocation_matches_golden_bytes(name, capsys):
     args, expected_code = GOLDEN_RUNS[name]
     code = main(args + ["--no-timestamp"])
     assert code == expected_code
-    out = capsys.readouterr().out
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out == (GOLDEN / f"{name}.json").read_bytes(), golden_diff(out, name)
 
 
 @pytest.mark.parametrize("module", ["liebeq", "liebeq.cli"])
@@ -365,14 +412,16 @@ def test_module_invocation_writes_golden_bytes(module, fresh_python):
     proc = fresh_python("-m", module, "constants", "--n", "4", "--lambda", "2",
                          "--no-timestamp")
     assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "constants.json").read_bytes()
+    assert proc.stdout == (GOLDEN / "constants.json").read_bytes(), \
+        golden_diff(proc.stdout, "constants")
 
 
 def test_fresh_solve_writes_golden_bytes(fresh_python):
     # the first solve in a process imports scipy.optimize
     proc = fresh_python("-m", "liebeq.cli", *README_INVOCATIONS["solve"], "--no-timestamp")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "solve.json").read_bytes()
+    assert proc.stdout == (GOLDEN / "solve.json").read_bytes(), \
+        golden_diff(proc.stdout, "solve")
 
 
 _PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"

@@ -153,6 +153,28 @@ class TestApplyForm:
         with pytest.raises(ValueError, match="singular point"):
             apply_form(parse_form("d + d1", 1), h, 0.0)
 
+    @pytest.mark.parametrize("index", [(1, 1), (2, 0), (2, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("kind", ["power_singular", "lieb"])
+    def test_profile_partials_in_higher_dimension_match_mpmath(self, kind, index):
+        # exact D_a of a profile in R^n: central differences, which stay for
+        # plain callables, are good to about 1e-8 here
+        n = len(index)
+        f = RadialProfile(kind, amplitude=1.7, exponent=0.75)
+        form = DifferentialForm.from_terms(n, (1.0, index))
+        with mpmath.workdps(30):
+            c, e = (0, mpmath.mpf(0.375)) if kind == "power_singular" else (1, mpmath.mpf(0.75))
+            closed = lambda *xs: mpmath.mpf(1.7) * (c + sum(v * v for v in xs)) ** -e
+            for point in ((0.37, -0.81, 1.3), (-1.6, 0.45, -0.2), (2.5, 3.1, -0.7)):
+                exact = mpmath.diff(closed, [mpmath.mpf(v) for v in point[:n]], index)
+                got = apply_form(form, f, point[:n])
+                assert got == pytest.approx(float(exact), rel=1e-13), point[:n]
+
+    def test_vanishing_power_first_order_at_the_origin_of_the_plane(self):
+        h = RadialProfile.power_singular(1.0, -0.5)    # |x|^(1/2)
+        assert apply_form(parse_form("d", 2), h, (0.0, 0.0)) == 0.0
+        with pytest.raises(ValueError, match="singular point"):
+            apply_form(parse_form("d + d1", 2), h, (0.0, 0.0))
+
     def test_order_cap(self, descriptors):
         _, _, fL = descriptors
         with pytest.raises(ValueError):

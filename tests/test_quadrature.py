@@ -263,6 +263,15 @@ def test_screen_divergent_at_infinity():
     assert not res.convergent and math.isinf(res.failing_location)
 
 
+@pytest.mark.parametrize("location", [0.0, math.inf])
+def test_screen_nan_exponent_fails_at_its_location(location):
+    # every comparison with NaN is false, which must not read as convergent
+    res = convergence_screen(((location, math.nan),))
+    assert not res.convergent and res.failing_location == location
+    with pytest.raises(ValueError, match="diverges"):
+        QuadratureSpec(singularities=((location, math.nan),))
+
+
 def test_screen_reports_first_failure():
     res = convergence_screen(((0.0, -2.0), (1.0, -3.0)))
     assert res.failing_location == 0.0

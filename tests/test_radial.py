@@ -87,6 +87,47 @@ class TestRadialProfile:
                 fd = (stencil[5] - 2 * stencil[4] + 2 * stencil[2] - stencil[1]) / (2 * h ** 3)
             assert f.derivative_1d(x, k) == pytest.approx(fd, rel=1e-4)
 
+    @pytest.mark.parametrize("kind", ["power_singular", "lieb"])
+    def test_derivative_matches_mpmath_within_the_ladder_scale(self, kind):
+        # D^k f = sum_j k!/(j!(k-2j)!2^j) x^(k-2j) (d/dt)^(k-j) f with t = x^2/2
+        # alternates near the zeros of D^k f, so its rounding is bounded by the
+        # magnitudes of its terms, summed here at 32 digits, not by |D^k f|
+        x = np.geomspace(1e-3, 1e3, 13)
+        with mpmath.workdps(32):
+            for m in (0.3, 0.75, 1.9, 2.5):
+                f = RadialProfile(kind, amplitude=1.3, exponent=m)
+                c, e = (0, mpmath.mpf(m) / 2) if kind == "power_singular" else (1, mpmath.mpf(m))
+                closed = lambda t: mpmath.mpf(1.3) * (c + t * t) ** -e
+                rung = lambda t, i: (mpmath.mpf(1.3) * (-2) ** i * mpmath.rf(e, i)
+                                     * (c + t * t) ** (-e - i))
+                for k in range(7):
+                    for xi, got in zip(x, f.derivative_1d(x, k)):
+                        t = mpmath.mpf(xi)
+                        scale = sum(abs(mpmath.factorial(k) * t ** (k - 2 * j) * rung(t, k - j)
+                                        / (mpmath.factorial(j) * mpmath.factorial(k - 2 * j)
+                                           * 2 ** j))
+                                    for j in range(k // 2 + 1))
+                        error = abs(got - mpmath.diff(closed, t, k))
+                        assert error <= 1e-14 * scale, (m, k, xi)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_vanishing_power_derivatives_at_the_origin(self):
+        # only the ladder term without a power of x is left at 0: the others
+        # are 0 * inf there, and D^2 |x|^2 is 2, not 0
+        assert RadialProfile.power_singular(1.0, -1.5).derivative_1d(0.0, 1) == 0.0
+        assert RadialProfile.power_singular(1.0, -2.0).derivative_1d(0.0, 2) == 2.0
+        assert RadialProfile.power_singular(1.0, -3.0).derivative_1d(0.0, 2) == 0.0
+        square = RadialProfile.power_singular(1.0, -2.0)
+        assert square.partial(np.zeros(3), (2, 0, 0)) == 2.0
+        assert square.partial(np.zeros(3), (1, 1, 0)) == 0.0
+
+    @pytest.mark.parametrize("amplitude,exponent", [(math.inf, 0.5), (math.nan, 0.5),
+                                                    (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_parameters_rejected(self, amplitude, exponent):
+        for kind in ("power_singular", "lieb"):
+            with pytest.raises(ValueError, match="finite"):
+                RadialProfile(kind, amplitude=amplitude, exponent=exponent)
+
 
 def _mp_angular_kernel(n, lam, r, s):
     """|S^(n-2)| times the 30-digit theta-integral over [0, pi] of
@@ -247,6 +288,11 @@ class TestRieszPotential:
                                                    singularities=((math.inf, -2.5),))).value
 
         assert pair(g, h) == pytest.approx(pair(h, g), rel=1e-7)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -1.0])
+    def test_radius_must_be_nonnegative_and_finite(self, p_half, r):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            riesz_potential_radial(lieb_solution(p_half), p_half, r)
 
     def test_screen_rejects_potential_at_singular_origin(self, p_half):
         f = singular_solution(p_half)

@@ -162,6 +162,11 @@ class TestVerifySolution:
         with pytest.raises(ValueError):
             verify_solution(f, p_half, [0.0, 1.0], 1e-6)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, p_half, r):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            verify_solution(lieb_solution(p_half), p_half, [1.0, r])
+
     def test_screen_rejection_propagates(self, p_half):
         fat = RadialProfile.power_singular(1.0, 0.0)
         with pytest.raises(ScreenRejected) as err:
