@@ -360,6 +360,19 @@ MORE_INVOCATIONS = {
          "--alpha", "1", "--beta", "1", "--n", "1", "--lambda", "0.5"], 3),
     "riesz_singular_r0": (["riesz", "--which", "singular", "--n", "1",
                            "--lambda", "0.5", "--r", "0,1"], 0),
+    # the regularity paths: weighted norms (bounded, unbounded, n = 2 ball),
+    # the translation check and a scan with no cluster
+    "regularity_norm_lieb": (["regularity", "--check", "norm", "--which", "lieb",
+                              "--n", "1", "--lambda", "0.5"], 0),
+    "regularity_norm_singular_unbounded": (
+        ["regularity", "--check", "norm", "--which", "singular", "--n", "1",
+         "--lambda", "0.5", "--domain", "interval:-1,1", "--m", "1"], 0),
+    "regularity_norm_lieb_n2": (["regularity", "--check", "norm", "--which", "lieb",
+                                 "--n", "2", "--lambda", "1", "--domain", "ball:2,1.5",
+                                 "--nu", "0.5"], 0),
+    "regularity_translation": (["regularity", "--check", "translation", "--n", "2",
+                                "--lambda", "1.3"], 0),
+    "scan_lieb": (["scan", "--which", "lieb", "--n", "1", "--lambda", "0.5"], 0),
 }
 GOLDEN_RUNS = {**{name: (args, 0) for name, args in README_INVOCATIONS.items()},
                **MORE_INVOCATIONS}
