@@ -12,10 +12,10 @@ from .quadrature import (NonConvergent, QuadratureSpec, ScreenResult,
                          convergence_screen, integrate)
 from .radial_riesz import (RadialProfile, ScreenRejected, angular_kernel,
                            riesz_potential_radial)
-from .regularity import (DecayScanReport, Domain1D, GridSchedule,
-                         KernelGrowthReport, WeightedNormResult,
-                         decay_singularity_scan, kernel_growth_check,
-                         translation_annihilation_check, weight, weighted_norm)
+from .regularity import (DecayScanReport, Domain1D, KernelGrowthReport,
+                         WeightedNormResult, decay_singularity_scan,
+                         kernel_growth_check, translation_annihilation_check,
+                         weight, weighted_norm)
 from .solutions import (ResidualReport, lieb_solution, singular_solution,
                         verify_solution)
 from .solver import (GridSolution1D, NonPositive, SolverConfig, SolverTrace,

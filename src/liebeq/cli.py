@@ -12,10 +12,11 @@ Subcommands map one-to-one onto library operations:
   solve            bounded-domain solver on an interval
 
 Exit codes: 0 when every verdict is positive (Verified / Convergent /
-Computed), 1 on any Refuted, NonPositive or otherwise failed result
-(Inconclusive counts as failure, and a NonConvergent quadrature prints one
-error line instead of a report), 2 on usage or configuration errors, and
-3 when the only results are NotApplicable (screen-rejected instances).
+Computed), 1 on any Refuted, NonPositive, Failed or Inconclusive result
+(the report's verdict is the first of these that some result has, and a
+NonConvergent quadrature prints one error line instead of a report), 2 on
+usage or configuration errors, and 3 when the only results are
+NotApplicable (screen-rejected instances).
 
 Reports are JSON with stable keys; floats serialize at full round-trip
 precision (up to 17 significant digits).  With --no-timestamp the output
@@ -47,7 +48,7 @@ from .specfun import (Params, ft_riesz_coefficient, lieb_constant_C, lieb_consta
 
 __all__ = ["main", "console_main", "load_report"]
 
-_FAILURE_VERDICTS = {"Refuted", "NonPositive", "Inconclusive", "Failed"}
+_FAILURE_VERDICTS = ("Refuted", "NonPositive", "Failed", "Inconclusive")  # by precedence
 
 
 class _UsageError(Exception):
@@ -71,16 +72,14 @@ def _floats(csv: str) -> list:
 
 def _parse_domain(text: str) -> Domain1D:
     kind, _, rest = text.partition(":")
+    if kind not in ("interval", "ball"):
+        raise _UsageError(f"unknown domain kind {kind!r} (interval:a,b or ball:n,R)")
     try:
-        if kind == "interval":
-            a, b = (float(t) for t in rest.split(","))
-            return Domain1D.interval(a, b)
-        if kind == "ball":
-            n, radius = rest.split(",")
-            return Domain1D.ball(int(n), float(radius))
-    except (ValueError, TypeError) as exc:
+        first, second = rest.split(",")
+        numbers = (float(first) if kind == "interval" else int(first), float(second))
+    except ValueError as exc:
         raise _UsageError(f"cannot parse domain {text!r}") from exc
-    raise _UsageError(f"unknown domain kind {kind!r} (interval:a,b or ball:n,R)")
+    return getattr(Domain1D, kind)(*numbers)  # a ValueError names a bad domain
 
 
 def _json_ready(obj):
@@ -111,8 +110,9 @@ def _overall_verdict(verdicts) -> str:
     verdicts = list(verdicts)
     if not verdicts:
         return "Computed"
-    if any(v in _FAILURE_VERDICTS for v in verdicts):
-        return "Refuted"
+    for failing in _FAILURE_VERDICTS:
+        if failing in verdicts:
+            return failing
     if all(v == "NotApplicable" for v in verdicts):
         return "NotApplicable"
     if all(v in ("Computed", "Converged", "NotApplicable") for v in verdicts):
@@ -121,7 +121,7 @@ def _overall_verdict(verdicts) -> str:
 
 
 def _exit_code(overall: str) -> int:
-    return {"Verified": 0, "Computed": 0, "Refuted": 1, "NotApplicable": 3}[overall]
+    return {"Verified": 0, "Computed": 0, "NotApplicable": 3}.get(overall, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,10 @@ def parse_form(text: str, dimension: int) -> DifferentialForm:
 # derivative evaluation
 
 @lru_cache(maxsize=None)
-def _central_weights(order: int, halfwidth: int):
-    """Symmetric central finite-difference weights for the given derivative
-    order (accuracy >= 4 with halfwidth = order//2 + 2)."""
+def _central_weights(order: int):
+    """Symmetric central finite-difference offsets and weights for the given
+    derivative order, on half-width order//2 + 2 (accuracy >= 4)."""
+    halfwidth = order // 2 + 2
     offsets = np.arange(-halfwidth, halfwidth + 1, dtype=float)
     v = np.vander(offsets, increasing=True).T
     rhs = np.zeros(len(offsets))
@@ -190,19 +191,21 @@ def _central_weights(order: int, halfwidth: int):
 
 
 def _fd_derivative(func, x: np.ndarray, index: MultiIndex,
-                   h_max: float = math.inf) -> float:
+                   reach: float = math.inf) -> float:
     """Nested central differences for D_index func at point x (accuracy
-    order >= 4), with step at most h_max."""
+    order >= 4), with no stencil point farther than reach from x along an
+    axis."""
     k = index.order
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order {k} exceeds the cap {MAX_DERIVATIVE_ORDER}")
     scale = max(1.0, float(np.max(np.abs(x))))
-    h = min(np.finfo(float).eps ** (1.0 / (k + 2)) * scale, h_max)
+    widest = _central_weights(max(index.components))[0][-1]
+    h = min(np.finfo(float).eps ** (1.0 / (k + 2)) * scale, reach / widest)
 
     def recurse(point, comps):
         for axis, order in enumerate(comps):
             if order > 0:
-                offsets, weights = _central_weights(order, order // 2 + 2)
+                offsets, weights = _central_weights(order)
                 rest = comps[:axis] + (0,) + comps[axis + 1:]
                 acc = 0.0
                 for off, wgt in zip(offsets, weights):

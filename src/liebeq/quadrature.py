@@ -39,6 +39,7 @@ __all__ = [
     "NonConvergent",
     "integrate",
     "convergence_screen",
+    "check_tolerance",
 ]
 
 # Exponents this close to -1 are classified as the logarithmic borderline.
@@ -80,6 +81,14 @@ def convergence_screen(singularities) -> ScreenResult:
     return ScreenResult(True)
 
 
+def check_tolerance(*tolerances: float) -> None:
+    """Refuse a tolerance that is not positive and finite: -1 refutes an exact
+    0, and inf stops a quadrature at its first estimate."""
+    for tol in tolerances:
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and singularity declarations for one integral.
@@ -99,8 +108,7 @@ class QuadratureSpec:
     singularities: tuple = ()
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        check_tolerance(self.rel_tol, self.abs_tol)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         entries = tuple((float(loc), float(e)) for loc, e in self.singularities)

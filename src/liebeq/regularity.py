@@ -27,7 +27,6 @@ from .specfun import Params
 
 __all__ = [
     "Domain1D",
-    "GridSchedule",
     "WeightedNormResult",
     "KernelGrowthReport",
     "DecayScanReport",
@@ -38,46 +37,46 @@ __all__ = [
     "decay_singularity_scan",
 ]
 
+# the sampling grid of weighted_norm: level k takes 64 * 2^k midpoint-uniform
+# interior points and, at each end, 24 * (k + 1) graded points whose
+# distances to the boundary shrink geometrically from the half-width to
+# half-width * 0.01^(k + 1), so each level probes 100x closer to the boundary
+# and twice as fine in the interior
+_LEVELS, _INTERIOR_POINTS, _GRADED_POINTS, _SHRINK = 4, 64, 24, 0.01
+# the decay scan's log-spaced sample count and the kernel check's seeded pairs
+_SCAN_SAMPLES = 400
+_KERNEL_SAMPLES, _KERNEL_SEED = 50, 20260810
+
 
 @dataclass(frozen=True)
 class Domain1D:
-    """Open interval (a, b) or ball of radius R, reduced to its 1-D axis.
-
-    For a ball the coordinate runs over the diameter slice (-R, R) and the
-    ambient dimension enters only through the weighted-norm index; rho is
-    min(x - a, b - x) for an interval and R - |x| for a ball.
+    """Open interval (a, b), or a ball of radius R in R^n reduced to its
+    diameter slice (-R, R); n enters only through the weighted-norm index.
+    rho is min(x - a, b - x) for both, which on (-R, R) is R - |x| exactly.
     """
 
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
+    a: float
+    b: float
     n: int = 1
-    radius: float = 0.0
+
+    def __post_init__(self):
+        # a finite width b - a keeps the sampling grid and rho finite
+        if not (self.a < self.b and self.b - self.a < math.inf and self.n >= 1):
+            raise ValueError(f"domain needs a < b with a finite width b - a, and n >= 1, "
+                             f"got {self}")
 
     @classmethod
     def interval(cls, a: float, b: float) -> "Domain1D":
-        if not b > a:
-            raise ValueError("need a < b")
-        return cls("interval", a=float(a), b=float(b), n=1)
+        return cls(float(a), float(b))
 
     @classmethod
     def ball(cls, n: int, radius: float) -> "Domain1D":
-        if n < 1 or radius <= 0:
-            raise ValueError("ball needs n >= 1 and positive radius")
-        return cls("ball", a=-float(radius), b=float(radius), n=int(n),
-                   radius=float(radius))
-
-    @property
-    def dimension(self) -> int:
-        return self.n
+        return cls(-float(radius), float(radius), int(n))
 
     def rho(self, x):
         """Distance from x to the boundary (positive inside, <= 0 outside)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "interval":
-            out = np.minimum(x - self.a, self.b - x)
-        else:
-            out = self.radius - np.abs(x)
+        out = np.minimum(x - self.a, self.b - x)
         return out if out.ndim else float(out)
 
 
@@ -95,46 +94,29 @@ def weight(lam: float, x, G: Domain1D):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class GridSchedule:
-    """Refinement schedule for supremum estimation.
+def _level_points(G: Domain1D, level: int) -> np.ndarray:
+    half_width = 0.5 * (G.b - G.a)
+    mid = 0.5 * (G.a + G.b)
+    count = _INTERIOR_POINTS * 2 ** level
+    step = (G.b - G.a) / count
+    interior = G.a + step * (np.arange(count) + 0.5)
+    dists = half_width * np.geomspace(1.0, _SHRINK ** (level + 1), _GRADED_POINTS * (level + 1))
+    pts = np.concatenate([interior, G.a + dists, G.b - dists, [mid]])
+    return np.unique(pts[(pts > G.a) & (pts < G.b)])
 
-    Level k samples interior_base * 2^k midpoint-uniform interior points
-    plus boundary-graded points whose distances shrink geometrically to
-    rho_max * shrink^(k+1), so each level probes 100x closer to the
-    boundary (default shrink) and twice as fine in the interior.
-    """
 
-    levels: int = 4
-    interior_base: int = 64
-    boundary_points: int = 24
-    shrink: float = 0.01
-
-    def __post_init__(self):
-        if self.levels < 3:
-            raise ValueError("need at least 3 refinement levels")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1)")
-
-    def level_points(self, G: Domain1D, level: int) -> np.ndarray:
-        half_width = 0.5 * (G.b - G.a)
-        mid = 0.5 * (G.a + G.b)
-        count = self.interior_base * 2 ** level
-        step = (G.b - G.a) / count
-        interior = G.a + step * (np.arange(count) + 0.5)
-        depth = self.shrink ** (level + 1)
-        dists = half_width * np.geomspace(1.0, depth, self.boundary_points * (level + 1))
-        graded = np.concatenate([G.a + dists, G.b - dists])
-        pts = np.concatenate([interior, graded, [mid]])
-        pts = pts[(pts > G.a) & (pts < G.b)]
-        return np.unique(pts)
+def _keeps_growing(maxima) -> bool:
+    """The one growth rule: each maximum after the first exceeds the one
+    before it by more than 10%, or is not finite."""
+    return all(not math.isfinite(nxt) or nxt > 1.1 * prev
+               for prev, nxt in zip(maxima, maxima[1:]))
 
 
 @dataclass(frozen=True)
 class WeightedNormResult:
-    """Estimated ||u||_{m,nu}: per-order suprema, their sum, and whether any
-    supremum kept growing (> 10% per refinement at the finest two levels),
-    which flags the norm as +infinity."""
+    """Estimated ||u||_{m,nu}: per-order suprema, their sum, and whether the
+    running total kept growing (> 10% per refinement at the finest two
+    levels), which flags the norm as +infinity."""
 
     m: int
     nu: float
@@ -146,39 +128,35 @@ class WeightedNormResult:
 
 def _derivative_on_line(u, x: np.ndarray, order: int, G: Domain1D):
     """D^k u on sample points: through u.derivative_1d when u has it, else by
-    central differences whose stencil stays inside G."""
+    central differences whose stencil stays within rho/2 of each point."""
     if hasattr(u, "derivative_1d"):
         return u.derivative_1d(x, order)
-    index, halfwidth = MultiIndex((order,)), order // 2 + 2
-    return np.asarray([_fd_derivative(u, xi, index, h_max=float(G.rho(xi)) / (2.0 * halfwidth))
+    return np.asarray([_fd_derivative(u, xi, MultiIndex((order,)), reach=float(G.rho(xi)) / 2.0)
                        for xi in x], dtype=float)
 
 
-def weighted_norm(u, m: int, nu: float, G: Domain1D,
-                  schedule: GridSchedule | None = None) -> WeightedNormResult:
+def weighted_norm(u, m: int, nu: float, G: Domain1D) -> WeightedNormResult:
     """Estimate the weighted norm of u over G on a boundary-graded grid.
 
     u may be an object with a derivative_1d(x, order) method (a closed-form
     radial profile or a grid solution) or a plain callable (finite
     differences with steps shrunk near the boundary).  Unboundedness is a
-    result, not an error: the flag is set when the running supremum still
+    result, not an error: the flag is set when the running total still
     grows by more than 10% per refinement at the two finest levels, or a
     sample is non-finite.
     """
-    if nu >= G.dimension:
-        raise ValueError("weighted norm requires nu < n")
+    if not nu < G.n:  # a NaN nu too
+        raise ValueError(f"weighted norm requires nu < n, got nu = {nu!r}")
     if m < 0:
         raise ValueError("m must be >= 0")
-    schedule = schedule or GridSchedule()
-    n = G.dimension
 
     sup = np.zeros(m + 1)
     history = []
     saw_nonfinite = False
-    for level in range(schedule.levels):
-        pts = schedule.level_points(G, level)
+    for level in range(_LEVELS):
+        pts = _level_points(G, level)
         for k in range(m + 1):
-            w = weight(k - (n - nu), pts, G)
+            w = weight(k - (G.n - nu), pts, G)
             with np.errstate(all="ignore"):
                 vals = w * np.abs(np.asarray(_derivative_on_line(u, pts, k, G), dtype=float))
             if not np.all(np.isfinite(vals)):
@@ -188,9 +166,7 @@ def weighted_norm(u, m: int, nu: float, G: Domain1D,
                 sup[k] = max(sup[k], float(np.max(vals)))
         history.append(float(np.sum(sup)))
 
-    growth = [history[i + 1] / history[i] if history[i] > 0 else 1.0
-              for i in range(len(history) - 1)]
-    unbounded = saw_nonfinite or (growth[-1] > 1.1 and growth[-2] > 1.1)
+    unbounded = saw_nonfinite or _keeps_growing(history[-3:])
     total = math.inf if unbounded else float(np.sum(sup))
     return WeightedNormResult(m, float(nu), tuple(sup), total, unbounded,
                               tuple(history))
@@ -220,32 +196,26 @@ class KernelGrowthReport:
     sample_count: int
 
 
-def kernel_growth_check(params: Params, m: int, sample_count: int = 50,
-                        seed: int = 20260810) -> KernelGrowthReport:
-    """Verify |D^k_x K| <= b1 |x-y|^(-lam-k) with finite b1 for k <= m.
+def kernel_growth_check(params: Params, m: int) -> KernelGrowthReport:
+    """Verify |D^k_x K| <= b1 |x-y|^(-lam-k) with finite b1 for 0 <= k <= m.
 
     Samples are deterministic (seeded); the kernel derivative is the t-ladder
     sum of RadialProfile.partial, not the rising factorial it is compared
     with, so the constants agree up to the ladder's rounding.
     """
-    if m > 4:
-        raise ValueError("growth check supports derivative orders up to 4")
+    if not 0 <= m <= 4:
+        raise ValueError(f"growth check supports derivative orders 0 <= m <= 4, got m = {m!r}")
     lam = params.lam
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-2.0, 2.0, sample_count)
-    gap = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), sample_count))
-    y = x - np.where(rng.uniform(size=sample_count) < 0.5, gap, -gap)
+    rng = np.random.default_rng(_KERNEL_SEED)
+    x = rng.uniform(-2.0, 2.0, _KERNEL_SAMPLES)
+    gap = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), _KERNEL_SAMPLES))
+    y = x - np.where(rng.uniform(size=_KERNEL_SAMPLES) < 0.5, gap, -gap)
 
     kernel = RadialProfile.power_singular(1.0, lam)  # |t|^(-lam), t = x - y
     orders = tuple(range(m + 1))
-    empirical, analytic = [], []
-    for k in orders:
-        coef = 1.0
-        for j in range(k):
-            coef *= lam + j
-        ratios = np.abs(kernel.derivative_1d(x - y, k)) * np.abs(x - y) ** (lam + k)
-        empirical.append(float(np.max(ratios)))
-        analytic.append(coef)
+    empirical = [float(np.max(np.abs(kernel.derivative_1d(x - y, k)) * np.abs(x - y) ** (lam + k)))
+                 for k in orders]
+    analytic = [math.prod((lam + j for j in range(k)), start=1.0) for k in orders]
     deviation = max(abs(e - a) / max(abs(a), 1.0)
                     for e, a in zip(empirical, analytic))
     return KernelGrowthReport(
@@ -256,7 +226,7 @@ def kernel_growth_check(params: Params, m: int, sample_count: int = 50,
         max_deviation=deviation,
         u_slice_identically_zero=True,
         translation_slice_identically_zero=True,
-        sample_count=sample_count,
+        sample_count=_KERNEL_SAMPLES,
     )
 
 
@@ -311,85 +281,56 @@ def _scan_values(f, radii: np.ndarray) -> np.ndarray:
 
 
 def decay_singularity_scan(f, params: Params, R_outer: float,
-                           blowup_threshold: float,
-                           decay_tol: float | None = None,
-                           r_min: float | None = None,
-                           samples: int = 400) -> DecayScanReport:
+                           blowup_threshold: float) -> DecayScanReport:
     """Scan a radial profile for decay at infinity and blow-up points.
 
-    Decay is verified when |f(R_outer)| <= decay_tol (default: 1e-2 times
-    the value at min(1, R_outer/100)) and the last decade of radii is
-    non-increasing.  Reports every confirmed singular location and the
-    smallest radius outside which no sample exceeds the threshold.
+    Samples 400 log-spaced radii on [1e-8 R_outer, R_outer].  Decay is
+    verified when |f(R_outer)| <= decay_tol, 1e-2 times the value at
+    min(1, R_outer/100), and the last decade of radii is non-increasing.
+    Reports every confirmed singular location and the smallest radius
+    outside which no sample exceeds the threshold.  Needs 0 < R_outer < inf
+    and a finite threshold.
     """
-    if R_outer <= 0:
-        raise ValueError("R_outer must be positive")
-    r_min = r_min if r_min is not None else R_outer * 1e-8
-    radii = np.geomspace(r_min, R_outer, samples)
+    if not 0 < R_outer < math.inf:
+        raise ValueError(f"R_outer must be positive and finite, got {R_outer!r}")
+    if not math.isfinite(blowup_threshold):
+        raise ValueError(f"blowup threshold must be finite, got {blowup_threshold!r}")
+    radii = np.geomspace(R_outer * 1e-8, R_outer, _SCAN_SAMPLES)
     vals = _scan_values(f, radii)
 
-    r_ref = min(1.0, R_outer / 100.0)
-    if decay_tol is None:
-        decay_tol = 1e-2 * float(_scan_values(f, np.array([r_ref]))[0])
+    decay_tol = 1e-2 * float(_scan_values(f, np.array([min(1.0, R_outer / 100.0)]))[0])
     decay_value = float(vals[-1])
     tail = vals[radii >= R_outer / 10.0]
     monotone = bool(np.all(np.diff(tail) <= 1e-9 * np.abs(tail[:-1]) + 1e-300))
-    decay_verified = decay_value <= decay_tol and monotone
 
     over = ~(vals <= blowup_threshold)  # catches inf/nan as exceedances
+    # clusters are the runs of over: [start, stop) between its rising and falling edges
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], over, [False]])))
     singular = []
-    clusters = []
-    i = 0
-    while i < len(radii):
-        if over[i]:
-            j = i
-            while j + 1 < len(radii) and over[j + 1]:
-                j += 1
-            clusters.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    for i, j in clusters:
-        touches_inner_edge = i == 0
-        if touches_inner_edge:
-            # refine by pushing the scan radius toward zero
-            probe = vals[i]
-            grew = True
-            r_probe = radii[0]
+    for i, stop in zip(edges[::2], edges[1::2]):
+        if i == 0:  # refine by pushing the scan radius toward zero
+            maxima, r_probe = [vals[0]], radii[0]
             for _ in range(2):
                 r_probe /= 4.0
-                nxt = float(_scan_values(f, np.array([r_probe]))[0])
-                grew = grew and (not math.isfinite(nxt) or nxt > 1.1 * probe)
-                probe = nxt
-            if grew:
+                maxima.append(float(_scan_values(f, np.array([r_probe]))[0]))
+            if _keeps_growing(maxima):
                 singular.append(0.0)
             continue
-        lo = radii[max(i - 1, 0)]
-        hi = radii[min(j + 1, len(radii) - 1)]
-        local_max = float(np.max(vals[i:j + 1]))
-        grew = True
-        dense = 64
-        for _ in range(2):
-            dense *= 4
+        lo, hi = radii[i - 1], radii[min(stop, len(radii) - 1)]
+        maxima = [float(np.max(vals[i:stop]))]
+        for dense in (256, 1024):  # refine the cluster's bracket
             sub = np.geomspace(lo, hi, dense)
-            nxt = float(np.max(_scan_values(f, sub)))
-            grew = grew and (not math.isfinite(nxt) or nxt > 1.1 * local_max)
-            local_max = nxt
-        if grew:
-            sub = np.geomspace(lo, hi, dense)
-            singular.append(float(sub[np.argmax(_scan_values(f, sub))]))
+            sub_vals = _scan_values(f, sub)
+            maxima.append(float(np.max(sub_vals)))
+        if _keeps_growing(maxima):
+            singular.append(float(sub[np.argmax(sub_vals)]))
 
-    if clusters:
-        last = max(j for _, j in clusters)
-        bounding = float(radii[min(last + 1, len(radii) - 1)])
-    else:
-        bounding = 0.0
     return DecayScanReport(
-        decay_verified=decay_verified,
+        decay_verified=decay_value <= decay_tol and monotone,
         decay_value=decay_value,
-        decay_tol=float(decay_tol),
+        decay_tol=decay_tol,
         monotone_tail=monotone,
         singular_points=tuple(singular),
-        bounding_radius=bounding,
-        samples=samples,
+        bounding_radius=float(radii[min(edges[-1], len(radii) - 1)]) if edges.size else 0.0,
+        samples=_SCAN_SAMPLES,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, check_tolerance
 from .radial_riesz import RadialProfile, riesz_potential_radial
 from .specfun import Params, lieb_constant_C, lieb_constant_L
 
@@ -36,13 +36,6 @@ VERIFIED = "Verified"
 REFUTED = "Refuted"
 INCONCLUSIVE = "Inconclusive"
 NOT_APPLICABLE = "NotApplicable"
-
-
-def check_tolerance(*tolerances: float) -> None:
-    """Refuse a tolerance that is not positive and finite: -1 refutes an exact 0."""
-    for tol in tolerances:
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def certify(gap: float, errors, tolerance: float) -> str:

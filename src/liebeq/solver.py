@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import check_tolerance
 from .radial_riesz import RadialProfile
 from .regularity import Domain1D
 from .specfun import Params
@@ -90,16 +91,16 @@ class SolverConfig:
     stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.domain.kind != "interval" and self.domain.dimension != 1:
+        if self.domain.n != 1:
             raise ValueError("the solver supports one-dimensional domains only")
         if self.grid_size < 5:
             raise ValueError("grid_size must be at least 5")
-        if self.grading_exponent < 1.0:
-            raise ValueError("grading_exponent must be >= 1")
+        if not 1.0 <= self.grading_exponent < math.inf:
+            raise ValueError(f"grading_exponent must be finite and >= 1, "
+                             f"got {self.grading_exponent!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        check_tolerance(self.stop_tol)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import liebeq.quadrature as quadrature
-from liebeq.cli import load_report, main
+from liebeq.cli import _exit_code, _overall_verdict, load_report, main
 from liebeq.specfun import Params, lieb_constant_C
 
 
@@ -67,6 +67,13 @@ class TestVerifySolution:
         assert code == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("which,option", [("lieb", "--abs-tol"), ("singular", "--rel-tol")])
+    def test_infinite_quadrature_tolerance_is_usage_error(self, which, option, capsys):
+        # an infinite tolerance would stop the quadrature at its first estimate
+        code = main(["verify-solution", "--which", which, option, "inf", "--no-timestamp"])
+        assert code == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which,radii", [("singular", "-1,1"), ("lieb", "-1,1"),
                                              ("singular", "0,1"), ("lieb", "inf"),
@@ -209,6 +216,16 @@ def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
     assert captured.err == "liebeq: error: budget exhausted\n"
 
 
+def test_report_verdict_names_the_failing_verdict():
+    # Refuted only when some result is; otherwise the first failing verdict
+    # in the order NonPositive, Failed, Inconclusive; every failure exits 1
+    cases = [["Inconclusive"], ["Verified", "Failed"], ["NonPositive"],
+             ["Refuted", "Inconclusive"]]
+    overall = [_overall_verdict(verdicts) for verdicts in cases]
+    assert overall == ["Inconclusive", "Failed", "NonPositive", "Refuted"]
+    assert [_exit_code(v) for v in overall] == [1, 1, 1, 1]
+
+
 class TestCorollaryAndScan:
     def test_corollary(self, tmp_path):
         out = tmp_path / "cor.json"
@@ -244,6 +261,26 @@ class TestCorollaryAndScan:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,message", [
+        (["scan", "--which", "singular", "--n", "1", "--lambda", "0.5", "--r-outer", "inf"],
+         "R_outer must be positive and finite"),
+        (["scan", "--which", "lieb", "--r-outer", "nan"], "R_outer must be positive and finite"),
+        (["scan", "--which", "lieb", "--threshold", "nan"], "threshold must be finite"),
+        (["regularity", "--check", "norm", "--domain", "interval:0,inf"], "finite width"),
+        (["regularity", "--check", "norm", "--domain", "ball:1,inf"], "finite width"),
+        (["regularity", "--check", "norm", "--domain", "ball:1,nan"], "finite width"),
+        (["regularity", "--check", "norm", "--domain", "interval:-1e308,1e308"], "finite width"),
+        (["regularity", "--check", "norm", "--nu", "nan"], "nu = nan"),
+        (["regularity", "--check", "kernel-growth", "--m", "-1"], "m = -1"),
+    ])
+    def test_input_that_is_not_finite_or_in_range_is_usage_error(self, args, message, capsys):
+        # refused before any sampling, with a message that names the input
+        code = main(args + ["--no-timestamp"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestSolve:
     def test_newton_scheme(self, tmp_path):
@@ -254,6 +291,16 @@ class TestSolve:
         result = load_report(str(out))["results"][0]
         assert result["verdict"] == "Converged"
         assert result["final_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("option,message", [
+        (["--stop-tol", "nan"], "tolerance must be positive and finite"),
+        (["--stop-tol", "inf"], "tolerance must be positive and finite"),
+        (["--grading-exponent", "inf"], "grading_exponent must be finite"),
+    ])
+    def test_non_finite_solver_control_is_usage_error(self, option, message, capsys):
+        code = main(["solve", "--grid-size", "33", *option, "--no-timestamp"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_max_iters_is_usage_error(self, capsys):
         code = main(["solve", "--grid-size", "65", "--max-iters", "0", "--no-timestamp"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebeq.regularity import (Domain1D, GridSchedule, decay_singularity_scan,
+from liebeq.regularity import (Domain1D, _keeps_growing, decay_singularity_scan,
                                kernel_growth_check, translation_annihilation_check,
                                weight, weighted_norm)
 from liebeq.solutions import lieb_solution, singular_solution
@@ -19,6 +19,28 @@ class TestDomainAndWeight:
         assert G.rho(0.9) == pytest.approx(0.1)
         B = Domain1D.ball(1, 1.0)
         assert B.rho(-0.5) == 0.5
+
+    @pytest.mark.parametrize("n,R", [(1, 1.0), (2, 1.5), (3, 0.7)])
+    def test_ball_rho_is_radius_minus_abs_bitwise(self, n, R):
+        # min(x + R, R - x) rounds as R - |x| on both halves of the slice
+        near = [np.nextafter(R, 0.0), np.nextafter(-R, 0.0), R, -R]
+        xs = np.array([0.0, -0.0, 1e-300, -1e-300, 0.3 * R, -0.3 * R, *near,
+                       *np.random.default_rng(5).uniform(-R, R, 200)])
+        got = Domain1D.ball(n, R).rho(xs)
+        assert np.array_equal(got.view(np.uint64), (R - np.abs(xs)).view(np.uint64))
+
+    @pytest.mark.parametrize("make", [lambda: Domain1D.interval(0.0, math.inf),
+                                      lambda: Domain1D.interval(math.nan, 1.0),
+                                      lambda: Domain1D.interval(1.0, 1.0),
+                                      lambda: Domain1D.interval(-1e308, 1e308),
+                                      lambda: Domain1D.ball(1, 1e308),
+                                      lambda: Domain1D.ball(1, -1.0),
+                                      lambda: Domain1D.ball(1, math.inf),
+                                      lambda: Domain1D.ball(1, math.nan),
+                                      lambda: Domain1D.ball(0, 1.0)])
+    def test_domain_needs_finite_bounds(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_weight_branches(self):
         G = Domain1D.interval(0.0, 2.0)
@@ -48,6 +70,15 @@ class TestDomainAndWeight:
         assert np.max(np.abs(np.diff(vals))) < 1e-3
 
 
+@pytest.mark.parametrize("maxima,grows", [
+    ([1.0, 1.2, 1.45], True), ([1.0, 1.2, 1.3], False), ([1.0, 1.05, 1.2], False),
+    ([1.0, math.inf], True), ([1.0, math.nan], True), ([math.nan, 2.0], False),
+    ([0.0, 1e-300], True), ([2.0, 1.0], False)])
+def test_growth_rule(maxima, grows):
+    # the one rule of the norm and the scan: every step > 10% or not finite
+    assert _keeps_growing(maxima) is grows
+
+
 class TestWeightedNorm:
     def test_constant_function(self):
         G = Domain1D.interval(0.0, 1.0)
@@ -58,6 +89,13 @@ class TestWeightedNorm:
     def test_boundary_blowup_flagged(self):
         G = Domain1D.interval(0.0, 1.0)
         res = weighted_norm(lambda x: 1.0 / min(x, 1.0 - x), 0, 0.5, G)
+        assert res.unbounded and math.isinf(res.total)
+
+    def test_blowup_first_sampled_at_a_fine_level_is_flagged(self):
+        # the first two levels see only zeros; growth from 0 is growth
+        G = Domain1D.interval(0.0, 1.0)
+        res = weighted_norm(lambda x: 1.0 / x if x < 1e-6 else 0.0, 0, 0.5, G)
+        assert res.history[:2] == (0.0, 0.0)
         assert res.unbounded and math.isinf(res.total)
 
     def test_difference_stencil_stays_inside_domain(self):
@@ -80,6 +118,18 @@ class TestWeightedNorm:
         w = weight(0 - (1 - 0.5), xs, B)
         direct = float(np.max(w * np.abs(u.value(np.abs(xs)))))
         assert res.per_alpha_suprema[0] == pytest.approx(direct, rel=1e-3)
+
+    @pytest.mark.parametrize("n,R,lam,nu", [(2, 1.5, 1.0, 1.5), (3, 0.7, 1.5, 2.5)])
+    def test_lieb_profile_on_higher_dimensional_balls(self, n, R, lam, nu):
+        # oracle: dense direct maxima of the weighted order-0 and order-1 terms
+        u = lieb_solution(Params(n, lam))
+        B = Domain1D.ball(n, R)
+        res = weighted_norm(u, 2, nu, B)
+        assert not res.unbounded
+        xs = np.linspace(-R, R, 40001)[1:-1]
+        for k in (0, 1):
+            direct = float(np.max(weight(k - (n - nu), xs, B) * np.abs(u.derivative_1d(xs, k))))
+            assert res.per_alpha_suprema[k] == pytest.approx(direct, rel=1e-3)
 
     def test_singular_profile_flagged(self, p_half):
         u = singular_solution(p_half)
@@ -112,8 +162,8 @@ class TestWeightedNorm:
             weighted_norm(lambda x: 1.0, 0, 1.5, G)  # nu >= n
         with pytest.raises(ValueError):
             weighted_norm(lambda x: 1.0, -1, 0.5, G)
-        with pytest.raises(ValueError):
-            GridSchedule(levels=2)
+        with pytest.raises(ValueError, match="nu = nan"):
+            weighted_norm(lambda x: 1.0, 0, math.nan, G)
 
 
 class TestKernelGrowth:
@@ -138,6 +188,10 @@ class TestKernelGrowth:
     def test_order_cap(self, p_half):
         with pytest.raises(ValueError):
             kernel_growth_check(p_half, 5)
+
+    def test_negative_order_named(self, p_half):
+        with pytest.raises(ValueError, match="m = -1"):
+            kernel_growth_check(p_half, -1)
 
 
 class TestTranslationAnnihilation:
@@ -204,3 +258,20 @@ class TestDecayScan:
         assert len(rep.singular_points) == 1
         assert rep.singular_points[0] == pytest.approx(3.0, abs=0.05)
         assert rep.bounding_radius > 3.0
+
+    def test_two_poles_detected(self, p_half):
+        # two clusters above the threshold, each refined on its own bracket
+        def f(r):
+            r = np.asarray(r, dtype=float)
+            return (1.0 / (np.abs(r - 3.0) + 1e-12) ** 0.5
+                    + 1.0 / (np.abs(r - 30.0) + 1e-9) ** 0.7)
+        rep = decay_singularity_scan(f, p_half, 1e3, blowup_threshold=5.0)
+        assert rep.singular_points == pytest.approx((2.99995, 29.9993), rel=1e-5)
+        assert rep.bounding_radius == pytest.approx(31.35, rel=1e-3)
+
+    @pytest.mark.parametrize("R_outer,threshold", [(math.inf, 5.0), (math.nan, 5.0),
+                                                   (0.0, 5.0), (1e3, math.nan),
+                                                   (1e3, math.inf)])
+    def test_scan_needs_finite_inputs(self, p_half, R_outer, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            decay_singularity_scan(lieb_solution(p_half), p_half, R_outer, threshold)
