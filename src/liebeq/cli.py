@@ -233,6 +233,8 @@ def _run_regularity(args, params, quad):
         out["verdict"] = "Verified" if rep.max_deviation <= 1e-10 else "Refuted"
         results.append(out)
     elif args.check == "translation":
+        if args.samples < 1:
+            raise _UsageError(f"--samples must be at least one, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         xs = rng.uniform(-2.0, 2.0, args.samples)
         ys = xs - np.exp(rng.uniform(math.log(1e-3), math.log(3.0), args.samples))

@@ -16,8 +16,10 @@ is not declared must be resolved by grading alone: at x0 != 0 float
 spacing stops the grading near widths eps*|x0|, and such a panel raises
 NonConvergent.
 
-Integrands must be vectorized: f(x) for a float 1-D ndarray x returns an
-ndarray of the same shape.  Everything here is pure and deterministic;
+Integrands must be vectorized and pointwise: f(x) for a float 1-D ndarray x
+returns an ndarray of the same shape, and a node's value must not depend on
+the rest of its batch.  Each panel evaluation makes one call, on the nodes of
+its 15- and 7-point rules together.  Everything here is pure and deterministic;
 panel values are summed with math.fsum, so the result does not depend on
 refinement order.
 """
@@ -81,12 +83,13 @@ def convergence_screen(singularities) -> ScreenResult:
     return ScreenResult(True)
 
 
-def check_tolerance(*tolerances: float) -> None:
+def check_tolerance(*tolerances: float, name: str = "tolerance") -> None:
     """Refuse a tolerance that is not positive and finite: -1 refutes an exact
-    0, and inf stops a quadrature at its first estimate."""
+    0, and inf stops a quadrature at its first estimate.  name labels the
+    value in the message."""
     for tol in tolerances:
         if not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+            raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -182,24 +185,24 @@ class _Panel:
 
     def evaluate(self, f) -> None:
         """Value from the 15-point rule for the panel's end exponents, error
-        max(|G15 - G7|, roundoff floor).  The floor is QUADPACK's
-        50 eps sum|w f|, each term scaled by the first-order gain
-        1 + |e x0 / (t - x0)| of rounding t in |t - x0|^e at a declared end x0.
+        max(|G15 - G7|, roundoff floor), from one call of f on the nodes of
+        both rules.  The floor is QUADPACK's 50 eps sum|w f|, each term
+        scaled by the first-order gain 1 + |e x0 / (t - x0)| of rounding t in
+        |t - x0|^e at a declared end x0.
         """
         mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
         ea, eb = self.left or 0.0, self.right or 0.0
-        vals = []
-        for order in (_RULE_HI, _RULE_LO):
-            nodes, weights = _rule(order, ea, eb)
-            with np.errstate(all="ignore"):
-                fx = np.asarray(f(mid + half * nodes), dtype=float)
-                vals.append(half * float(np.dot(weights, fx)))
-                if order == _RULE_HI:
-                    gain = 1.0 + (abs(ea * self.a) / (1.0 + nodes)
-                                  + abs(eb * self.b) / (1.0 - nodes)) / half
-                    floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
-        hi, lo = vals
+        nodes, weights = _rule(_RULE_HI, ea, eb)
+        nodes_lo, weights_lo = _rule(_RULE_LO, ea, eb)
+        with np.errstate(all="ignore"):
+            fx = np.asarray(f(mid + half * np.concatenate([nodes, nodes_lo])), dtype=float)
+            fx, fx_lo = fx[:_RULE_HI], fx[_RULE_HI:]
+            hi = half * float(np.dot(weights, fx))
+            lo = half * float(np.dot(weights_lo, fx_lo))
+            gain = 1.0 + (abs(ea * self.a) / (1.0 + nodes)
+                          + abs(eb * self.b) / (1.0 - nodes)) / half
+            floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
         if math.isfinite(hi) and math.isfinite(lo):
             self.value, self.error = hi, max(abs(hi - lo), floor)
         else:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .identities import MultiIndex, _fd_derivative
+from .quadrature import check_tolerance
 from .radial_riesz import RadialProfile
 from .specfun import Params
 
@@ -289,12 +290,12 @@ def decay_singularity_scan(f, params: Params, R_outer: float,
     min(1, R_outer/100), and the last decade of radii is non-increasing.
     Reports every confirmed singular location and the smallest radius
     outside which no sample exceeds the threshold.  Needs 0 < R_outer < inf
-    and a finite threshold.
+    and a positive finite threshold: at a threshold <= 0 every sample lies
+    above it.
     """
     if not 0 < R_outer < math.inf:
         raise ValueError(f"R_outer must be positive and finite, got {R_outer!r}")
-    if not math.isfinite(blowup_threshold):
-        raise ValueError(f"blowup threshold must be finite, got {blowup_threshold!r}")
+    check_tolerance(blowup_threshold, name="blowup threshold")
     radii = np.geomspace(R_outer * 1e-8, R_outer, _SCAN_SAMPLES)
     vals = _scan_values(f, radii)
 

@@ -255,6 +255,7 @@ class TestCorollaryAndScan:
         (["--step", "0"], "step h must be positive"),
         (["--step=-1e-4"], "step h must be positive"),
         (["--samples", "0"], "at least one"),
+        (["--samples=-3"], "--samples must be at least one"),
     ])
     def test_translation_that_checks_nothing_is_usage_error(self, option, message, capsys):
         code = main(["regularity", "--check", "translation", *option, "--no-timestamp"])
@@ -265,13 +266,16 @@ class TestCorollaryAndScan:
         (["scan", "--which", "singular", "--n", "1", "--lambda", "0.5", "--r-outer", "inf"],
          "R_outer must be positive and finite"),
         (["scan", "--which", "lieb", "--r-outer", "nan"], "R_outer must be positive and finite"),
-        (["scan", "--which", "lieb", "--threshold", "nan"], "threshold must be finite"),
+        (["scan", "--which", "lieb", "--threshold", "nan"],
+         "threshold must be positive and finite"),
         (["regularity", "--check", "norm", "--domain", "interval:0,inf"], "finite width"),
         (["regularity", "--check", "norm", "--domain", "ball:1,inf"], "finite width"),
         (["regularity", "--check", "norm", "--domain", "ball:1,nan"], "finite width"),
         (["regularity", "--check", "norm", "--domain", "interval:-1e308,1e308"], "finite width"),
         (["regularity", "--check", "norm", "--nu", "nan"], "nu = nan"),
         (["regularity", "--check", "kernel-growth", "--m", "-1"], "m = -1"),
+        (["scan", "--which", "lieb", "--threshold=-1"], "threshold must be positive and finite"),
+        (["scan", "--which", "lieb", "--threshold", "0"], "threshold must be positive and finite"),
     ])
     def test_input_that_is_not_finite_or_in_range_is_usage_error(self, args, message, capsys):
         # refused before any sampling, with a message that names the input
@@ -392,8 +396,8 @@ README_INVOCATIONS = {
               "--grid-size", "201"],
 }
 
-# paths the README invocations miss, with their exit codes: the angular
-# kernel (n = 2), the n = 3 closed form, the r = 0 potential, a
+# paths the README invocations miss, with their exit codes: the series
+# angular kernel (n = 2 and 3), the r = 0 potential, a
 # NotApplicable identity and a potential that diverges at one radius
 MORE_INVOCATIONS = {
     "verify_lieb_n2": (["verify-solution", "--which", "lieb", "--n", "2",

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from liebeq import quadrature
 from liebeq.quadrature import (NonConvergent, QuadratureSpec, _rule,
                                convergence_screen, integrate)
 
@@ -118,6 +119,26 @@ def test_determinism_bitwise():
     r1 = integrate(f, 0, math.inf, spec)
     r2 = integrate(f, 0, math.inf, spec)
     assert r1.value == r2.value and r1.error == r2.error
+
+
+@pytest.mark.parametrize("f,spec,jacobi", [
+    (lambda s: np.exp(3.0 * s) * np.sin(7.0 * s), QuadratureSpec(), False),
+    (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
+])
+def test_one_integrand_call_per_panel(monkeypatch, f, spec, jacobi):
+    # each panel evaluation is one call on its 15 + 7 nodes together
+    panels, calls = [], []
+    evaluate = quadrature._Panel.evaluate
+    monkeypatch.setattr(quadrature._Panel, "evaluate",
+                        lambda self, g: panels.append(self) or evaluate(self, g))
+    integrate(lambda x: calls.append(np.array(x)) or f(x), 0.0, 1.0, spec)
+    assert len(calls) == len(panels) > 1
+    assert any(p.left not in (None, 0.0) for p in panels) == jacobi
+    for x, p in zip(calls, panels):
+        ea, eb = p.left or 0.0, p.right or 0.0
+        nodes = np.concatenate([_rule(15, ea, eb)[0], _rule(7, ea, eb)[0]])
+        assert x.shape == (22,)
+        assert np.array_equal(x, 0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * nodes)
 
 
 def test_undeclared_tail_is_refused():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from liebeq.quadrature import QuadratureSpec, integrate
-from liebeq.radial_riesz import (RadialProfile, ScreenRejected, _angular_batch,
+from liebeq.radial_riesz import (RadialProfile, ScreenRejected, _kernel_from_distance,
                                  angular_kernel, riesz_potential_radial)
 from liebeq.solutions import lieb_solution, singular_solution, verify_solution
 from liebeq.specfun import (Params, beta, lieb_constant_C, lieb_constant_L,
@@ -144,6 +144,16 @@ def _mp_angular_kernel(n, lam, r, s):
         return 2 * mpmath.pi ** half / mpmath.gamma(half) * theta
 
 
+def _mp_hyp2f1_kernel(n, lam, r, s):
+    """|S^(n-1)| (r+s)^(-lam) 2F1(lam/2, (n-1)/2; n-1; 1 - w) at 60 digits,
+    with w = ((s-r)/(s+r))^2 exact, so 1 - w keeps its digits at s/r - 1 = 1e-12."""
+    with mpmath.workdps(60):
+        rm, sm, lm = mpmath.mpf(r), mpmath.mpf(s), mpmath.mpf(lam)
+        area = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        w = ((sm - rm) / (sm + rm)) ** 2
+        return area * (rm + sm) ** -lm * mpmath.hyp2f1(lm / 2, mpmath.mpf(n - 1) / 2, n - 1, 1 - w)
+
+
 class TestAngularKernel:
     def test_one_dimensional_exact(self):
         assert angular_kernel(1, 0.5, 2.0, 1.0) == \
@@ -158,14 +168,57 @@ class TestAngularKernel:
                                      (0.1, 3.0)])
     def test_closed_form_vs_angular_quadrature(self, r, s):
         lam = 1.3
-        closed = angular_kernel(3, lam, r, s)
-        generic = _angular_batch(3, lam, r, np.array([s]), np.array([abs(s - r)]))[0]
-        assert generic == pytest.approx(closed, rel=1e-10)
+        generic = _mp_angular_kernel(3, lam, r, s)
+        assert abs(angular_kernel(3, lam, r, s) - generic) <= 1e-13 * generic
 
     def test_log_branch_vs_quadrature(self):
-        closed = angular_kernel(3, 2.0, 1.0, 0.6)
-        generic = _angular_batch(3, 2.0, 1.0, np.array([0.6]), np.array([0.4]))[0]
-        assert generic == pytest.approx(closed, rel=1e-10)
+        # lam = 2 in n = 3 is the log case (n-1-lam)/2 = 0 of the series kernel
+        generic = _mp_angular_kernel(3, 2.0, 1.0, 0.6)
+        assert abs(angular_kernel(3, 2.0, 1.0, 0.6) - generic) <= 1e-13 * generic
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_near_integer_delta_vs_hyp2f1(self, n):
+        # delta = (n-1-lam)/2 an integer is the log case of A&S 15.3.6; the
+        # kernel takes one rule on it and next to it
+        r = 0.37
+        gaps = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, math.sqrt(2.0), 3.0, 1e2, 1e5, 1e9]
+        s = np.array([r * (1.0 + g) for g in gaps] + [r / (1.0 + g) for g in gaps])
+        for centre in range(n - 1, 0, -2):
+            for lam in [centre + o for o in (0.0, 1e-12, -1e-12, 1e-7, -1e-7, 1e-4, -1e-4)]:
+                got = _kernel_from_distance(n, lam, r, s, np.abs(s - r))
+                for si, value in zip(s, got):
+                    ref = _mp_hyp2f1_kernel(n, lam, r, si)
+                    assert abs(value - ref) <= 1e-13 * ref, (lam, si / r)
+
+    @pytest.mark.parametrize("n", [8, 12, 20, 30])
+    def test_higher_dimensions_vs_hyp2f1(self, n):
+        # the series in (d/(r+s))^2 loses digits as n grows: the switch moves
+        # toward the diagonal, so the kernel keeps its accuracy
+        r = 0.37
+        s = np.array([r * q for q in (1 + 1e-12, 1 + 1e-6, 1.2, 1.5, 1.9, 2.4, 2.5, 4.0,
+                                      1e5, 0.9, 0.7, 0.6, 0.41, 0.42, 1e-3)])
+        for lam in (0.05 * n, 0.5 * n, n - 1.0, 0.97 * n):
+            got = _kernel_from_distance(n, lam, r, s, np.abs(s - r))
+            for si, value in zip(s, got):
+                ref = _mp_hyp2f1_kernel(n, lam, r, si)
+                assert abs(value - ref) <= 1e-13 * ref, (lam, si / r)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_dimension_the_series_cannot_serve_is_refused(self, n):
+        # large coefficients overflow or cancel there; no silent garbage
+        with pytest.raises(ValueError, match="lose digits in dimension"):
+            angular_kernel(n, 0.5 * n, 1.0, 2.0)
+
+    def test_kernel_is_pointwise(self):
+        # a value does not depend on the rest of its batch, bit for bit
+        r = 1.0
+        s = np.random.default_rng(5).uniform(1e-3, 30.0, 44)
+        for n, lam in ((2, 1.0), (4, 2.3), (5, 4.5)):
+            whole = _kernel_from_distance(n, lam, r, s, np.abs(s - r))
+            for size in (1, 7, 22):
+                parts = [_kernel_from_distance(n, lam, r, s[i:i + size], np.abs(s[i:i + size] - r))
+                         for i in range(3, s.size, size)]
+                assert np.array_equal(np.concatenate(parts), whole[3:]), (n, lam, size)
 
     @pytest.mark.parametrize("lam", [0.5, 1.3, 2.0, 2.9])
     def test_three_dimensional_far_from_diagonal_vs_mpmath(self, lam):

@@ -275,3 +275,10 @@ class TestDecayScan:
     def test_scan_needs_finite_inputs(self, p_half, R_outer, threshold):
         with pytest.raises(ValueError, match="finite"):
             decay_singularity_scan(lieb_solution(p_half), p_half, R_outer, threshold)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, -math.inf])
+    def test_scan_needs_a_positive_threshold(self, p_half, threshold):
+        # every |f| >= 0 lies above a threshold <= 0, so the whole scan would
+        # be one cluster and bounding_radius would be R_outer
+        with pytest.raises(ValueError, match="blowup threshold must be positive and finite"):
+            decay_singularity_scan(lieb_solution(p_half), p_half, 1e3, threshold)
