@@ -142,7 +142,8 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=256)
+# one batch of the benchmark's verify-sweep workload uses 286 distinct keys
+@lru_cache(maxsize=1024)
 def _rule(order: int, ea: float, eb: float):
     """Gauss-Jacobi nodes on [-1, 1] for the weight (1+x)^ea (1-x)^eb, and
     its weights divided by that weight, so that sum(w * f(x)) integrates f

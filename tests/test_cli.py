@@ -481,7 +481,6 @@ def test_module_invocation_writes_golden_bytes(module, fresh_python):
 
 
 def test_fresh_solve_writes_golden_bytes(fresh_python):
-    # the first solve in a process imports scipy.optimize
     proc = fresh_python("-m", "liebeq.cli", *README_INVOCATIONS["solve"], "--no-timestamp")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "solve.json").read_bytes(), \
@@ -495,6 +494,15 @@ def test_import_loads_no_scipy(fresh_python):
     proc = fresh_python("-c", "import sys, liebeq, liebeq.cli; " + _PRINT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+    # nor does the README solve: its accelerated sweeps reach the rounding
+    # floor, and only the trust-region finish needs scipy.optimize
+    proc = fresh_python("-c", "; ".join([
+        "import sys",
+        "from liebeq.cli import main",
+        f"assert main({README_INVOCATIONS['solve']!r} + ['--no-timestamp']) == 0",
+        _PRINT_SCIPY]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(b"}\n[]\n")
 
 
 def test_verify_and_identity_load_no_scipy(fresh_python):

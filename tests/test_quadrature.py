@@ -231,6 +231,20 @@ def test_jacobi_rule_against_beta_closed_form(order, ea, eb):
         assert abs(got - exact) <= 1e-12 * exact
 
 
+def test_rule_cache_holds_a_few_hundred_rules():
+    # one verify-sweep batch of the benchmark uses 286 distinct (order, ea,
+    # eb) keys; a repeated pass over more than that rebuilds no rule
+    keys = [(order, ea, eb) for order in (7, 15)
+            for ea in np.linspace(-0.95, 2.0, 15) for eb in np.linspace(-0.95, 2.0, 11)]
+    assert len(set(keys)) >= 300
+    for key in keys:
+        _rule(*key)
+    misses = _rule.cache_info().misses
+    for key in keys:
+        _rule(*key)
+    assert _rule.cache_info().misses == misses
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)

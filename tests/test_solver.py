@@ -5,8 +5,8 @@ import pytest
 
 from liebeq.quadrature import NonConvergent, QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
-from liebeq.solver import (NonPositive, SolverConfig, graded_grid, moment_matrix,
-                           picard_solve, product_integration_matrix,
+from liebeq.solver import (ROUNDING_FLOOR, NonPositive, SolverConfig, graded_grid,
+                           moment_matrix, picard_solve, product_integration_matrix,
                            residual_on_points)
 from liebeq.specfun import Params, lieb_constant_L
 
@@ -233,17 +233,49 @@ class TestNewtonScheme:
         with pytest.raises(ValueError):
             solution.derivative_1d(0.3, 2)   # u_h'' is a measure
 
-    def test_trace_splits_sweeps_and_finish(self, converged):
-        _, cfg, _, trace = converged
-        # one record per sweep, per finisher residual and for the solution
+    @pytest.mark.parametrize("lam", [0.3, 0.7])
+    def test_trace_of_accelerated_sweeps(self, lam):
+        # the accelerated sweeps reach the rounding floor: no finish runs,
+        # and the record is one entry per sweep, the last one the solution's
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=257)
+        _, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.converged and trace.residuals[-1] <= ROUNDING_FLOOR
+        assert trace.nfev == trace.njev == trace.sweeps == 0
+        assert trace.status is None
+        assert trace.message == "the accelerated sweeps reached a residual <= 1e-14"
+        assert trace.iterations == len(trace.residuals) == trace.accelerated
+        assert trace.iterations <= cfg.max_iters
+        assert len(trace.amplitudes) == len(trace.minima) == trace.iterations
+        assert min(trace.residuals[:-1]) > ROUNDING_FLOOR
+
+    def test_stop_tol_below_the_rounding_floor(self):
+        # the accelerated sweeps stop only at a residual that meets stop_tol
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129,
+                           stop_tol=1e-15)
+        _, trace = picard_solve(cfg, Params(1, 0.3))
+        assert trace.converged and trace.residuals[-1] <= 1e-15
+
+    def test_trace_of_fallback(self):
+        # at (129, 0.99) max_iters accelerated sweeps stop short of the
+        # floor; plain sweeps from the same start run until sqrt(stop_tol)
+        # or max_iters of them, the trust-region finish goes below both, and
+        # the record keeps all three, in that order
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
+        _, trace = picard_solve(cfg, Params(1, 0.99))
+        assert trace.converged
+        assert trace.accelerated == cfg.max_iters
+        assert min(trace.residuals[:trace.accelerated]) > ROUNDING_FLOOR
         assert trace.sweeps > 0 and trace.nfev > 0 and trace.njev > 0
-        assert trace.iterations == len(trace.residuals) == trace.sweeps + trace.nfev + 1
-        assert trace.iterations <= 2 * cfg.max_iters + 1
+        assert trace.iterations == len(trace.residuals) == \
+            trace.accelerated + trace.sweeps + trace.nfev + 1
+        assert trace.iterations <= 3 * cfg.max_iters + 1
         assert trace.status in (1, 2, 3, 4) and "termination" in trace.message
         assert len(trace.amplitudes) == len(trace.minima) == trace.iterations
-        # the sweeps bring the residual to sqrt(stop_tol), the finish below it
-        assert trace.residuals[trace.sweeps - 1] <= math.sqrt(cfg.stop_tol)
-        assert max(trace.residuals[:trace.sweeps - 1]) > math.sqrt(cfg.stop_tol)
+        end = trace.accelerated + trace.sweeps
+        assert trace.sweeps == cfg.max_iters or \
+            trace.residuals[end - 1] <= math.sqrt(cfg.stop_tol)
+        assert max(trace.residuals[trace.accelerated:end - 1]) > math.sqrt(cfg.stop_tol)
+        assert trace.residuals[-1] < min(trace.residuals[:end])
 
     # the trust region alone stalls short of a root on these (residuals 2e-3
     # to 8e-2); the sweeps bring every one into its basin
