@@ -152,14 +152,14 @@ def parse_form(text: str, dimension: int) -> DifferentialForm:
     """
     if not 1 <= dimension <= 9:
         raise ValueError("form syntax supports dimensions 1..9")
-    # a term starts at each sign, except the sign of an exponent as in 1e-3
-    pieces = [p.lstrip("+") for p in _TERM_START.split(text.replace(" ", ""))]
-    pieces = [p for p in pieces if p]
-    if not pieces:
-        raise ValueError(f"cannot parse differential form {text!r}")
+    # a term starts at each sign, except the sign of an exponent as in 1e-3;
+    # the only empty term allowed is the one in front of a leading sign
+    pieces = _TERM_START.split(text.replace(" ", ""))
+    if len(pieces) > 1 and not pieces[0]:
+        pieces = pieces[1:]
     terms = []
     for piece in pieces:
-        m = _TERM_RE.match(piece)
+        m = _TERM_RE.match(piece.removeprefix("+"))
         if not m or (m.group("coeff") is None and m.group("axes") is None):
             raise ValueError(f"cannot parse form term {piece!r} in {text!r}")
         coeff = float(m.group("sign") + (m.group("coeff") or "1"))

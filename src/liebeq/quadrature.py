@@ -18,10 +18,11 @@ NonConvergent.
 
 Integrands must be vectorized and pointwise: f(x) for a float 1-D ndarray x
 returns an ndarray of the same shape, and a node's value must not depend on
-the rest of its batch.  Each panel evaluation makes one call, on the nodes of
-its 15- and 7-point rules together.  Everything here is pure and deterministic;
-panel values are summed with math.fsum, so the result does not depend on
-refinement order.
+the rest of its batch.  The initial cells take one call, on the nodes of the
+15- and 7-point rules of each in turn, and each split takes one more, on the
+44 nodes of its left child, then its right child.  Everything here is pure and
+deterministic; panel values are summed with math.fsum, so the result does not
+depend on refinement order.
 """
 
 from __future__ import annotations
@@ -171,6 +172,17 @@ def _rule(order: int, ea: float, eb: float):
     return nodes, weights
 
 
+# one batch of the benchmark's verify-sweep workload uses about 145 distinct keys
+@lru_cache(maxsize=1024)
+def _panel_rule(ea: float, eb: float):
+    """The 15- then 7-point nodes of the panel rule for end exponents ea, eb,
+    the weights of each rule, and 1 + x and 1 - x at the 15 nodes."""
+    nodes, weights = _rule(_RULE_HI, ea, eb)
+    nodes_lo, weights_lo = _rule(_RULE_LO, ea, eb)
+    return (np.concatenate([nodes, nodes_lo]), weights, weights_lo,
+            1.0 + nodes, 1.0 - nodes)
+
+
 @dataclass
 class _Panel:
     """A panel [a, b].  left and right are the exponents declared at a and b
@@ -184,26 +196,21 @@ class _Panel:
     value: float = 0.0
     error: float = math.inf
 
-    def evaluate(self, f) -> None:
+    def fit(self, fx, rule) -> None:
         """Value from the 15-point rule for the panel's end exponents, error
-        max(|G15 - G7|, roundoff floor), from one call of f on the nodes of
-        both rules.  The floor is QUADPACK's 50 eps sum|w f|, each term
-        scaled by the first-order gain 1 + |e x0 / (t - x0)| of rounding t in
-        |t - x0|^e at a declared end x0.
+        max(|G15 - G7|, roundoff floor), from the integrand's values fx at
+        the nodes of its _panel_rule.  The floor is QUADPACK's 50 eps
+        sum|w f|, each term scaled by the first-order gain
+        1 + |e x0 / (t - x0)| of rounding t in |t - x0|^e at a declared end x0.
         """
-        mid = 0.5 * (self.a + self.b)
         half = 0.5 * (self.b - self.a)
-        ea, eb = self.left or 0.0, self.right or 0.0
-        nodes, weights = _rule(_RULE_HI, ea, eb)
-        nodes_lo, weights_lo = _rule(_RULE_LO, ea, eb)
-        with np.errstate(all="ignore"):
-            fx = np.asarray(f(mid + half * np.concatenate([nodes, nodes_lo])), dtype=float)
-            fx, fx_lo = fx[:_RULE_HI], fx[_RULE_HI:]
-            hi = half * float(np.dot(weights, fx))
-            lo = half * float(np.dot(weights_lo, fx_lo))
-            gain = 1.0 + (abs(ea * self.a) / (1.0 + nodes)
-                          + abs(eb * self.b) / (1.0 - nodes)) / half
-            floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
+        _, weights, weights_lo, plus, minus = rule
+        fx, fx_lo = fx[:_RULE_HI], fx[_RULE_HI:]
+        hi = half * float(np.dot(weights, fx))
+        lo = half * float(np.dot(weights_lo, fx_lo))
+        gain = 1.0 + (abs((self.left or 0.0) * self.a) / plus
+                      + abs((self.right or 0.0) * self.b) / minus) / half
+        floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
         if math.isfinite(hi) and math.isfinite(lo):
             self.value, self.error = hi, max(abs(hi - lo), floor)
         else:
@@ -218,6 +225,17 @@ class _Panel:
         return self.a + 0.5 * w
 
 
+def _evaluate(f, panels) -> None:
+    """Fit each panel, from one call of f on the nodes of all of them in turn."""
+    rules = [_panel_rule(p.left or 0.0, p.right or 0.0) for p in panels]
+    size = _RULE_HI + _RULE_LO
+    with np.errstate(all="ignore"):
+        fx = np.asarray(f(np.concatenate([0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * rule[0]
+                                          for p, rule in zip(panels, rules)])), dtype=float)
+        for k, (p, rule) in enumerate(zip(panels, rules)):
+            p.fit(fx[k * size:(k + 1) * size], rule)
+
+
 def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
                      spec: QuadratureSpec) -> QuadResult:
     """Adaptive integration over cells whose boundaries may all be singular.
@@ -227,13 +245,13 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
     target is met; a panel at the float width floor, or one whose cut
     does not land strictly inside it, cannot be split and raises
     NonConvergent; so panels keep distinct left ends, and the heap never
-    compares two panels.
+    compares two panels.  The initial cells share one call of f, and so do
+    the two children of each split.
     """
-    heap = []
-    for a, b in zip(boundaries, boundaries[1:]):
-        p = _Panel(a, b, exponents.get(a, 0.0), exponents.get(b, 0.0))
-        p.evaluate(f)
-        heap.append((-p.error, a, p))
+    panels = [_Panel(a, b, exponents.get(a, 0.0), exponents.get(b, 0.0))
+              for a, b in zip(boundaries, boundaries[1:])]
+    _evaluate(f, panels)
+    heap = [(-p.error, p.a, p) for p in panels]
     heapq.heapify(heap)
     while True:
         total = math.fsum(p.value for _, _, p in heap)
@@ -251,8 +269,9 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
                 f"estimated error {err:.3e} above target {target:.3e} with "
                 f"{len(heap)} panels", value=total, error=err)
         heapq.heappop(heap)
-        for child in (_Panel(p.a, cut, p.left, None), _Panel(cut, p.b, None, p.right)):
-            child.evaluate(f)
+        children = (_Panel(p.a, cut, p.left, None), _Panel(cut, p.b, None, p.right))
+        _evaluate(f, children)
+        for child in children:
             heapq.heappush(heap, (-child.error, child.a, child))
 
 

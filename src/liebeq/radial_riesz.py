@@ -80,13 +80,16 @@ class RadialProfile:
 
     def value(self, r):
         """Profile value at radius r (scalar or ndarray; r > 0, r = 0 if finite there)."""
-        r = np.asarray(r, dtype=float)
+        out = self._rung(np.asarray(r, dtype=float), self.exponent)
+        return out if out.ndim else float(out)
+
+    def _rung(self, r, exponent: float):
+        """The profile of this kind and amplitude with the given exponent, at
+        an ndarray of radii r."""
         if self.kind == POWER_SINGULAR:
             with np.errstate(divide="ignore"):
-                out = self.amplitude * r ** (-self.exponent)
-        else:
-            out = self.amplitude * (1.0 + r * r) ** (-self.exponent)
-        return out if out.ndim else float(out)
+                return self.amplitude * r ** (-exponent)
+        return self.amplitude * (1.0 + r * r) ** (-exponent)
 
     def __call__(self, r):
         return self.value(r)
@@ -117,30 +120,22 @@ class RadialProfile:
         is a profile of the same kind, and D^a f = sum_(j <= a/2) prod_i a_i! /
         (j_i! (a_i-2j_i)! 2^j_i) |x_i|^(a_i-2j_i) (d/dt)^(|a|-|j|) f, times the
         signs of the odd components: D^0 f is value() and D^a f(-x) =
-        (-1)^|a| D^a f(x), bit for bit."""
+        (-1)^|a| D^a f(x), bit for bit.  The rungs of that sum depend on the
+        kind, the exponent and the index only (see _ladder_plan), and are built
+        once for each."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (len(index),) or min(index, default=0) < 0:
             raise ValueError(f"need points of dimension {len(index)} and orders >= 0")
         absx = np.abs(x)
         r = absx[..., 0] if len(index) == 1 else np.hypot.reduce(x, axis=-1)
-        c, per_e = (0.0, 2.0) if self.kind == POWER_SINGULAR else (1.0, 1.0)
-        order, rising = sum(index), [1.0]                   # rising[i] = (-2)^i (e)_i
-        for q in range(order):
-            rising.append(rising[-1] * -2.0 * (self.exponent / per_e + q))
+        rungs, bare_at_zero = _ladder_plan(self.kind, self.exponent, tuple(index))
         out, bare = np.zeros(r.shape), 0.0
-        for j in itertools.product(*(range(a // 2 + 1) for a in index)):
-            coef, powers = rising[order - sum(j)], []
-            for axis, (a, b) in enumerate(zip(index, j)):
-                coef *= math.factorial(a) // math.factorial(a - 2 * b) // math.factorial(b) >> b
-                if a > 2 * b:
-                    powers.append(absx[..., axis] ** (a - 2 * b))
-            if coef:
-                rung = RadialProfile(self.kind, self.amplitude,
-                                     self.exponent + per_e * (order - sum(j)))
-                term = math.prod(powers, start=coef * rung.value(r))
-                bare = bare if powers else term
-                out = out + term
-        if not c and self.exponent_at_zero(order) >= 0.0 and not r.all():  # bare is D^a f(0)
+        for coef, exponent, powers in rungs:
+            term = math.prod([absx[..., axis] ** k for axis, k in powers],
+                             start=coef * self._rung(r, exponent))
+            bare = bare if powers else term
+            out = out + term
+        if bare_at_zero and not r.all():                    # bare is D^a f(0)
             out = np.where(r > 0.0, out, bare)
         for axis in [axis for axis, a in enumerate(index) if a % 2]:
             out = out * np.sign(x[..., axis])
@@ -149,6 +144,31 @@ class RadialProfile:
     def derivative_1d(self, x, order: int):
         """d^k/dx^k of the even extension f(|x|) on the line: partial with n = 1."""
         return self.partial(np.asarray(x, dtype=float)[..., None], (int(order),))
+
+
+# one batch of the benchmark's identity-sweep workload uses 416 distinct keys
+@lru_cache(maxsize=1024)
+def _ladder_plan(kind: str, exponent: float, index: tuple) -> tuple:
+    """The rungs of RadialProfile.partial for a profile of this kind and
+    exponent, at any amplitude: (coefficient, rung exponent, ((axis, power
+    of |x_axis|), ...)) for each nonzero term of its sum, and whether the
+    term without a power of |x| stands for D^index f at r = 0 (a power
+    profile that is finite there)."""
+    per_e = 2.0 if kind == POWER_SINGULAR else 1.0
+    order, rising = sum(index), [1.0]                   # rising[i] = (-2)^i (e)_i
+    for q in range(order):
+        rising.append(rising[-1] * -2.0 * (exponent / per_e + q))
+    rungs = []
+    for j in itertools.product(*(range(a // 2 + 1) for a in index)):
+        coef, powers = rising[order - sum(j)], []
+        for axis, (a, b) in enumerate(zip(index, j)):
+            coef *= math.factorial(a) // math.factorial(a - 2 * b) // math.factorial(b) >> b
+            if a > 2 * b:
+                powers.append((axis, a - 2 * b))
+        if coef:
+            rungs.append((coef, exponent + per_e * (order - sum(j)), tuple(powers)))
+    finite = RadialProfile(kind, exponent=exponent).exponent_at_zero(order) >= 0.0
+    return tuple(rungs), kind == POWER_SINGULAR and finite
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Params",
@@ -84,10 +85,12 @@ def beta(a: float, b: float) -> float:
     return math.exp(log_beta(a, b))
 
 
+@lru_cache(maxsize=None)
 def sphere_surface_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2).
 
-    n = 1 gives 2, the counting measure of the two-point sphere.
+    n = 1 gives 2, the counting measure of the two-point sphere.  Cached:
+    the angular kernel and the radial pair integrands read it on every call.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

@@ -147,6 +147,16 @@ class TestIdentity:
         assert captured.out == ""
         assert "tolerance must be positive and finite" in captured.err
 
+    @pytest.mark.parametrize("form", ["d1 + ", "d1 + + d11", "d1 -", "+", "", "d1 +- d11"])
+    def test_form_with_an_empty_term_is_usage_error(self, form, capsys):
+        # only the empty text in front of a leading sign is not a term
+        code = main(["identity", "--kind", "composite", "--f", "lieb", "--g", "lieb",
+                     "--form-lambda", form, "--form-omega", "d1", "--no-timestamp"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse form term" in captured.err
+
     def test_unused_tolerance_is_still_checked(self, capsys):
         # commutativity reads no zero tolerance, but the report echoes it
         code = main(["identity", "--kind", "commutativity", "--zero-tolerance", "-1",

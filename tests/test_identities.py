@@ -112,6 +112,11 @@ class TestParseForm:
             parse_form("1.0*d3", 2)
         with pytest.raises(ValueError):
             parse_form("", 1)
+        # an empty term is refused, except before a leading sign
+        for text in ("d1 + ", "d1 + + d11", "+", "+-d1"):
+            with pytest.raises(ValueError, match="cannot parse form term"):
+                parse_form(text, 1)
+        assert parse_form("+d1", 1) == parse_form(" + d1", 1) == parse_form("d1", 1)
 
 
 class TestApplyForm:

@@ -121,24 +121,51 @@ def test_determinism_bitwise():
     assert r1.value == r2.value and r1.error == r2.error
 
 
+def _panel_nodes(a, b, ea, eb):
+    """The 15- then 7-point nodes of the panel [a, b] with end exponents ea, eb."""
+    nodes = np.concatenate([_rule(15, ea, eb)[0], _rule(7, ea, eb)[0]])
+    return 0.5 * (a + b) + 0.5 * (b - a) * nodes
+
+
 @pytest.mark.parametrize("f,spec,jacobi", [
     (lambda s: np.exp(3.0 * s) * np.sin(7.0 * s), QuadratureSpec(), False),
     (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
 ])
-def test_one_integrand_call_per_panel(monkeypatch, f, spec, jacobi):
-    # each panel evaluation is one call on its 15 + 7 nodes together
-    panels, calls = [], []
-    evaluate = quadrature._Panel.evaluate
-    monkeypatch.setattr(quadrature._Panel, "evaluate",
-                        lambda self, g: panels.append(self) or evaluate(self, g))
-    integrate(lambda x: calls.append(np.array(x)) or f(x), 0.0, 1.0, spec)
-    assert len(calls) == len(panels) > 1
-    assert any(p.left not in (None, 0.0) for p in panels) == jacobi
-    for x, p in zip(calls, panels):
-        ea, eb = p.left or 0.0, p.right or 0.0
-        nodes = np.concatenate([_rule(15, ea, eb)[0], _rule(7, ea, eb)[0]])
-        assert x.shape == (22,)
-        assert np.array_equal(x, 0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * nodes)
+def test_one_integrand_call_per_split(monkeypatch, f, spec, jacobi):
+    # the initial cell is one call on its 15 + 7 nodes; each split is one call
+    # on the nodes of its left child, then those of its right child
+    splits, calls = [], []
+    split_point = quadrature._Panel.split_point
+
+    def recorded(panel):
+        cut = split_point(panel)
+        splits.append((panel.a, cut, panel.b, panel.left or 0.0, panel.right or 0.0))
+        return cut
+
+    monkeypatch.setattr(quadrature._Panel, "split_point", recorded)
+    result = integrate(lambda x: calls.append(np.array(x)) or f(x), 0.0, 1.0, spec)
+    assert len(calls) == 1 + len(splits) > 1
+    assert any(ea != 0.0 for *_, ea, _ in splits) == jacobi
+    ea, eb = dict(spec.singularities).get(0.0, 0.0), 0.0
+    assert np.array_equal(calls[0], _panel_nodes(0.0, 1.0, ea, eb))
+    for x, (a, cut, b, ea, eb) in zip(calls[1:], splits):
+        assert x.shape == (44,)
+        assert np.array_equal(x, np.concatenate([_panel_nodes(a, cut, ea, 0.0),
+                                                 _panel_nodes(cut, b, 0.0, eb)]))
+    # a node's value does not depend on its batch, so neither does the result
+    chunked = lambda x: np.concatenate([f(x[i:i + 22]) for i in range(0, x.size, 22)])
+    monkeypatch.undo()
+    assert integrate(chunked, 0.0, 1.0, spec) == result
+
+
+def test_initial_cells_share_one_call():
+    # the cells between declared points are evaluated together, in order
+    spec = QuadratureSpec(singularities=((0.25, -0.5), (0.5, 0.0)))
+    calls = []
+    integrate(lambda x: calls.append(np.array(x)) or np.abs(x - 0.25) ** -0.5, 0.0, 1.0, spec)
+    assert np.array_equal(calls[0], np.concatenate([_panel_nodes(0.0, 0.25, 0.0, -0.5),
+                                                    _panel_nodes(0.25, 0.5, -0.5, 0.0),
+                                                    _panel_nodes(0.5, 1.0, 0.0, 0.0)]))
 
 
 def test_undeclared_tail_is_refused():

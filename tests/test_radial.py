@@ -6,7 +6,7 @@ import pytest
 
 from liebeq.quadrature import QuadratureSpec, integrate
 from liebeq.radial_riesz import (RadialProfile, ScreenRejected, _kernel_from_distance,
-                                 angular_kernel, riesz_potential_radial)
+                                 _ladder_plan, angular_kernel, riesz_potential_radial)
 from liebeq.solutions import lieb_solution, singular_solution, verify_solution
 from liebeq.specfun import (Params, beta, lieb_constant_C, lieb_constant_L,
                             riesz_power_constant, sphere_surface_area)
@@ -120,6 +120,35 @@ class TestRadialProfile:
         square = RadialProfile.power_singular(1.0, -2.0)
         assert square.partial(np.zeros(3), (2, 0, 0)) == 2.0
         assert square.partial(np.zeros(3), (1, 1, 0)) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("kind", ["power_singular", "lieb"])
+    def test_partial_is_pointwise(self, kind):
+        # a batch of 44 points, r = 0 among them, gives each point the bits it
+        # gets in a batch of its own (a 0-d point takes numpy's scalar power,
+        # which may round differently); exponent -8 is a power profile that
+        # stays finite at 0 up to order 8
+        rng = np.random.default_rng(11)
+        cases = [(1, (k,)) for k in range(7)] + [(2, (1, 1)), (2, (2, 0)), (2, (3, 1))]
+        for m in (0.75, 1.9, -8.0):
+            f = RadialProfile(kind, amplitude=1.3, exponent=m)
+            for n, index in cases:
+                x = rng.uniform(-3.0, 3.0, (44, n))
+                x[5] = 0.0
+                alone = np.concatenate([f.partial(x[i:i + 1], index) for i in range(44)])
+                assert np.array_equal(f.partial(x, index), alone, equal_nan=True), (m, index)
+
+    def test_ladder_is_shared_across_amplitudes(self):
+        # the rungs depend on the kind, the exponent and the index only
+        x = np.array([[0.3, 0.7], [1.5, -2.0]])
+        RadialProfile.lieb(1.3, 0.6180339).partial(x, (2, 1))
+        misses = _ladder_plan.cache_info().misses
+        RadialProfile.lieb(2.9, 0.6180339).partial(x, (2, 1))
+        assert _ladder_plan.cache_info().misses == misses
+        RadialProfile.lieb(1.3, 0.6180340).partial(x, (2, 1))
+        RadialProfile.power_singular(1.3, 0.6180339).partial(x, (2, 1))
+        assert _ladder_plan.cache_info().misses == misses + 2
+        assert _ladder_plan("lieb", 0.6180339, (2, 1)) != _ladder_plan("lieb", 0.6180340, (2, 1))
 
     @pytest.mark.parametrize("amplitude,exponent", [(math.inf, 0.5), (math.nan, 0.5),
                                                     (1.0, math.nan), (1.0, -math.inf)])
