@@ -266,6 +266,15 @@ def solution_descriptor(profile: RadialProfile, params: Params,
     return SolutionDescriptor(profile, profile.pow(params.pm1), params, label)
 
 
+def _check_params(params: Params, *descriptors: SolutionDescriptor) -> None:
+    """A descriptor's (p-1) power belongs to its own params: refuse a check
+    under other params."""
+    for d in descriptors:
+        if d.params != params:
+            raise ValueError(f"descriptor {d.label or 'f'} was built for {d.params}, "
+                             f"not for the check's {params}")
+
+
 # ---------------------------------------------------------------------------
 # pair integrals: int D_beta(g) * D_alpha(f) over R^n for factors (g, beta), (f, alpha)
 
@@ -442,6 +451,7 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
     side yields NotApplicable.
     """
     check_tolerance(tolerance)
+    _check_params(params, f, g)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = pair((g.base, b), (f.power, a))
@@ -461,6 +471,7 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     is certified.
     """
     check_tolerance(tolerance, zero_tolerance)
+    _check_params(params, f)
     pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = pair((f.base, b), (f.power, a))
@@ -490,6 +501,7 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     check_orthogonality values exactly (same code path).
     """
     check_tolerance(tolerance, zero_tolerance)
+    _check_params(params, f, g)
     pair = _pair_table(params, quad or QuadratureSpec())
 
     def side(lam: DifferentialForm, x: RadialProfile,
@@ -551,6 +563,7 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     quad = quad or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15)
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
+    _check_params(params, f, g)
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     integrand, amplitude = _pair_integrand((g.base, b), (f.power, a), params.n)
     return amplitude * quadrature.integrate(integrand, 1.0 / R, R, quad).value

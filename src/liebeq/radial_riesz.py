@@ -79,9 +79,11 @@ class RadialProfile:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, r):
-        """Profile value at radius r (scalar or ndarray; r > 0, r = 0 if finite there)."""
-        out = self._rung(np.asarray(r, dtype=float), self.exponent)
-        return out if out.ndim else float(out)
+        """Profile value at radius r (scalar or ndarray; r > 0, r = 0 if finite
+        there); a scalar is evaluated as a one-element batch, for a batch's bits."""
+        r = np.asarray(r, dtype=float)
+        out = self._rung(r if r.ndim else r[None], self.exponent)
+        return out if r.ndim else float(out[0])
 
     def _rung(self, r, exponent: float):
         """The profile of this kind and amplitude with the given exponent, at
@@ -122,10 +124,12 @@ class RadialProfile:
         signs of the odd components: D^0 f is value() and D^a f(-x) =
         (-1)^|a| D^a f(x), bit for bit.  The rungs of that sum depend on the
         kind, the exponent and the index only (see _ladder_plan), and are built
-        once for each."""
+        once for each.  A single point is evaluated as a one-point batch."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (len(index),) or min(index, default=0) < 0:
             raise ValueError(f"need points of dimension {len(index)} and orders >= 0")
+        single = x.ndim == 1
+        x = x[None] if single else x
         absx = np.abs(x)
         r = absx[..., 0] if len(index) == 1 else np.hypot.reduce(x, axis=-1)
         rungs, bare_at_zero = _ladder_plan(self.kind, self.exponent, tuple(index))
@@ -139,7 +143,7 @@ class RadialProfile:
             out = np.where(r > 0.0, out, bare)
         for axis in [axis for axis, a in enumerate(index) if a % 2]:
             out = out * np.sign(x[..., axis])
-        return out if out.ndim else float(out)
+        return float(out[0]) if single else out
 
     def derivative_1d(self, x, order: int):
         """d^k/dx^k of the even extension f(|x|) on the line: partial with n = 1."""

@@ -19,15 +19,10 @@ Anal. 49, 2011) mixes the last sweeps by a least-squares fit over the
 m = N//2 + 1 right-half nodes and takes the relative residual to the
 rounding floor, 1e-14, with one product Wr u per sweep; on grids of 33 to
 513 nodes it got there at every lam from 0.02 to 0.85 checked.  Where it
-stalls (max_iters sweeps short of the floor, or an
-overflowing sweep), the solve starts again from the same start: plain
-sweeps bring the residual to sqrt(stop_tol), and bounded trust-region
-Gauss-Newton in the variable v = u^(p-1), scaled to unit size, finishes to
-machine-level residuals; each trust-region step comes from LSMR iterations
-on the Jacobian (Fong & Saunders, SIAM J. Sci. Comput. 33, 2011), so no
-step factorizes it by SVD.  The trust region alone, from a constant start,
-stops at stationary points of the residual norm that are no roots for many
-lam above 0.5.
+stalls (max_iters sweeps short of the floor, or an overflowing sweep),
+Newton steps in the variable v = u^(p-1), with Levenberg-Marquardt steps
+where a Newton step fails, finish from the sweeps' best iterate to
+machine-level residuals.
 
 A caution on interpretation: at the equation's own conjugate exponent
 p = 2n/(2n-lam) the bounded-domain problem has no positive solution.
@@ -47,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,13 +67,44 @@ ANDERSON_DEPTH = 5
 ROUNDING_FLOOR = 1e-14
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first solve that falls
-    back to the trust-region finish: the import takes about 0.5 s, and no
-    other path of the package needs scipy."""
-    from scipy.optimize import least_squares as scipy_least_squares
+def least_squares(fun, x0, jac, max_nfev):
+    """Newton steps on fun(x) = 0 from x0 > 0 (Nocedal & Wright, Numerical
+    Optimization, ch. 10).  Where a Newton step makes some x <= 0 or does
+    not reduce |fun|, Levenberg-Marquardt steps scaled by diag(J^T J) (More,
+    LNM 630, 1978) take its place, mu rising x10 on each rejected one and
+    falling /10 on an accepted one.  Stops at a step <= 1e-15 max x, after
+    max_nfev evaluations of fun, or when no step with mu <= 1e12 reduces
+    |fun|; returns the last accepted x, nfev, njev and how it stopped."""
+    def result(message):
+        return SimpleNamespace(x=x, nfev=nfev, njev=njev, message=message)
 
-    return scipy_least_squares(*args, **kwargs)
+    x, F = x0, fun(x0)
+    nfev, njev, mu = 1, 0, 1e-3
+    while True:
+        J, JtJ = jac(x), None
+        njev += 1
+        step = np.linalg.solve(J, -F)
+        while True:
+            if np.max(np.abs(step)) <= 1e-15 * np.max(x):
+                return result("the finish stopped at a step <= 1e-15 max v")
+            if nfev == max_nfev:
+                return result(f"the finish ran max_iters = {max_nfev} residual evaluations")
+            trial = x + step
+            if trial.min() > 0.0:
+                Ft = fun(trial)
+                nfev += 1
+                if Ft @ Ft < F @ F:
+                    x, F = trial, Ft
+                    if JtJ is not None:
+                        mu /= 10.0
+                    break
+            if JtJ is None:
+                JtJ = J.T @ J
+            else:
+                mu *= 10.0
+            if mu > 1e12:
+                return result("no Levenberg-Marquardt step with mu <= 1e12 reduced the residual")
+            step = np.linalg.solve(JtJ + mu * np.diag(np.diag(JtJ)), -(J.T @ F))
 
 
 class NonPositive(Exception):
@@ -94,9 +121,8 @@ class SolverConfig:
 
     grid_size is rounded up to an odd node count so the grid has a center
     node; grading_exponent >= 1 clusters nodes toward both endpoints.
-    max_iters caps each of the Anderson-accelerated sweeps, the plain
-    Petviashvili sweeps of the fallback and the residual evaluations of the
-    trust-region finish.
+    max_iters caps both the Anderson-accelerated sweeps and the residual
+    evaluations of the finish.
     """
 
     domain: Domain1D
@@ -132,14 +158,12 @@ class SolverTrace:
     M >= ((1 - stop_tol) / max_i (Wr 1)_i)^(1/(2-p)).
 
     iterations is len(residuals): one entry per accelerated sweep, and
-    where those stall (the solve falls back), after them one per plain
-    sweep, per residual evaluation of the trust-region finish and for the
-    returned solution, so at most 3*max_iters + 1.  accelerated counts the
-    Anderson-accelerated sweeps, including those of an abandoned attempt,
-    and sweeps the plain ones.  nfev, njev, status and message are
-    least_squares' when the finish ran; otherwise nfev = njev = 0, status is
-    None, the solution is the last accelerated iterate, and message names
-    the residual it reached, min(ROUNDING_FLOOR, stop_tol)."""
+    where those stall, after them one per residual evaluation of the finish
+    and one for the returned solution, so at most 2*max_iters + 1.
+    accelerated counts the Anderson-accelerated sweeps, and nfev and njev
+    the finish's residual and Jacobian evaluations (0 where it did not
+    run).  message says how the solve ended: the residual the accelerated
+    sweeps reached, min(ROUNDING_FLOOR, stop_tol), or the finish's stop."""
 
     residuals: list = field(default_factory=list)
     amplitudes: list = field(default_factory=list)
@@ -147,10 +171,8 @@ class SolverTrace:
     converged: bool = False
     iterations: int = 0
     accelerated: int = 0
-    sweeps: int = 0
     nfev: int = 0
     njev: int = 0
-    status: int | None = None
     message: str = ""
 
 
@@ -244,11 +266,6 @@ def product_integration_matrix(x: np.ndarray, lam: float) -> np.ndarray:
     return Wr
 
 
-def _relative_residual(Wu: np.ndarray, u: np.ndarray, pm1: float) -> float:
-    rhs = u ** pm1
-    return float(np.abs(Wu - rhs).max() / rhs.max())
-
-
 def _initial_values(init, x: np.ndarray) -> np.ndarray:
     if np.isscalar(init):
         vals = np.full(len(x), float(init))
@@ -263,7 +280,17 @@ def _initial_values(init, x: np.ndarray) -> np.ndarray:
 
 def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
                 config: SolverConfig, trace: SolverTrace) -> np.ndarray:
-    """The right-half values of the even solution, from the start uh."""
+    """The right-half values of the even solution, from the start uh.
+
+    Anderson-accelerated sweeps, type II with depth ANDERSON_DEPTH (Walker
+    & Ni, SIAM J. Numer. Anal. 49, 2011), run until the residual reaches
+    min(ROUNDING_FLOOR, stop_tol).  Each takes the coefficients c that
+    minimise |f - dF c|, f = g - u the fixed-point residual of the sweep g
+    of u and dF the stored differences of consecutive residuals, and moves
+    to g - dG c, dG the differences of the sweeps; an extrapolated iterate
+    that is not finite and positive gives way to g, and the stored
+    differences are cleared.  Where max_iters sweeps stop short or a sweep
+    overflows, the finish starts from the iterate of least residual."""
     pm1 = params.pm1
     s = 1.0 / pm1
     # Petviashvili sweeps: T = (Wr u)^s is homogeneous of degree s > 1, and
@@ -274,112 +301,65 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
     # >= 0 wherever it is not NaN, and 0 < max < inf rules out both.
     gamma = s / (s - 1.0)
 
-    def sweep(u, Wu):
-        T = Wu ** s
-        return (np.dot(u, u) / np.dot(u, T)) ** gamma * T
-
     def record(u, Wu):
-        trace.residuals.append(_relative_residual(Wu, u, pm1))
+        rhs = u ** pm1
+        trace.residuals.append(float(np.abs(Wu - rhs).max() / rhs.max()))
         trace.amplitudes.append(float(u.max()))
         trace.minima.append(float(u.min()))
 
-    # The accelerated sweeps stop at the rounding floor, or at stop_tol if
-    # that is smaller; a stop_tol they cannot reach is left to the finish.
-    target = min(ROUNDING_FLOOR, config.stop_tol)
-    with np.errstate(all="ignore"):
-        accelerated = _anderson_sweeps(Wr, uh, sweep, record, target,
-                                       config.max_iters, trace)
-    if accelerated is not None:
-        trace.message = f"the accelerated sweeps reached a residual <= {target:.0e}"
-        return accelerated
-
-    # Where they stall, plain sweeps from the same start bring the residual
-    # to sqrt(stop_tol), and one Gauss-Newton step squares what they leave;
-    # the finish starts from the last finite iterate.
-    Wuh = Wr @ uh
-    with np.errstate(all="ignore"):
-        while trace.sweeps < config.max_iters:
-            swept = sweep(uh, Wuh)
-            if not 0.0 < swept.max() < math.inf:
-                break
-            uh = swept
-            Wuh = Wr @ uh
-            trace.sweeps += 1
-            record(uh, Wuh)
-            if trace.residuals[-1] <= math.sqrt(config.stop_tol):
-                break
-
-    # The finish solves for w = v/b, v = u^(p-1), with b the power of two
-    # nearest max v: the residuals scale exactly by 1/b, and the absolute
-    # gradient test gtol no longer stops the finish early when the solution
-    # amplitude (about the Lieb constant L) is small, as it is near lam = 1.
-    v0 = uh ** pm1
-    b = 2.0 ** round(math.log2(np.max(v0)))
-
-    def fun(w):
-        uh = (b * w) ** s
+    # The finish solves F(v) = Wr v^s - v = 0 for v = u^(p-1).
+    def fun(v):
+        uh = v ** s
         Wuh = Wr @ uh
         record(uh, Wuh)
-        return Wuh / b - w
+        return Wuh - v
 
-    def jac(w):
-        return s * Wr * ((b * w) ** (s - 1.0))[None, :] - np.eye(len(w))
+    def jac(v):
+        return s * Wr * (v ** (s - 1.0))[None, :] - np.eye(len(v))
 
-    sol = least_squares(fun, np.clip(v0 / b, 1e-12, None), jac=jac,
-                        bounds=(1e-300, np.inf), method="trf", tr_solver="lsmr",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=config.max_iters)
-    trace.nfev, trace.njev = int(sol.nfev), int(sol.njev or 0)
-    trace.status, trace.message = int(sol.status), str(sol.message)
-    uh = (b * sol.x) ** s
-    record(uh, Wr @ uh)
+    target = min(ROUNDING_FLOOR, config.stop_tol)
+    dF = np.empty((len(uh), ANDERSON_DEPTH))  # one difference a column, oldest first
+    dG = np.empty_like(dF)
+    stored, last = 0, None
+    best, best_residual = uh, math.inf
+    Wu = Wr @ uh
+    with np.errstate(all="ignore"):
+        while trace.accelerated < config.max_iters:
+            T = Wu ** s
+            g = (np.dot(uh, uh) / np.dot(uh, T)) ** gamma * T
+            if not 0.0 < g.max() < math.inf:
+                break
+            f = g - uh
+            uh = g
+            if last is not None:
+                if stored == ANDERSON_DEPTH:
+                    dF[:, :-1], dG[:, :-1] = dF[:, 1:], dG[:, 1:]
+                else:
+                    stored += 1
+                dF[:, stored - 1] = f - last[0]
+                dG[:, stored - 1] = g - last[1]
+                coef = np.linalg.lstsq(dF[:, :stored], f, rcond=None)[0]
+                mixed = g - dG[:, :stored] @ coef
+                if 0.0 < mixed.min() and mixed.max() < math.inf:
+                    uh = mixed
+                else:
+                    stored = 0
+            last = f, g
+            Wu = Wr @ uh
+            trace.accelerated += 1
+            record(uh, Wu)
+            if trace.residuals[-1] <= target:
+                trace.message = f"the accelerated sweeps reached a residual <= {target:.0e}"
+                return uh
+            if trace.residuals[-1] < best_residual:
+                best, best_residual = uh, trace.residuals[-1]
+        sol = least_squares(fun, best ** pm1, jac=jac, max_nfev=config.max_iters)
+        uh = sol.x ** s
+        record(uh, Wr @ uh)
+    trace.nfev, trace.njev, trace.message = sol.nfev, sol.njev, sol.message
     if not np.all(uh > 0.0):
         raise NonPositive("solution lost positivity", trace)
     return uh
-
-
-def _anderson_sweeps(Wr, uh, sweep, record, target, max_iters, trace):
-    """Anderson-accelerated sweeps from uh, type II with depth
-    ANDERSON_DEPTH (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the first
-    iterate whose residual reaches target, or None when a sweep overflows
-    or max_iters sweeps do not reach it.
-
-    Each step takes the coefficients c that minimise |f - dF c|, f = g - u
-    the fixed-point residual of the sweep g of u and dF the stored
-    differences of consecutive residuals, and moves to g - dG c, dG the
-    differences of the sweeps.  An extrapolated iterate that is not finite
-    and positive gives way to g, and the stored differences are cleared."""
-    dF = np.empty((len(uh), ANDERSON_DEPTH))  # one difference a column, oldest first
-    dG = np.empty_like(dF)
-    stored = 0
-    last = None
-    Wu = Wr @ uh
-    while trace.accelerated < max_iters:
-        g = sweep(uh, Wu)
-        if not 0.0 < g.max() < math.inf:
-            return None
-        f = g - uh
-        uh = g
-        if last is not None:
-            if stored == ANDERSON_DEPTH:
-                dF[:, :-1], dG[:, :-1] = dF[:, 1:], dG[:, 1:]
-            else:
-                stored += 1
-            dF[:, stored - 1] = f - last[0]
-            dG[:, stored - 1] = g - last[1]
-            coef = np.linalg.lstsq(dF[:, :stored], f, rcond=None)[0]
-            mixed = g - dG[:, :stored] @ coef
-            if 0.0 < mixed.min() and mixed.max() < math.inf:
-                uh = mixed
-            else:
-                stored = 0
-        last = f, g
-        Wu = Wr @ uh
-        trace.accelerated += 1
-        record(uh, Wu)
-        if trace.residuals[-1] <= target:
-            return uh
-    return None
 
 
 def picard_solve(config: SolverConfig, params: Params, init=1.0):

@@ -22,8 +22,8 @@ def quad():
 
 @pytest.fixture
 def fresh_python():
-    """Run a new interpreter on the checkout's sources: scipy is not loaded
-    there until a solve imports it."""
+    """Run a new interpreter on the checkout's sources, with nothing
+    imported yet."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))}
 

@@ -504,15 +504,16 @@ def test_import_loads_no_scipy(fresh_python):
     proc = fresh_python("-c", "import sys, liebeq, liebeq.cli; " + _PRINT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
-    # nor does the README solve: its accelerated sweeps reach the rounding
-    # floor, and only the trust-region finish needs scipy.optimize
-    proc = fresh_python("-c", "; ".join([
-        "import sys",
-        "from liebeq.cli import main",
-        f"assert main({README_INVOCATIONS['solve']!r} + ['--no-timestamp']) == 0",
-        _PRINT_SCIPY]))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith(b"}\n[]\n")
+    # nor does a solve: not the README one, whose accelerated sweeps reach
+    # the rounding floor, nor one at lam = 0.99, where the finish runs
+    for args in (README_INVOCATIONS["solve"], ["solve", "--lambda", "0.99"]):
+        proc = fresh_python("-c", "; ".join([
+            "import sys",
+            "from liebeq.cli import main",
+            f"assert main({args!r} + ['--no-timestamp']) == 0",
+            _PRINT_SCIPY]))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(b"}\n[]\n")
 
 
 def test_verify_and_identity_load_no_scipy(fresh_python):

@@ -436,6 +436,28 @@ class TestPairTable:
                 check()
         assert integrate_calls == []
 
+    def test_descriptors_of_other_params_refused(self, descriptors, integrate_calls):
+        # a descriptor carries the (p-1) power of its own params: checked
+        # under Params(1, 0.7), a lam = 0.5 descriptor would give Verified on
+        # the lam = 0.5 integrals, and a lam = 0.5 / lam = 0.7 pair Refuted
+        p, fC, fL = descriptors
+        q = Params(1, 0.7)
+        gL = solution_descriptor(lieb_solution(q), q, "lieb")
+        form = parse_form("d1 + d11", 1)
+        checks = [lambda: check_commutativity(fC, fL, 0, 0, q),
+                  lambda: check_commutativity(fL, gL, 0, 0, q),
+                  lambda: check_commutativity(fL, gL, 0, 0, p),
+                  lambda: check_orthogonality(fL, 1, 0, q),
+                  lambda: check_composite(fL, fL, form, form, q),
+                  lambda: check_composite(fL, gL, form, form, q),
+                  lambda: cutoff_pair_integral(fL, 0, gL, 0, q, 1e2),
+                  lambda: cutoff_pair_integral(gL, 0, fL, 0, q, 1e2)]
+        for check in checks:
+            with pytest.raises(ValueError, match="was built for"):
+                check()
+        assert integrate_calls == []
+        assert check_commutativity(gL, gL, 0, 0, q).verdict == VERIFIED
+
     def test_pair_keyed_on_profiles_not_labels(self, descriptors, integrate_calls):
         # two descriptors of one profile share every pair integral
         p, _, fL = descriptors

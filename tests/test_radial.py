@@ -138,6 +138,20 @@ class TestRadialProfile:
                 alone = np.concatenate([f.partial(x[i:i + 1], index) for i in range(44)])
                 assert np.array_equal(f.partial(x, index), alone, equal_nan=True), (m, index)
 
+    @pytest.mark.parametrize("kind", ["power_singular", "lieb"])
+    def test_a_point_gets_its_bits_in_a_batch(self, kind):
+        # a 0-d radius or a single point is a one-element batch: numpy's
+        # scalar power, which may round differently, is never taken
+        f = RadialProfile(kind, amplitude=1.3, exponent=0.75)
+        r = np.random.default_rng(7).uniform(0.0, 3.0, 1000)
+        r[0] = 0.0 if kind == "lieb" else r[0]
+        assert [f.value(float(ri)) for ri in r] == list(f.value(r))
+        for k in range(5):
+            assert [f.derivative_1d(float(ri), k) for ri in r] == list(f.derivative_1d(r, k))
+        x = r[:300].reshape(100, 3)
+        for index in [(0, 0, 0), (1, 0, 2), (2, 1, 1), (4, 0, 0)]:
+            assert [f.partial(xi, index) for xi in x] == list(f.partial(x, index))
+
     def test_ladder_is_shared_across_amplitudes(self):
         # the rungs depend on the kind, the exponent and the index only
         x = np.array([[0.3, 0.7], [1.5, -2.0]])
