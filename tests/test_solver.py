@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,21 +120,45 @@ class TestDiscretization:
 
     @pytest.mark.parametrize("N", [257, 513])
     @pytest.mark.parametrize("lam", [0.3, 0.77])
-    def test_moment_matrix_matches_two_sided_panel_formula(self, N, lam):
-        # each panel's moments from the powers at both of its ends; the
-        # matrix shares one power per node distance between adjacent panels
+    def test_moment_matrix_matches_mpmath_oracle(self, N, lam):
+        # oracle: each panel's exact moments int |t-s|^(-lam) {1, s} ds at
+        # 40 digits, spread onto the hat functions of its two nodes; the
+        # matrix takes second divided differences, whose rounding grows as
+        # eps d^2/h^2 on far, narrow panels (about 2e-9 of a row here)
         x = graded_grid(-1.0, 1.0, N, 2.0)
-        t = x[:, None]
-        A, B = x[:-1], x[1:]
-        h = B - A
-        P = lambda d: np.sign(d) * np.abs(d) ** (1.0 - lam) / (1.0 - lam)
-        Q = lambda d: np.abs(d) ** (2.0 - lam) / (2.0 - lam)
-        m0 = P(B - t) - P(A - t)
-        m1 = t * m0 + Q(B - t) - Q(A - t)
-        ref = np.zeros((N, N))
-        ref[:, 1:] += (-A / h) * m0 + (1.0 / h) * m1
-        ref[:, :-1] += (B / h) * m0 + (-1.0 / h) * m1
-        assert np.array_equal(moment_matrix(x, x, lam), ref)
+        c = N // 2
+        rows = np.array([x[0], x[-1], x[1], x[c // 2], x[c],
+                         0.5 * (x[0] + x[1]), x[c] + 1e-3 * (x[c + 1] - x[c]),
+                         0.5 * (x[-3] + x[-2]), -0.7777])
+        M = moment_matrix(x, rows, lam)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(lam)
+            P = lambda d: mpmath.sign(d) * abs(d) ** (1 - a) / (1 - a)
+            Q = lambda d: abs(d) ** (2 - a) / (2 - a)
+            X = [mpmath.mpf(v) for v in x]
+            for t, got in zip(rows, M):
+                t = mpmath.mpf(t)
+                Pd, Qd = [P(v - t) for v in X], [Q(v - t) for v in X]
+                ref = [mpmath.mpf(0)] * N
+                for j in range(N - 1):
+                    h = X[j + 1] - X[j]
+                    m0 = Pd[j + 1] - Pd[j]
+                    m1 = t * m0 + Qd[j + 1] - Qd[j]
+                    ref[j] += (X[j + 1] * m0 - m1) / h
+                    ref[j + 1] += (m1 - X[j] * m0) / h
+                ref = np.array([float(v) for v in ref])
+                assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [257, 513])
+    @pytest.mark.parametrize("lam", [0.3, 0.77])
+    def test_rows_sum_to_the_moment_of_one(self, N, lam):
+        # the second differences telescope: a row sums to R'(1-t) - R'(-1-t),
+        # the closed-form moment of u = 1, up to the rounding of the sum
+        x = graded_grid(-1.0, 1.0, N, 2.0)
+        t = np.concatenate([np.linspace(-1.0, 1.0, 41), 0.5 * (x[:-1] + x[1:])[::7]])
+        exact = ((1.0 - t) ** (1.0 - lam) + (1.0 + t) ** (1.0 - lam)) / (1.0 - lam)
+        got = moment_matrix(x, t, lam) @ np.ones(N)
+        assert np.max(np.abs(got - exact) / exact) <= 1e-15
 
     def test_lambda_window(self):
         x = graded_grid(0.0, 1.0, 9, 1.0)
@@ -359,6 +384,16 @@ class TestNewtonScheme:
         solution, trace = picard_solve(cfg, Params(1, lam))
         assert trace.accelerated < cfg.max_iters and trace.nfev > 0
         assert np.all(np.isfinite(solution.values)) and min(solution.values) > 0.0
+
+    def test_finish_compares_residual_norms_without_underflow(self):
+        # at lam = 0.993 the solution is about 1e-176, so |F|^2 underflows:
+        # compared squared, every trial tied at 0 and the finish gave up
+        # after 15 evaluations at a residual of 0.23.  Compared unsquared it
+        # keeps going; convergence from lam = 0.993 is not yet reached
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=201)
+        solution, trace = picard_solve(cfg, Params(1, 0.993))
+        assert max(solution.values) < 1e-150 and min(solution.values) > 0.0
+        assert trace.nfev > 15 and trace.residuals[-1] < 1e-3
 
     @pytest.mark.parametrize("N, peak", [(129, "1.064"), (257, "1.461"), (513, "2.048")])
     def test_peak_matches_readme_table(self, N, peak):
