@@ -162,7 +162,7 @@ def _run_riesz(args, params, quad):
     results, errs = [], []
     for r in _floats(args.r):
         try:
-            value, err = riesz_potential_radial(f, params, r, quad, with_error=True)
+            value, err = riesz_potential_radial(f, params, r, quad)
             outcome = {"verdict": "Computed"}
         except ScreenRejected as exc:  # this radius only; the others still run
             value = err = math.nan
@@ -291,7 +291,6 @@ def _add_common(sub):
     sub.add_argument("--lambda", dest="lam", type=float, default=0.5,
                      help="kernel exponent in (0, n)")
     sub.add_argument("--rel-tol", type=float, default=1e-9)
-    sub.add_argument("--abs-tol", type=float, default=1e-14)
     sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--out", default=None, help="write the JSON report here")
     sub.add_argument("--no-timestamp", action="store_true")
@@ -428,7 +427,7 @@ def main(argv=None) -> int:
             sub.set_defaults(**_read_config(args.config, {a.dest: a for a in sub._actions}))
             args = parser.parse_args(argv)
         params = Params(args.n, args.lam)
-        quad = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
+        quad = QuadratureSpec(rel_tol=args.rel_tol)
         inputs, results, tolerances, errs = _HANDLERS[args.subcommand](args, params, quad)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"liebeq: error: {exc}", file=sys.stderr)

@@ -296,19 +296,17 @@ class _PairResult:
 
 def _pair_integrand(u: tuple, v: tuple, n: int):
     """D_beta(g) * D_alpha(f) for factors u = (g, beta), v = (f, alpha) as a
-    radial integrand on R^n, at unit amplitude, and the product of the two
-    amplitudes it leaves out (the integral is bilinear)."""
+    radial integrand on R^n."""
     (g, beta), (f, alpha) = u, v
-    g_unit, f_unit = replace(g, amplitude=1.0), replace(f, amplitude=1.0)
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
-        out = g_unit.derivative_1d(x, beta) * f_unit.derivative_1d(x, alpha)
+        out = g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
         if n > 1:
             out = out * sphere_surface_area(n) * x ** (n - 1)
         return out
 
-    return integrand, g.amplitude * f.amplitude
+    return integrand
 
 
 def _pair_integral(u: tuple, v: tuple, params: Params,
@@ -336,24 +334,23 @@ def _pair_integral(u: tuple, v: tuple, params: Params,
     if not screen:
         return _PairResult(math.nan, math.nan, screen, parity_forced)
 
-    integrand, amplitude = _pair_integrand(u, v, n)
-    h = quadrature.integrate(integrand, 0.0, math.inf, replace(quad, singularities=singularities))
+    h = quadrature.integrate(_pair_integrand(u, v, n), 0.0, math.inf,
+                             replace(quad, singularities=singularities))
     # the line integrand has the parity of alpha + beta, bit for bit, and the
     # quadrature commutes with negation: the mirror half-line doubles an
     # even integrand (2 x == x + x exactly) and cancels an odd one
     halves = 2.0 if n == 1 else 1.0
     value = 0.0 if parity_forced else halves * h.value
-    return _PairResult(amplitude * value, amplitude * (halves * h.error), screen,
-                       parity_forced, amplitude * (halves * abs(h.value)))
+    return _PairResult(value, halves * h.error, screen, parity_forced,
+                       halves * abs(h.value))
 
 
 def _pair_table(params: Params, quad: QuadratureSpec):
     """_pair_integral for one check call, each distinct integral computed once.
 
     The key is the unordered pair of factors.  Swapping the factors only
-    swaps the operands of the integrand's product, of the amplitude
-    product and of the screen's and tail's exponent sums, which changes
-    no bit.
+    swaps the operands of the integrand's product and of the screen's and
+    tail's exponent sums, which changes no bit.
     """
     table = {}
 
@@ -560,10 +557,10 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     must show non-stabilizing values as R grows.  (The annulus is radial;
     a symmetric cutoff on the line would let odd divergences cancel.)
     """
-    quad = quad or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15)
+    quad = quad or QuadratureSpec()
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
     _check_params(params, f, g)
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    integrand, amplitude = _pair_integrand((g.base, b), (f.power, a), params.n)
-    return amplitude * quadrature.integrate(integrand, 1.0 / R, R, quad).value
+    integrand = _pair_integrand((g.base, b), (f.power, a), params.n)
+    return quadrature.integrate(integrand, 1.0 / R, R, quad).value

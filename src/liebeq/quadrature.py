@@ -22,7 +22,9 @@ the rest of its batch.  The initial cells take one call, on the nodes of the
 15- and 7-point rules of each in turn, and each split takes one more, on the
 44 nodes of its left child, then its right child.  Everything here is pure and
 deterministic; panel values are summed with math.fsum, so the result does not
-depend on refinement order.
+depend on refinement order.  Refinement stops when the summed panel errors
+are at most rel_tol times the summed |panel values|: a scale-free target, so
+scaling f by a power of two scales value and error exactly.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def check_tolerance(*tolerances: float, name: str = "tolerance") -> None:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and singularity declarations for one integral.
-
+    """Tolerance and singularity declarations for one integral: rel_tol
+    bounds the summed panel errors relative to the summed |panel values|.
     singularities are (location, exponent) pairs declaring integrand
     ~ |t - location|**exponent there, in increasing order of location.  A
     finite location inside (a, b) becomes a cell boundary and is never
@@ -107,12 +109,11 @@ class QuadratureSpec:
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
     max_subdivisions: int = 2000
     singularities: tuple = ()
 
     def __post_init__(self):
-        check_tolerance(self.rel_tol, self.abs_tol)
+        check_tolerance(self.rel_tol)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         entries = tuple((float(loc), float(e)) for loc, e in self.singularities)
@@ -254,9 +255,10 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
     heap = [(-p.error, p.a, p) for p in panels]
     heapq.heapify(heap)
     while True:
-        total = math.fsum(p.value for _, _, p in heap)
+        values = [p.value for _, _, p in heap]
+        total = math.fsum(values)
         err = math.fsum(p.error for _, _, p in heap)
-        target = max(spec.rel_tol * abs(total), spec.abs_tol)
+        target = spec.rel_tol * math.fsum(map(abs, values))
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
         p = heap[0][2]
@@ -277,13 +279,14 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
 
 def integrate(f: Callable, a: float, b: float,
               spec: QuadratureSpec | None = None) -> QuadResult:
-    """Integrate f over (a, b), b possibly infinite, to the spec tolerances.
+    """Integrate f over (a, b), b possibly infinite, to the spec tolerance.
 
     Returns (value, err_estimate) with err_estimate the summed error
-    estimates of the panels.  Raises NonConvergent when the subdivision
-    budget runs out or a panel reaches the float width floor (an undeclared
-    singularity away from 0, or a divergent one), and ValueError when b is
-    infinite and spec declares no (inf, e) tail.
+    estimates of the panels, at most rel_tol times their summed |values|.
+    Raises NonConvergent when the subdivision budget runs out or a panel
+    reaches the float width floor (an undeclared singularity away from 0,
+    or a divergent one), and ValueError when b is infinite and spec
+    declares no (inf, e) tail.
     """
     spec = spec or QuadratureSpec()
     a, b = float(a), float(b)

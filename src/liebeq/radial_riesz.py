@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureSpec, convergence_screen
+from .quadrature import QuadratureSpec, QuadResult, convergence_screen
 from .specfun import Params, sphere_surface_area
 
 __all__ = [
@@ -384,8 +384,7 @@ def _potential_budget(f: RadialProfile, params: Params, r: float) -> tuple:
 
 
 def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
-                           quad: QuadratureSpec | None = None,
-                           with_error: bool = False):
+                           quad: QuadratureSpec | None = None) -> QuadResult:
     """(Tf)(r) = int_0^inf f(s) s^(n-1) K(r, s) ds for radial f.
 
     The (location, exponent) pairs at 0, s = r and inf are screened before
@@ -395,9 +394,10 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     For r > 0 the band |s - r| < r/2 is integrated in the diagonal distance
     d = |s - r| (folding the two sides), so the kernel singularity sits at
     an exact zero of the integration variable and graded panels can resolve
-    it to full precision.  The amplitude is factored out of the quadrature,
-    so scaling f by a power of two scales value and error exactly.  With
-    with_error=True returns (value, err).
+    it to full precision.  Returns QuadResult(value, err), err the summed
+    error estimates of the pieces.  The quadrature's target is relative to
+    the summed |panel values|, so scaling f by a power of two scales value
+    and error exactly.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError("radius must be nonnegative and finite")
@@ -412,34 +412,29 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
             f"potential integral diverges at {screen.failing_location}",
             location=screen.failing_location)
 
-    # T(Af) = A Tf exactly: integrate the unit-amplitude profile, so the
-    # absolute tolerance compares against O(1) values whatever A is
-    unit = replace(f, amplitude=1.0)
     origin, *diagonal, tail = budget
 
     def smooth_integrand(s):
         s = np.asarray(s, dtype=float)
-        return unit.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, np.abs(s - r))
+        return f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, np.abs(s - r))
 
     if r == 0.0:
-        value, err = quadrature.integrate(smooth_integrand, 0.0, math.inf,
-                                          replace(quad, singularities=(origin, tail)))
-    else:
-        def folded_band(d):
-            d = np.asarray(d, dtype=float)
-            both, dd = np.concatenate([r + d, r - d]), np.concatenate([d, d])
-            values = unit.value(both) * both ** (n - 1) * _kernel_from_distance(n, lam, r, both, dd)
-            return values[:d.size] + values[d.size:]
+        return quadrature.integrate(smooth_integrand, 0.0, math.inf,
+                                    replace(quad, singularities=(origin, tail)))
 
-        half = 0.5 * r
-        (_, at_diagonal), = diagonal     # at d = 0 of the band
-        inner = quadrature.integrate(smooth_integrand, 0.0, half,
-                                     replace(quad, singularities=(origin,)))
-        band = quadrature.integrate(folded_band, 0.0, half,
-                                    replace(quad, singularities=((0.0, at_diagonal),)))
-        outer = quadrature.integrate(smooth_integrand, 1.5 * r, math.inf,
-                                     replace(quad, singularities=(tail,)))
-        value = inner.value + band.value + outer.value
-        err = inner.error + band.error + outer.error
-    value, err = f.amplitude * value, f.amplitude * err
-    return (value, err) if with_error else value
+    def folded_band(d):
+        d = np.asarray(d, dtype=float)
+        both, dd = np.concatenate([r + d, r - d]), np.concatenate([d, d])
+        values = f.value(both) * both ** (n - 1) * _kernel_from_distance(n, lam, r, both, dd)
+        return values[:d.size] + values[d.size:]
+
+    half = 0.5 * r
+    (_, at_diagonal), = diagonal     # at d = 0 of the band
+    inner = quadrature.integrate(smooth_integrand, 0.0, half,
+                                 replace(quad, singularities=(origin,)))
+    band = quadrature.integrate(folded_band, 0.0, half,
+                                replace(quad, singularities=((0.0, at_diagonal),)))
+    outer = quadrature.integrate(smooth_integrand, 1.5 * r, math.inf,
+                                 replace(quad, singularities=(tail,)))
+    return QuadResult(inner.value + band.value + outer.value,
+                      inner.error + band.error + outer.error)

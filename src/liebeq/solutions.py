@@ -103,7 +103,7 @@ def verify_solution(f: RadialProfile, params: Params, radii,
     pm1 = params.pm1
     lhs, rhs, errs = [], [], []
     for r in radii:
-        value, err = riesz_potential_radial(f, params, r, quad, with_error=True)
+        value, err = riesz_potential_radial(f, params, r, quad)
         lhs.append(value)
         rhs.append(float(f.value(r)) ** pm1)
         errs.append(err)

@@ -55,6 +55,13 @@ class TestVerifySolution:
         assert report["verdict"] == "Verified"
         assert report["results"][0]["verdict"] == "Verified"
 
+    def test_lieb_verified_far_out_in_six_dimensions(self, tmp_path):
+        out = tmp_path / "v.json"
+        code = main(["verify-solution", "--which", "lieb", "--n", "6", "--lambda", "4.5",
+                     "--radii", "1000,3000", "--no-timestamp", "--out", str(out)])
+        assert code == 0
+        assert load_report(str(out))["verdict"] == "Verified"
+
     def test_invalid_lambda_is_usage_error(self, capsys):
         code = main(["verify-solution", "--n", "1", "--lambda", "2"])
         assert code == 2
@@ -68,12 +75,20 @@ class TestVerifySolution:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("which,option", [("lieb", "--abs-tol"), ("singular", "--rel-tol")])
+    @pytest.mark.parametrize("which,option", [("singular", "--rel-tol")])
     def test_infinite_quadrature_tolerance_is_usage_error(self, which, option, capsys):
         # an infinite tolerance would stop the quadrature at its first estimate
         code = main(["verify-solution", "--which", which, option, "inf", "--no-timestamp"])
         assert code == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    def test_removed_abs_tol_is_usage_error(self, tmp_path, capsys):
+        # the quadrature target is relative only, as a flag or a config key
+        assert main(["verify-solution", "--abs-tol", "1e-14", "--no-timestamp"]) == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("abs-tol=1e-14\n")
+        assert main(["verify-solution", "--config", str(cfg), "--no-timestamp"]) == 2
+        assert "unknown config key 'abs_tol'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which,radii", [("singular", "-1,1"), ("lieb", "-1,1"),
                                              ("singular", "0,1"), ("lieb", "inf"),

@@ -64,7 +64,7 @@ def test_oracle_corpus(case):
     spec = QuadratureSpec(singularities=singularities)
     value, err = integrate(f, a, b, spec)
     actual = abs(value - exact)
-    assert actual <= max(spec.rel_tol * abs(exact), spec.abs_tol) * 5
+    assert actual <= spec.rel_tol * abs(exact) * 5
     assert err >= actual or actual < 1e-14
 
 
@@ -103,7 +103,7 @@ def test_linearity_within_three_tolerances():
     combo = lambda s: a_coef * f(s) + b_coef * g(s)
     lhs = integrate(combo, 0, 10, spec).value
     rhs = a_coef * integrate(f, 0, 10, spec).value + b_coef * integrate(g, 0, 10, spec).value
-    assert abs(lhs - rhs) <= 3 * max(spec.rel_tol * abs(rhs), spec.abs_tol)
+    assert abs(lhs - rhs) <= 3 * spec.rel_tol * abs(rhs)
 
 
 def test_redundant_split_invariance():
@@ -297,6 +297,33 @@ def test_spec_validation():
 def test_error_estimate_is_conservative_on_smooth():
     res = integrate(lambda s: np.sin(s), 0, math.pi)
     assert abs(res.value - 2.0) <= max(res.error, 1e-14)
+
+
+# -- the scale-free target ---------------------------------------------------
+
+@pytest.mark.parametrize("k", [-600, -100, 100, 600])
+def test_power_of_two_scaling_is_exact(k):
+    # the target is relative to the summed |panel values|, so every decision
+    # of the refinement scales with f: value and error scale bit for bit
+    spec = QuadratureSpec(singularities=((math.inf, -2.0),))
+    f = lambda s: s ** -0.5 * np.exp(-s)
+    base = integrate(f, 0, math.inf, spec)
+    scaled = integrate(lambda s: math.ldexp(1.0, k) * f(s), 0, math.inf, spec)
+    assert scaled == (math.ldexp(base.value, k), math.ldexp(base.error, k))
+
+
+def test_cancelling_integral_is_within_its_bar():
+    value, err = integrate(lambda s: s, -1.0, 1.0)
+    assert abs(value) <= err
+
+
+def test_zero_integrand_stops_at_zero():
+    assert integrate(np.zeros_like, 0.0, 1.0) == (0.0, 0.0)
+
+
+def test_spec_has_no_absolute_tolerance():
+    with pytest.raises(TypeError):
+        QuadratureSpec(abs_tol=1e-14)
 
 
 # -- convergence screen ------------------------------------------------------

@@ -322,13 +322,13 @@ class TestRieszPotential:
         f = singular_solution(p_half)
         c_pm1 = lieb_constant_C(p_half) ** p_half.pm1
         for r in (0.5, 1.0, 2.0):
-            val = riesz_potential_radial(f, p_half, r)
+            val = riesz_potential_radial(f, p_half, r).value
             assert val == pytest.approx(c_pm1 * r ** (-p_half.lam / 2), rel=1e-6)
 
     def test_dilation_homogeneity(self, p_half):
         f = RadialProfile.power_singular(1.0, p_half.solution_exponent)
-        v1 = riesz_potential_radial(f, p_half, 1.0)
-        v2 = riesz_potential_radial(f, p_half, 2.0)
+        v1 = riesz_potential_radial(f, p_half, 1.0).value
+        v2 = riesz_potential_radial(f, p_half, 2.0).value
         assert v2 / v1 == pytest.approx(2.0 ** (-p_half.lam / 2), rel=1e-9)
 
     @pytest.mark.parametrize("n,lam", [(1, 0.5), (2, 1.0), (3, 1.5), (5, 2.5)])
@@ -339,11 +339,11 @@ class TestRieszPotential:
         for base, radii in ((singular_solution(p), (2.0,)),
                             (lieb_solution(p), (0.0, 2.0))):
             for r in radii:
-                value, err = riesz_potential_radial(base, p, r, with_error=True)
+                value, err = riesz_potential_radial(base, p, r)
                 for k in (-100, -50, 0, 50, 100):
                     scaled = RadialProfile(base.kind, math.ldexp(base.amplitude, k),
                                            base.exponent)
-                    v, e = riesz_potential_radial(scaled, p, r, with_error=True)
+                    v, e = riesz_potential_radial(scaled, p, r)
                     assert (v, e) == (math.ldexp(value, k), math.ldexp(err, k))
 
     def test_lieb_at_origin_beta_form(self):
@@ -351,7 +351,7 @@ class TestRieszPotential:
         f = lieb_solution(p)
         expected = (sphere_surface_area(3) * 0.5 * beta(1.0, 1.5)
                     * lieb_constant_L(p))
-        assert riesz_potential_radial(f, p, 0.0) == pytest.approx(expected, rel=1e-9)
+        assert riesz_potential_radial(f, p, 0.0).value == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("n,lam,mu", [(1, 0.5, 0.75), (2, 1.2, 1.5),
                                           (3, 1.0, 2.5)])
@@ -360,13 +360,13 @@ class TestRieszPotential:
         f = RadialProfile.power_singular(1.0, mu)
         k = riesz_power_constant(n, lam, mu)
         for r in (0.5, 1.0, 2.0):
-            val = riesz_potential_radial(f, p, r)
+            val = riesz_potential_radial(f, p, r).value
             assert val == pytest.approx(k * r ** (n - lam - mu), rel=1e-6)
 
     def test_positivity(self, p_half):
         f = lieb_solution(p_half)
         for r in (0.0, 0.3, 1.0, 4.0):
-            assert riesz_potential_radial(f, p_half, r) > 0.0
+            assert riesz_potential_radial(f, p_half, r).value > 0.0
 
     def test_self_adjointness(self):
         # int g (T h) = int h (T g) for radial g, h in dimension 3
@@ -377,10 +377,10 @@ class TestRieszPotential:
 
         def pair(a, b):
             integrand = lambda r: (a.value(r) * r ** 2
-                                   * np.array([riesz_potential_radial(b, p, ri)
+                                   * np.array([riesz_potential_radial(b, p, ri).value
                                                for ri in np.atleast_1d(r)]))
             return area * integrate(integrand, 0.0, math.inf,
-                                    QuadratureSpec(rel_tol=1e-7, abs_tol=1e-10,
+                                    QuadratureSpec(rel_tol=1e-7,
                                                    singularities=((math.inf, -2.5),))).value
 
         assert pair(g, h) == pytest.approx(pair(h, g), rel=1e-7)
@@ -406,6 +406,19 @@ class TestRieszPotential:
 
     def test_with_error_is_conservative(self, p_half):
         f = singular_solution(p_half)
-        val, err = riesz_potential_radial(f, p_half, 1.0, with_error=True)
+        val, err = riesz_potential_radial(f, p_half, 1.0)
         exact = lieb_constant_C(p_half) ** p_half.pm1
         assert abs(val - exact) <= max(err * 50, 1e-9)
+
+    # the outer piece [1.5r, inf) starts with the one cell [1.5r, 1], about 84r
+    # wide at r = 0.012: its 22 nodes miss the kernel's variation on the scale
+    # r, the 15- and 7-point rules agree, and the bar comes out short
+    @pytest.mark.xfail(strict=True, reason="coarse first cell of the outer piece at small r")
+    @pytest.mark.parametrize("lam,r,rel_tol", [(1.21062607097883, 0.011930997240455323, 1e-8),
+                                               (1.374, 0.0185, 1e-6)])
+    def test_small_radius_error_within_bar(self, lam, r, rel_tol):
+        p = Params(3, lam)
+        f = lieb_solution(p)
+        value, err = riesz_potential_radial(f, p, r, QuadratureSpec(rel_tol=rel_tol))
+        exact = float(f.value(r)) ** p.pm1
+        assert abs(value - exact) <= err + 8 * math.ulp(exact)

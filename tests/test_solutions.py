@@ -183,6 +183,24 @@ class TestVerifySolution:
         assert rep.max_rel_residual == best
 
 
+class TestLargeRadii:
+    # the Lieb solution's potential decays like r^(-lam) while the profile's
+    # bump stays at r ~ 1; every cell is an exact solution, so each residual
+    # is quadrature error and must lie within its relative bar
+    @pytest.mark.parametrize("fracs,radii", [
+        ((0.1, 0.5, 0.9), (1e3, 1e4, 1e5, 1e6)),
+        ((0.3, 0.5, 0.75, 0.9, 0.95), (10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0))])
+    def test_lieb_verified_at_large_radii(self, fracs, radii):
+        for n in range(1, 7):
+            for frac in fracs:
+                p = Params(n, frac * n)
+                for r in radii:
+                    rep = verify_solution(lieb_solution(p), p, [r])
+                    assert rep.verdict == VERIFIED, (n, frac, r)
+                    bar = rep.err_estimates[0] / abs(rep.rhs_values[0])
+                    assert rep.max_rel_residual <= bar, (n, frac, r)
+
+
 class TestDecayBehaviour:
     @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
     def test_lieb_thousandfold_radius(self, lam):
