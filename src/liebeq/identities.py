@@ -296,15 +296,14 @@ class _PairResult:
 
 def _pair_integrand(u: tuple, v: tuple, n: int):
     """D_beta(g) * D_alpha(f) for factors u = (g, beta), v = (f, alpha) as a
-    radial integrand on R^n."""
+    radial integrand on R^n, times |S^(n-1)| x^(n-1): on the line, 2, one
+    for each half-line."""
     (g, beta), (f, alpha) = u, v
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
-        out = g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
-        if n > 1:
-            out = out * sphere_surface_area(n) * x ** (n - 1)
-        return out
+        return (g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
+                * sphere_surface_area(n) * x ** (n - 1))
 
     return integrand
 
@@ -314,12 +313,11 @@ def _pair_integral(u: tuple, v: tuple, params: Params,
     """Certified integral of D_beta(g) * D_alpha(f) over R^n for the factors
     u = (g, beta) and v = (f, alpha), each a RadialProfile and an order.
 
-    On the line the positive half-line is integrated and the negative one
-    taken by parity: both factors are even, and derivative_1d(-x, k) is
-    (-1)^k derivative_1d(x, k) exactly.  Otherwise the radius is
-    integrated; the radial reduction covers alpha = beta = 0 in higher
-    dimension.  Returns value NaN with the screen attached when the screen
-    rejects the (location, exponent) pairs.
+    The radius is integrated, the line being the case n = 1; an odd line
+    integrand is 0 by parity (both factors are even, and derivative_1d(-x, k)
+    is (-1)^k derivative_1d(x, k) exactly).  The radial reduction covers
+    alpha = beta = 0 in higher dimension.  Returns value NaN with the screen
+    attached when the screen rejects the (location, exponent) pairs.
     """
     n = params.n
     (g, beta), (f, alpha) = u, v
@@ -336,13 +334,8 @@ def _pair_integral(u: tuple, v: tuple, params: Params,
 
     h = quadrature.integrate(_pair_integrand(u, v, n), 0.0, math.inf,
                              replace(quad, singularities=singularities))
-    # the line integrand has the parity of alpha + beta, bit for bit, and the
-    # quadrature commutes with negation: the mirror half-line doubles an
-    # even integrand (2 x == x + x exactly) and cancels an odd one
-    halves = 2.0 if n == 1 else 1.0
-    value = 0.0 if parity_forced else halves * h.value
-    return _PairResult(value, halves * h.error, screen, parity_forced,
-                       halves * abs(h.value))
+    return _PairResult(0.0 if parity_forced else h.value, h.error, screen, parity_forced,
+                       abs(h.value))
 
 
 def _pair_table(params: Params, quad: QuadratureSpec):
@@ -550,8 +543,8 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
 def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
                          beta, params: Params, R: float,
                          quad: QuadratureSpec | None = None) -> float:
-    """Force-integrate D_beta(g) D_alpha(f^(p-1)) over the radial annulus
-    [1/R, R], bypassing the convergence screen.
+    """Force-integrate D_beta(g) D_alpha(f^(p-1)) over the annulus 1/R < |x| < R
+    (on the line, both halves), bypassing the convergence screen.
 
     This is the screen-soundness diagnostic: instances the screen rejects
     must show non-stabilizing values as R grows.  (The annulus is radial;

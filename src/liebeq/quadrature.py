@@ -4,7 +4,8 @@ Handles integrands that are analytic between declared singular points,
 with algebraic or logarithmic singularities of exponent > -1 at interval
 endpoints and singular points, and declared power-law tails on [a, inf):
 (inf, e) for f(t) ~ t**e, e < -1, and (inf, -2.0) for faster decay.  The
-substitution t = 1/u folds a tail to an endpoint exponent -2 - e at u = 0.
+substitution t = 1/u folds the tail [T, inf) to one more panel (0, 1/T],
+with an endpoint exponent -2 - e at u = 0, as in QUADPACK's QAGI.
 Building a QuadratureSpec validates its declarations by convergence_screen.
 
 Panels are graded geometrically toward cell boundaries.  A panel that
@@ -18,12 +19,13 @@ NonConvergent.
 
 Integrands must be vectorized and pointwise: f(x) for a float 1-D ndarray x
 returns an ndarray of the same shape, and a node's value must not depend on
-the rest of its batch.  The initial cells take one call, on the nodes of the
-15- and 7-point rules of each in turn, and each split takes one more, on the
-44 nodes of its left child, then its right child.  Everything here is pure and
-deterministic; panel values are summed with math.fsum, so the result does not
-depend on refinement order.  Refinement stops when the summed panel errors
-are at most rel_tol times the summed |panel values|: a scale-free target, so
+the rest of its batch.  The initial panels (the cells and the folded tail)
+share one call, on the nodes of the 15- and 7-point rules of each in turn,
+and each split takes one more, on the 44 nodes of its left child, then its
+right child.  Everything here is pure and deterministic; panel values are
+summed with math.fsum, so the result does not depend on refinement order.
+Refinement stops when the summed panel errors of the whole integral are at
+most rel_tol times the summed |panel values|: a scale-free target, so
 scaling f by a power of two scales value and error exactly.
 """
 
@@ -33,7 +35,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -188,12 +190,13 @@ def _panel_rule(ea: float, eb: float):
 class _Panel:
     """A panel [a, b].  left and right are the exponents declared at a and b
     when those are cell boundaries (0.0 when none is declared), and None
-    inside a cell."""
+    inside a cell.  A folded panel lies in u = 1/t and integrates f(1/u)/u^2."""
 
     a: float
     b: float
     left: float | None
     right: float | None
+    folded: bool = False
     value: float = 0.0
     error: float = math.inf
 
@@ -227,41 +230,41 @@ class _Panel:
 
 
 def _evaluate(f, panels) -> None:
-    """Fit each panel, from one call of f on the nodes of all of them in turn."""
+    """Fit each panel, from one call of f on the nodes of all of them in turn:
+    t = 1/u on a folded panel's nodes u, whose values are divided by u^2."""
     rules = [_panel_rule(p.left or 0.0, p.right or 0.0) for p in panels]
     size = _RULE_HI + _RULE_LO
     with np.errstate(all="ignore"):
-        fx = np.asarray(f(np.concatenate([0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * rule[0]
-                                          for p, rule in zip(panels, rules)])), dtype=float)
-        for k, (p, rule) in enumerate(zip(panels, rules)):
-            p.fit(fx[k * size:(k + 1) * size], rule)
+        nodes = [0.5 * (p.a + p.b) + 0.5 * (p.b - p.a) * rule[0] for p, rule in zip(panels, rules)]
+        t = np.concatenate([1.0 / u if p.folded else u for p, u in zip(panels, nodes)])
+        fx = np.asarray(f(t), dtype=float)
+        for k, (p, rule, u) in enumerate(zip(panels, rules, nodes)):
+            fk = fx[k * size:(k + 1) * size]
+            p.fit(fk / (u * u) if p.folded else fk, rule)
 
 
-def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
-                     spec: QuadratureSpec) -> QuadResult:
-    """Adaptive integration over cells whose boundaries may all be singular.
+def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
+    """Adaptive integration from the initial panels, to one error target.
 
-    exponents maps a boundary to the exponent declared there.  The worst
-    panel, the top of a heap keyed (-error, a), is split until the error
-    target is met; a panel at the float width floor, or one whose cut
-    does not land strictly inside it, cannot be split and raises
-    NonConvergent; so panels keep distinct left ends, and the heap never
-    compares two panels.  The initial cells share one call of f, and so do
-    the two children of each split.
+    The worst panel, the top of a heap keyed (-error, folded, a), is split
+    until the whole integral meets the target; a panel at the float width
+    floor, or one whose cut does not land strictly inside it, cannot be
+    split and raises NonConvergent; so the panels on each side of the fold
+    keep distinct left ends, and the heap never compares two panels.  The
+    initial panels share one call of f, and so do the two children of each
+    split.
     """
-    panels = [_Panel(a, b, exponents.get(a, 0.0), exponents.get(b, 0.0))
-              for a, b in zip(boundaries, boundaries[1:])]
     _evaluate(f, panels)
-    heap = [(-p.error, p.a, p) for p in panels]
+    heap = [(-p.error, p.folded, p.a, p) for p in panels]
     heapq.heapify(heap)
     while True:
-        values = [p.value for _, _, p in heap]
+        values = [p.value for _, _, _, p in heap]
         total = math.fsum(values)
-        err = math.fsum(p.error for _, _, p in heap)
+        err = math.fsum(p.error for _, _, _, p in heap)
         target = spec.rel_tol * math.fsum(map(abs, values))
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
-        p = heap[0][2]
+        p = heap[0][3]
         cut = p.split_point()
         # the width floor scales with position: toward 0 panels shrink on
         # through the subnormals until the cut lands on an end
@@ -271,10 +274,11 @@ def _integrate_cells(f, boundaries: Sequence[float], exponents: dict,
                 f"estimated error {err:.3e} above target {target:.3e} with "
                 f"{len(heap)} panels", value=total, error=err)
         heapq.heappop(heap)
-        children = (_Panel(p.a, cut, p.left, None), _Panel(cut, p.b, None, p.right))
+        children = (_Panel(p.a, cut, p.left, None, p.folded),
+                    _Panel(cut, p.b, None, p.right, p.folded))
         _evaluate(f, children)
         for child in children:
-            heapq.heappush(heap, (-child.error, child.a, child))
+            heapq.heappush(heap, (-child.error, child.folded, child.a, child))
 
 
 def integrate(f: Callable, a: float, b: float,
@@ -283,9 +287,11 @@ def integrate(f: Callable, a: float, b: float,
 
     Returns (value, err_estimate) with err_estimate the summed error
     estimates of the panels, at most rel_tol times their summed |values|.
-    Raises NonConvergent when the subdivision budget runs out or a panel
-    reaches the float width floor (an undeclared singularity away from 0,
-    or a divergent one), and ValueError when b is infinite and spec
+    An infinite range is one run: the cells of [a, T] and the tail folded at
+    T = max(a, 2 * the largest interior point), or 1 where that is not
+    positive.  Raises NonConvergent when the subdivision budget runs out or
+    a panel reaches the float width floor (an undeclared singularity away
+    from 0, or a divergent one), and ValueError when b is infinite and spec
     declares no (inf, e) tail.
     """
     spec = spec or QuadratureSpec()
@@ -296,25 +302,15 @@ def integrate(f: Callable, a: float, b: float,
         raise ValueError("need a < b")
     exponents = dict(spec.singularities)
     interior = [s for s in exponents if a < s < b]
-
-    if math.isfinite(b):
-        return _integrate_cells(f, [a, *interior, b], exponents, spec)
-    if math.inf not in exponents:
-        raise ValueError("an infinite upper limit needs a declared (inf, exponent) tail")
-
-    # infinite upper limit: finite part up to T, then fold [T, inf) to (0, 1/T]
-    T = max(1.0, 2.0 * max(interior, default=0.0), a)
-
-    def folded(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(f(1.0 / u), dtype=float) / (u * u)
-
-    # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps the
-    # exponent declared at T, which can only be a = T
-    folded_exponents = {0.0: -2.0 - exponents[math.inf],
-                        1.0 / T: exponents.get(T, 0.0)}
-    tail = _integrate_cells(folded, [0.0, 1.0 / T], folded_exponents, spec)
-    if T == a:
-        return tail
-    head = _integrate_cells(f, [a, *interior, T], exponents, spec)
-    return QuadResult(head.value + tail.value, head.error + tail.error)
+    T, tail = b, []
+    if math.isinf(b):
+        if math.inf not in exponents:
+            raise ValueError("an infinite upper limit needs a declared (inf, exponent) tail")
+        T = max(a, 2.0 * max(interior, default=-math.inf))
+        T = T if T > 0.0 else 1.0
+        # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps
+        # the exponent declared at T, which can only be a = T
+        tail = [_Panel(0.0, 1.0 / T, -2.0 - exponents[math.inf], exponents.get(T, 0.0), True)]
+    cells = [a, *interior, T] if T > a else []
+    return _integrate_cells(f, [_Panel(lo, hi, exponents.get(lo, 0.0), exponents.get(hi, 0.0))
+                                for lo, hi in zip(cells, cells[1:])] + tail, spec)

@@ -380,7 +380,7 @@ def _potential_budget(f: RadialProfile, params: Params, r: float) -> tuple:
     tail = (math.inf, f.exponent_at_infinity() - lam + (n - 1))
     if r == 0.0:
         return (0.0, zero_exp - lam), tail
-    return (0.0, zero_exp), (r, -lam if n == 1 else min(0.0, (n - 1) - lam)), tail
+    return (0.0, zero_exp), (r, min(0.0, (n - 1) - lam)), tail
 
 
 def riesz_potential_radial(f: RadialProfile, params: Params, r: float,

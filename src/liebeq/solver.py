@@ -388,12 +388,15 @@ def picard_solve(config: SolverConfig, params: Params, init=1.0):
 
 
 def residual_on_points(solution: GridSolution1D, points) -> float:
-    """Max relative residual |T_G u_h - u_h^(p-1)| / |u_h^(p-1)| at arbitrary
-    probe points, with u_h the piecewise-linear grid interpolant and T_G u_h
-    evaluated exactly through the panel moments."""
+    """Max relative residual |T_G u_h - u_h^(p-1)| / |u_h^(p-1)| at probe
+    points in [x_0, x_(N-1)], with u_h the piecewise-linear grid interpolant
+    and T_G u_h evaluated exactly through the panel moments.  ValueError for
+    no probes, or a probe off the grid, where u_h is not defined."""
     x = np.asarray(solution.x)
     u = np.asarray(solution.values)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if not (pts.size and np.all((x[0] <= pts) & (pts <= x[-1]))):
+        raise ValueError(f"need at least one probe, each in [{x[0]}, {x[-1]}]")
     lhs = moment_matrix(x, pts, solution.params.lam) @ u
     rhs = np.interp(pts, x, u) ** solution.params.pm1
-    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs), initial=0.0))
+    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))

@@ -10,8 +10,8 @@ power kernel (2*pi phase convention), the Riesz composition constant, and
 the amplitudes of the singular power solution and of the bounded (Lieb)
 solution.
 
-All constants are evaluated in the log-Gamma domain and exponentiated
-once, and every operation here is pure and deterministic.
+Constants are evaluated in the log-Gamma domain and exponentiated once
+(the sphere area directly, where Gamma is finite), by pure functions.
 """
 
 from __future__ import annotations
@@ -89,11 +89,14 @@ def beta(a: float, b: float) -> float:
 def sphere_surface_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2).
 
-    n = 1 gives 2, the counting measure of the two-point sphere.  Cached:
-    the angular kernel and the radial pair integrands read it on every call.
+    n = 1 gives exactly 2, the counting measure of the two-point sphere; the
+    log-Gamma domain takes over from n = 344, where Gamma(n/2) overflows.
+    Cached: the angular kernel and the radial pair integrands read it.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if n < 344:
+        return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
     return math.exp(math.log(2.0) + 0.5 * n * math.log(math.pi) - log_gamma(0.5 * n))
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from liebeq import quadrature
 from liebeq.identities import (NOT_APPLICABLE, VERIFIED, DifferentialForm,
-                               MultiIndex, SolutionDescriptor, apply_form,
-                               check_commutativity, check_composite,
+                               MultiIndex, SolutionDescriptor, _pair_integral,
+                               apply_form, check_commutativity, check_composite,
                                check_orthogonality, cutoff_pair_integral,
                                parity_split, parse_form, solution_descriptor)
+from liebeq.quadrature import QuadratureSpec
 from liebeq.radial_riesz import RadialProfile
 from liebeq.solutions import lieb_solution, singular_solution
 from liebeq.specfun import Params, lieb_constant_L
@@ -274,6 +275,61 @@ def test_zeroth_cross_identity_against_beta_closed_form(n, frac):
     assert abs(rep.lhs - rep.rhs) <= 1e-6 * abs(rep.rhs)
 
 
+def _ladder_terms(profile: RadialProfile, order: int) -> list:
+    """D^order of the profile on x > 0 at 40 digits, by the product rule, as
+    (c, p, e, c0) terms c x^p (c0 + x^2)^(-e): the power kind is
+    A (0 + x^2)^(-exponent/2), the Lieb kind A (1 + x^2)^(-exponent)."""
+    c0 = 0 if profile.kind == "power_singular" else 1
+    e0 = mpmath.mpf(profile.exponent) / (2 - c0)
+    terms = {(0, 0): mpmath.mpf(profile.amplitude)}     # (p, j): x^p (c0 + x^2)^(-e0 - j)
+    for _ in range(order):
+        step = {}
+        for (p, j), c in terms.items():
+            if p:
+                step[p - 1, j] = step.get((p - 1, j), 0) + p * c
+            step[p + 1, j + 1] = step.get((p + 1, j + 1), 0) - 2 * (e0 + j) * c
+        terms = step
+    return [(c, p, e0 + j, c0) for (p, j), c in terms.items()]
+
+
+def _pair_exact(u: tuple, v: tuple, n: int):
+    """|S^(n-1)| int_0^inf x^(n-1) D^beta g D^alpha f dx for u = (g, beta) and
+    v = (f, alpha), at 40 digits, term by term from
+    int_0^inf x^P (1 + x^2)^(-Q) dx = B((P+1)/2, Q - (P+1)/2) / 2."""
+    total = 0
+    for c1, p1, e1, k1 in _ladder_terms(*u):
+        for c2, p2, e2, k2 in _ladder_terms(*v):
+            a = (p1 + p2 + n - 2 * (e1 * (1 - k1) + e2 * (1 - k2))) / 2    # (P + 1) / 2
+            total += c1 * c2 * mpmath.beta(a, e1 * k1 + e2 * k2 - a) / 2
+    return 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2) * total
+
+
+def test_pair_integral_error_bars_against_beta_closed_forms():
+    # every factor D^k f is a ladder of c x^p (c0 + x^2)^(-e) terms, so each
+    # pair integral is a sum of Beta functions: every error must lie within
+    # its bar, at orders 0-3 (even totals) on the line and at order 0 in
+    # n = 2..5; 300 seeded integrals that the screen accepts
+    rng = np.random.default_rng(5)
+    done, short = 0, []
+    while done < 300:
+        n = 1 if rng.random() < 0.6 else int(rng.integers(2, 6))
+        p = Params(n, n * rng.uniform(0.1, 0.9))
+        fC, fL = singular_solution(p), lieb_solution(p)
+        profiles = (fC, fC.pow(p.pm1), fL, fL.pow(p.pm1))
+        orders = rng.integers(0, 4, size=2) if n == 1 else (0, 0)
+        u, v = ((profiles[i], int(k)) for i, k in zip(rng.integers(0, 4, size=2), orders))
+        rel_tol = (1e-6, 1e-9, 1e-12)[rng.integers(3)]
+        res = _pair_integral(u, v, p, QuadratureSpec(rel_tol=rel_tol))
+        if res.parity_forced or not res.screen:
+            continue
+        with mpmath.workdps(40):
+            exact = float(_pair_exact(u, v, n))
+        done += 1
+        if abs(res.value - exact) > res.error + 8 * math.ulp(exact):
+            short.append((p, u, v, rel_tol, res.value, exact, res.error))
+    assert not short, short
+
+
 class TestAmplitudeCovariance:
     """Scaling the solution by 2^j and its power by 2^k scales every pair
     integral by exactly 2^(j+k) and leaves every gap and verdict as is."""
@@ -490,3 +546,13 @@ class TestCutoffForceIntegration:
         d1, d2 = abs(values[1] - values[0]), abs(values[2] - values[1])
         assert d2 < 0.2 * d1
         assert d2 < 2e-3 * abs(values[2])
+
+    def test_line_cutoff_tends_to_the_pair_integral(self, descriptors):
+        # on the line the annulus 1/R < |x| < R has two halves, so the cutoff
+        # integral approaches the whole pair integral, with an O(1/R) gap
+        p, _, fL = descriptors
+        whole = check_commutativity(fL, fL, 0, 0, p).lhs
+        gaps = [abs(cutoff_pair_integral(fL, 0, fL, 0, p, R) - whole) / whole
+                for R in (1e2, 1e3, 1e4)]
+        assert gaps[2] < 0.2 * gaps[1] < 0.04 * gaps[0]
+        assert gaps[2] < 1e-3

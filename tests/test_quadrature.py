@@ -168,6 +168,61 @@ def test_initial_cells_share_one_call():
                                                     _panel_nodes(0.5, 1.0, 0.0, 0.0)]))
 
 
+# -- one adaptive run per integral --------------------------------------------
+
+def test_head_cells_and_folded_tail_share_the_first_call():
+    # [0, inf) with a split at 0.5 folds at T = 1: the cells [0, 0.5] and
+    # [0.5, 1] and the tail panel (0, 1] in u = 1/t take one call
+    spec = QuadratureSpec(singularities=((0.5, 0.0), (math.inf, -2.0)))
+    calls = []
+    integrate(lambda x: calls.append(np.array(x)) or np.exp(-x), 0.0, math.inf, spec)
+    assert calls[0].shape == (66,)
+    assert np.array_equal(calls[0], np.concatenate([_panel_nodes(0.0, 0.5, 0.0, 0.0),
+                                                    _panel_nodes(0.5, 1.0, 0.0, 0.0),
+                                                    1.0 / _panel_nodes(0.0, 1.0, 0.0, 0.0)]))
+
+
+def test_negative_lower_limit_folds_at_one():
+    # max(a, 2 * -1) = -2 is not positive: the fold point is 1, after the
+    # cells [-2, -1] and [-1, 1]
+    spec = QuadratureSpec(singularities=((-1.0, 0.0), (math.inf, -2.0)))
+    calls = []
+    value, err = integrate(lambda x: calls.append(np.array(x)) or 1.0 / (1.0 + x * x),
+                           -2.0, math.inf, spec)
+    assert np.array_equal(calls[0], np.concatenate([_panel_nodes(-2.0, -1.0, 0.0, 0.0),
+                                                    _panel_nodes(-1.0, 1.0, 0.0, 0.0),
+                                                    1.0 / _panel_nodes(0.0, 1.0, 0.0, 0.0)]))
+    exact = math.pi / 2 + math.atan(2.0)
+    assert abs(value - exact) <= err
+    assert err <= spec.rel_tol * exact
+
+
+def test_positive_lower_limit_is_folded_whole():
+    # [a, inf) with a > 0 and nothing declared inside is the one panel
+    # (0, 1/a] in u = 1/t: every node of the first call lies in [a, inf)
+    a = 0.25
+    spec = QuadratureSpec(singularities=((math.inf, -2.0),))
+    calls = []
+    value, err = integrate(lambda x: calls.append(np.array(x)) or 1.0 / (1.0 + x * x),
+                           a, math.inf, spec)
+    assert np.all(calls[0] >= a)
+    assert np.array_equal(calls[0], 1.0 / _panel_nodes(0.0, 1.0 / a, 0.0, 0.0))
+    assert abs(value - (math.pi / 2 - math.atan(a))) <= err
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13])
+def test_one_target_for_head_and_tail(rel_tol):
+    # a one-signed integrand: the summed |panel values| is |value|, and the
+    # head and the folded tail meet one target together
+    spec = QuadratureSpec(rel_tol=rel_tol, singularities=((0.0, -0.5), (math.inf, -2.0)))
+    calls = []
+    value, err = integrate(lambda x: calls.append(np.array(x)) or x ** -0.5 * np.exp(-x),
+                           0.0, math.inf, spec)
+    assert np.any(calls[0] < 1.0) and np.any(calls[0] > 1.0)
+    assert err <= rel_tol * abs(value)
+    assert abs(value - math.sqrt(math.pi)) <= err + 8 * math.ulp(math.sqrt(math.pi))
+
+
 def test_undeclared_tail_is_refused():
     # an infinite upper limit needs its decay declared; nothing guesses it
     for f in (lambda s: 1.0 / s, lambda s: s ** -0.5, lambda s: np.exp(-s)):

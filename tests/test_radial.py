@@ -410,10 +410,8 @@ class TestRieszPotential:
         exact = lieb_constant_C(p_half) ** p_half.pm1
         assert abs(val - exact) <= max(err * 50, 1e-9)
 
-    # the outer piece [1.5r, inf) starts with the one cell [1.5r, 1], about 84r
-    # wide at r = 0.012: its 22 nodes miss the kernel's variation on the scale
-    # r, the 15- and 7-point rules agree, and the bar comes out short
-    @pytest.mark.xfail(strict=True, reason="coarse first cell of the outer piece at small r")
+    # the kernel varies on the scale r: a first panel of the outer piece much
+    # wider than r can have 15- and 7-point rules that agree on a short bar
     @pytest.mark.parametrize("lam,r,rel_tol", [(1.21062607097883, 0.011930997240455323, 1e-8),
                                                (1.374, 0.0185, 1e-6)])
     def test_small_radius_error_within_bar(self, lam, r, rel_tol):

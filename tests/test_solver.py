@@ -210,6 +210,19 @@ class TestNewtonScheme:
         probes = np.asarray(solution.x)[4:-4:8]
         assert residual_on_points(solution, probes) <= 1e-8
 
+    @pytest.mark.parametrize("probes", [[], [1.5], [0.0, -1.0 - 1e-12], [math.nan]],
+                             ids=["none", "right-of-grid", "left-of-grid", "nan"])
+    def test_residual_refuses_probes_it_cannot_judge(self, converged, probes):
+        # u_h is defined on [x_0, x_(N-1)] only, and no probe judges nothing
+        _, _, solution, _ = converged
+        with pytest.raises(ValueError, match="probe"):
+            residual_on_points(solution, probes)
+
+    def test_residual_accepts_the_grid_ends(self, converged):
+        _, _, solution, _ = converged
+        x = np.asarray(solution.x)
+        assert residual_on_points(solution, [x[0], x[-1]]) < 1e-8
+
     def test_weighted_norm_finite(self, converged):
         p, cfg, solution, _ = converged
         res = weighted_norm(solution, 1, p.lam, cfg.domain)

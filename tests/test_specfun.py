@@ -204,7 +204,18 @@ class TestLiebConstantL:
 
 
 def test_sphere_surface_area():
-    assert sphere_surface_area(1) == pytest.approx(2.0, rel=1e-15)
+    assert sphere_surface_area(1) == 2.0
     assert sphere_surface_area(2) == pytest.approx(2 * math.pi, rel=1e-14)
     assert sphere_surface_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
     assert sphere_surface_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+
+def test_sphere_surface_area_within_ulps_of_mpmath():
+    # direct 2 pi^(n/2) / Gamma(n/2): within 2 ulp of the 40-digit value up to
+    # n = 6; by n = 20 the float pi's own rounding, raised to the power n/2,
+    # adds up to about 4 ulp
+    with mpmath.workdps(40):
+        for n in range(1, 21):
+            exact = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
+            ulps = abs(sphere_surface_area(n) - exact) / math.ulp(float(exact))
+            assert ulps <= (2.0 if n <= 6 else 4.0), n
