@@ -39,8 +39,8 @@ from .identities import (check_commutativity, check_composite, check_orthogonali
                          parse_form, solution_descriptor)
 from .quadrature import NonConvergent, QuadratureSpec
 from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
-from .regularity import (Domain1D, decay_singularity_scan, kernel_growth_check,
-                         translation_annihilation_check, weighted_norm)
+from .regularity import (Domain1D, _kernel_sample, decay_singularity_scan,
+                         kernel_growth_check, translation_annihilation_check, weighted_norm)
 from .solutions import check_tolerance, lieb_solution, singular_solution, verify_solution
 from .solver import NonPositive, SolverConfig, picard_solve
 from .specfun import (Params, ft_riesz_coefficient, lieb_constant_C, lieb_constant_L,
@@ -56,11 +56,8 @@ class _UsageError(Exception):
 
 
 def _profile_by_name(which: str, params: Params) -> RadialProfile:
-    if which == "singular":
-        return singular_solution(params)
-    if which == "lieb":
-        return lieb_solution(params)
-    raise _UsageError(f"unknown solution {which!r} (expected 'singular' or 'lieb')")
+    # the parser's choices, and _read_config's check of them, allow no other name
+    return singular_solution(params) if which == "singular" else lieb_solution(params)
 
 
 def _floats(csv: str) -> list:
@@ -182,7 +179,6 @@ def _run_identity(args, params, quad):
     check_tolerance(args.tolerance, args.zero_tolerance)
     fdesc = solution_descriptor(_profile_by_name(args.f, params), params, args.f)
     gdesc = solution_descriptor(_profile_by_name(args.g, params), params, args.g)
-    reports = []
     if args.kind == "commutativity":
         reports = [check_commutativity(fdesc, gdesc, args.alpha, args.beta, params,
                                        quad, tolerance=args.tolerance)]
@@ -190,14 +186,12 @@ def _run_identity(args, params, quad):
         reports = [check_orthogonality(fdesc, args.alpha, args.beta, params, quad,
                                        tolerance=args.tolerance,
                                        zero_tolerance=args.zero_tolerance)]
-    elif args.kind == "composite":
+    else:  # composite; the parser's choices allow no other kind
         lam_form = parse_form(args.form_lambda, params.n)
         omega_form = parse_form(args.form_omega, params.n)
         reports = check_composite(fdesc, gdesc, lam_form, omega_form, params, quad,
                                   tolerance=args.tolerance,
                                   zero_tolerance=args.zero_tolerance)
-    else:
-        raise _UsageError(f"unknown identity kind {args.kind!r}")
     inputs = {"kind": args.kind, "f": args.f, "g": args.g,
               "alpha": args.alpha, "beta": args.beta,
               "form_lambda": args.form_lambda, "form_omega": args.form_omega}
@@ -232,17 +226,11 @@ def _run_regularity(args, params, quad):
         out["name"] = "kernel-growth"
         out["verdict"] = "Verified" if rep.max_deviation <= 1e-10 else "Refuted"
         results.append(out)
-    elif args.check == "translation":
-        if args.samples < 1:
-            raise _UsageError(f"--samples must be at least one, got {args.samples}")
-        rng = np.random.default_rng(args.seed)
-        xs = rng.uniform(-2.0, 2.0, args.samples)
-        ys = xs - np.exp(rng.uniform(math.log(1e-3), math.log(3.0), args.samples))
-        worst = translation_annihilation_check(params, list(zip(xs, ys)), h=args.step)
+    else:  # translation; the parser's choices allow no other check
+        xs, gaps, _ = _kernel_sample()
+        worst = translation_annihilation_check(params, list(zip(xs, xs - gaps)))
         results.append({"name": "translation-annihilation", "max_abs": worst,
                         "verdict": "Verified" if worst <= 1e-8 else "Refuted"})
-    else:
-        raise _UsageError(f"unknown regularity check {args.check!r}")
     return ({"check": args.check}, results, {}, errs)
 
 
@@ -260,13 +248,11 @@ def _run_scan(args, params, quad):
 
 def _run_solve(args, params, quad):
     G = Domain1D.interval(args.a, args.b)
-    config = SolverConfig(domain=G, grid_size=args.grid_size,
-                          grading_exponent=args.grading_exponent,
-                          max_iters=args.max_iters, stop_tol=args.stop_tol)
+    config = SolverConfig(domain=G, grid_size=args.grid_size, stop_tol=args.stop_tol)
     inputs = {"a": args.a, "b": args.b, "grid_size": args.grid_size,
               "stop_tol": args.stop_tol}
     try:
-        solution, trace = picard_solve(config, params, init=args.init)
+        solution, trace = picard_solve(config, params)
     except NonPositive as exc:
         results = [{"name": "solve", "verdict": "NonPositive",
                     "message": str(exc),
@@ -342,9 +328,6 @@ def _build_parser():
     sub.add_argument("--m", type=int, default=2)
     sub.add_argument("--nu", type=float, default=0.5)
     sub.add_argument("--domain", default="ball:1,1")
-    sub.add_argument("--samples", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=20260810)
-    sub.add_argument("--step", type=float, default=1e-4)
 
     sub = subs.add_parser("scan", help="decay / singularity scan")
     _add_common(sub)
@@ -357,10 +340,7 @@ def _build_parser():
     sub.add_argument("--a", type=float, default=-1.0)
     sub.add_argument("--b", type=float, default=1.0)
     sub.add_argument("--grid-size", type=int, default=201)
-    sub.add_argument("--grading-exponent", type=float, default=2.0)
-    sub.add_argument("--max-iters", type=int, default=200)
     sub.add_argument("--stop-tol", type=float, default=1e-8)
-    sub.add_argument("--init", type=float, default=1.0)
 
     return parser, subs.choices
 

@@ -108,16 +108,15 @@ class QuadratureSpec:
     singularity left to grading).  (inf, e) declares the decay f(t) ~ t**e
     that integrate needs for an infinite upper limit.  The pairs must pass
     convergence_screen, or ValueError names the first failing location.
+    These are the only settings: every integral has the same budget of
+    _MAX_PANELS = 2000 panels.
     """
 
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
     singularities: tuple = ()
 
     def __post_init__(self):
         check_tolerance(self.rel_tol)
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
         entries = tuple((float(loc), float(e)) for loc, e in self.singularities)
         if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
             raise ValueError("singularity locations must be strictly increasing")
@@ -136,6 +135,7 @@ class QuadResult(NamedTuple):
 # panel machinery
 
 _GRADING_RATIO = 0.25          # geometric grading toward singular endpoints
+_MAX_PANELS = 2000             # the panel budget of one integral
 _RULE_LO, _RULE_HI = 7, 15     # Gauss pair for value/error estimation
 _EPS = float(np.finfo(float).eps)
 
@@ -247,10 +247,11 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
     """Adaptive integration from the initial panels, to one error target.
 
     The worst panel, the top of a heap keyed (-error, folded, a), is split
-    until the whole integral meets the target; a panel at the float width
-    floor, or one whose cut does not land strictly inside it, cannot be
-    split and raises NonConvergent; so the panels on each side of the fold
-    keep distinct left ends, and the heap never compares two panels.  The
+    until the whole integral meets the target.  NonConvergent is raised
+    instead of a split at _MAX_PANELS panels, at a panel at the float width
+    floor, or at one whose cut does not land strictly inside it; so the
+    panels on each side of the fold keep distinct left ends, and the heap
+    never compares two panels.  The
     initial panels share one call of f, and so do the two children of each
     split.
     """
@@ -268,7 +269,7 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
         cut = p.split_point()
         # the width floor scales with position: toward 0 panels shrink on
         # through the subnormals until the cut lands on an end
-        if len(heap) >= spec.max_subdivisions or not p.a < cut < p.b or \
+        if len(heap) >= _MAX_PANELS or not p.a < cut < p.b or \
                 p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
             raise NonConvergent(
                 f"estimated error {err:.3e} above target {target:.3e} with "
@@ -289,7 +290,7 @@ def integrate(f: Callable, a: float, b: float,
     estimates of the panels, at most rel_tol times their summed |values|.
     An infinite range is one run: the cells of [a, T] and the tail folded at
     T = max(a, 2 * the largest interior point), or 1 where that is not
-    positive.  Raises NonConvergent when the subdivision budget runs out or
+    positive.  Raises NonConvergent when the budget of 2000 panels runs out or
     a panel reaches the float width floor (an undeclared singularity away
     from 0, or a divergent one), and ValueError when b is infinite and spec
     declares no (inf, e) tail.

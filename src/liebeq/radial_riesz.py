@@ -105,8 +105,9 @@ class RadialProfile:
 
     def exponent_at_zero(self, order: int = 0) -> float:
         """Power of r governing D^order of the profile as r -> 0: each
-        derivative of a power costs one power, and a Lieb profile is smooth."""
-        return -self.exponent - order if self.kind == POWER_SINGULAR else 0.0
+        derivative of a power costs one power, and a Lieb profile is smooth
+        and even, so its odd derivatives vanish like r."""
+        return -self.exponent - order if self.kind == POWER_SINGULAR else float(order % 2)
 
     def exponent_at_infinity(self, order: int = 0) -> float:
         """Power of r governing D^order of the profile as r -> infinity."""

@@ -44,9 +44,11 @@ __all__ = [
 # half-width * 0.01^(k + 1), so each level probes 100x closer to the boundary
 # and twice as fine in the interior
 _LEVELS, _INTERIOR_POINTS, _GRADED_POINTS, _SHRINK = 4, 64, 24, 0.01
-# the decay scan's log-spaced sample count and the kernel check's seeded pairs
+# the decay scan's log-spaced sample count, the kernel checks' seeded pairs
+# and the translation check's central-difference step
 _SCAN_SAMPLES = 400
 _KERNEL_SAMPLES, _KERNEL_SEED = 50, 20260810
+_TRANSLATION_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,17 @@ class KernelGrowthReport:
     sample_count: int
 
 
+def _kernel_sample():
+    """The seeded draw of both kernel checks: _KERNEL_SAMPLES points x
+    uniform on (-2, 2), gaps log-uniform on (1e-3, 3), and the generator,
+    from which kernel_growth_check then draws each gap's sign.  The
+    translation pairs are (x, x - gap)."""
+    rng = np.random.default_rng(_KERNEL_SEED)
+    x = rng.uniform(-2.0, 2.0, _KERNEL_SAMPLES)
+    gap = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), _KERNEL_SAMPLES))
+    return x, gap, rng
+
+
 def kernel_growth_check(params: Params, m: int) -> KernelGrowthReport:
     """Verify |D^k_x K| <= b1 |x-y|^(-lam-k) with finite b1 for 0 <= k <= m.
 
@@ -207,9 +220,7 @@ def kernel_growth_check(params: Params, m: int) -> KernelGrowthReport:
     if not 0 <= m <= 4:
         raise ValueError(f"growth check supports derivative orders 0 <= m <= 4, got m = {m!r}")
     lam = params.lam
-    rng = np.random.default_rng(_KERNEL_SEED)
-    x = rng.uniform(-2.0, 2.0, _KERNEL_SAMPLES)
-    gap = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), _KERNEL_SAMPLES))
+    x, gap, rng = _kernel_sample()
     y = x - np.where(rng.uniform(size=_KERNEL_SAMPLES) < 0.5, gap, -gap)
 
     kernel = RadialProfile.power_singular(1.0, lam)  # |t|^(-lam), t = x - y
@@ -231,13 +242,12 @@ def kernel_growth_check(params: Params, m: int) -> KernelGrowthReport:
     )
 
 
-def translation_annihilation_check(params: Params, points, h: float = 1e-4) -> float:
-    """Central-difference estimate of (d/dx + d/dy)|x-y|^(-lam) at the given
-    (x, y) pairs; the identity is exactly zero, so the returned maximum
-    absolute value reflects only rounding (<= about 1e-8 for sane h).  No
-    points, or h not positive and finite, would check nothing: ValueError."""
-    if not 0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+def translation_annihilation_check(params: Params, points) -> float:
+    """Central-difference estimate, with step h = 1e-4, of
+    (d/dx + d/dy)|x-y|^(-lam) at the given (x, y) pairs; the identity is
+    exactly zero, so the returned maximum absolute value reflects only
+    rounding (<= about 1e-8).  No points would check nothing: ValueError."""
+    h = _TRANSLATION_STEP
     points = list(points)
     if not points:
         raise ValueError("need at least one (x, y) point")

@@ -21,10 +21,10 @@ Anal. 49, 2011) mixes the last sweeps by a least-squares fit over the
 m = N//2 + 1 right-half nodes and takes the relative residual to the
 rounding floor, 1e-14, with one product Wr u per sweep; on grids of 33 to
 513 nodes it got there at every lam from 0.02 to 0.8 checked.  Where it
-stalls (max_iters sweeps short of the floor, or an overflowing sweep),
+stalls (MAX_ITERS sweeps short of the floor, or an overflowing sweep),
 Newton steps in the variable v = u^(p-1), with Levenberg-Marquardt steps
-where a Newton step fails, finish from the sweeps' best iterate to
-machine-level residuals.
+where a Newton step fails, finish from the sweeps' best iterate to the
+same floor, or as near it as rounding lets them.
 
 A caution on interpretation: at the equation's own conjugate exponent
 p = 2n/(2n-lam) the bounded-domain problem has no positive solution.
@@ -49,7 +49,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .quadrature import check_tolerance
-from .radial_riesz import RadialProfile
 from .regularity import Domain1D
 from .specfun import Params
 
@@ -65,25 +64,32 @@ __all__ = [
 
 # Anderson acceleration mixes the last ANDERSON_DEPTH sweeps and stops at a
 # right-half relative residual of ROUNDING_FLOOR (or stop_tol, if smaller).
+# MAX_ITERS caps both the sweeps and the residual evaluations of the finish;
+# the grid clusters nodes toward both ends with GRADING_EXPONENT.
 ANDERSON_DEPTH = 5
 ROUNDING_FLOOR = 1e-14
+MAX_ITERS = 200
+GRADING_EXPONENT = 2.0
 
 
-def least_squares(fun, x0, jac, max_nfev, inside):
+def least_squares(fun, x0, jac, max_nfev, inside, done):
     """Newton steps on fun(x) = 0 from x0 (Nocedal & Wright, Numerical
     Optimization, ch. 10).  Where a Newton step leaves the domain (inside
     false) or does not reduce |fun| (by math.hypot, which cannot underflow),
     Levenberg-Marquardt steps scaled by diag(J^T J) (More, LNM 630, 1978)
     take its place, mu rising x10 on each rejected one and falling /10 on an
-    accepted one.  Stops at a step <= 1e-15 max x, after max_nfev
-    evaluations of fun, or when no step with mu <= 1e12 reduces |fun|;
-    returns the last accepted x, nfev, njev and how it stopped."""
+    accepted one.  Stops when done() holds after an evaluation it accepts
+    (x0's included), at a step <= 1e-15 max x, after max_nfev evaluations
+    of fun, or when no step with mu <= 1e12 reduces |fun|; returns the last
+    accepted x, nfev, njev and how it stopped."""
     def result(message):
         return SimpleNamespace(x=x, nfev=nfev, njev=njev, message=message)
 
     x, F = x0, fun(x0)
     nfev, njev, mu = 1, 0, 1e-3
     while True:
+        if done():
+            return result("the finish reached the sweeps' target residual")
         J, JtJ = jac(x), None
         njev += 1
         step = np.linalg.solve(J, -F)
@@ -91,7 +97,7 @@ def least_squares(fun, x0, jac, max_nfev, inside):
             if np.max(np.abs(step)) <= 1e-15 * np.max(x):
                 return result("the finish stopped at a step <= 1e-15 max v")
             if nfev == max_nfev:
-                return result(f"the finish ran max_iters = {max_nfev} residual evaluations")
+                return result(f"the finish ran {max_nfev} residual evaluations")
             trial = x + step
             if inside(trial):
                 Ft = fun(trial)
@@ -120,18 +126,16 @@ class NonPositive(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and iteration controls.
+    """The interval, the grid and the convergence target of one solve.
 
     grid_size is rounded up to an odd node count so the grid has a center
-    node; grading_exponent >= 1 clusters nodes toward both endpoints.
-    max_iters caps both the Anderson-accelerated sweeps and the residual
-    evaluations of the finish.
+    node, graded toward both ends with GRADING_EXPONENT; the solve is
+    converged at a final residual <= stop_tol.  The iteration budget,
+    MAX_ITERS, is the same for every solve.
     """
 
     domain: Domain1D
     grid_size: int = 201
-    grading_exponent: float = 2.0
-    max_iters: int = 200
     stop_tol: float = 1e-8
 
     def __post_init__(self):
@@ -139,11 +143,6 @@ class SolverConfig:
             raise ValueError("the solver supports one-dimensional domains only")
         if self.grid_size < 5:
             raise ValueError("grid_size must be at least 5")
-        if not 1.0 <= self.grading_exponent < math.inf:
-            raise ValueError(f"grading_exponent must be finite and >= 1, "
-                             f"got {self.grading_exponent!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         check_tolerance(self.stop_tol)
 
 
@@ -162,7 +161,7 @@ class SolverTrace:
 
     iterations is len(residuals): one entry per accelerated sweep, and
     where those stall, after them one per residual evaluation of the finish
-    and one for the returned solution, so at most 2*max_iters + 1.
+    and one for the returned solution, so at most 2*MAX_ITERS + 1.
     accelerated counts the Anderson-accelerated sweeps, and nfev and njev
     the finish's residual and Jacobian evaluations (0 where it did not
     run).  message says how the solve ended: the residual the accelerated
@@ -263,20 +262,8 @@ def product_integration_matrix(x: np.ndarray, lam: float) -> np.ndarray:
     return Wr
 
 
-def _initial_values(init, x: np.ndarray) -> np.ndarray:
-    if np.isscalar(init):
-        vals = np.full(len(x), float(init))
-    elif isinstance(init, RadialProfile):
-        vals = np.asarray(init.value(np.abs(x)), dtype=float)
-    else:
-        vals = np.asarray([float(init(xi)) for xi in x], dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise NonPositive("initial iterate must be strictly positive and finite")
-    return vals
-
-
 def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
-                config: SolverConfig, trace: SolverTrace) -> np.ndarray:
+                stop_tol: float, trace: SolverTrace) -> np.ndarray:
     """The right-half values of the even solution, from the start uh.
 
     Anderson-accelerated sweeps, type II with depth ANDERSON_DEPTH (Walker
@@ -286,8 +273,10 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
     of u and dF the stored differences of consecutive residuals, and moves
     to g - dG c, dG the differences of the sweeps; an extrapolated iterate
     that is not finite and positive gives way to g, and the stored
-    differences are cleared.  Where max_iters sweeps stop short or a sweep
-    overflows, the finish starts from the iterate of least residual."""
+    differences are cleared.  Where MAX_ITERS sweeps stop short or a sweep
+    overflows, the finish starts from the iterate of least residual and
+    stops at the same residual target, unless another of its stops comes
+    first."""
     pm1 = params.pm1
     s = 1.0 / pm1
     # Petviashvili sweeps: T = (Wr u)^s is homogeneous of degree s > 1, and
@@ -314,14 +303,14 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
     def jac(v):
         return s * Wr * (v ** (s - 1.0))[None, :] - np.eye(len(v))
 
-    target = min(ROUNDING_FLOOR, config.stop_tol)
+    target = min(ROUNDING_FLOOR, stop_tol)
     dF = np.empty((len(uh), ANDERSON_DEPTH))  # one difference a column, oldest first
     dG = np.empty_like(dF)
     stored, last = 0, None
     best, best_residual = uh, math.inf
     Wu = Wr @ uh
     with np.errstate(all="ignore"):
-        while trace.accelerated < config.max_iters:
+        while trace.accelerated < MAX_ITERS:
             T = Wu ** s
             g = (np.dot(uh, uh) / np.dot(uh, T)) ** gamma * T
             if not 0.0 < g.max() < math.inf:
@@ -350,8 +339,9 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
                 return uh
             if trace.residuals[-1] < best_residual:
                 best, best_residual = uh, trace.residuals[-1]
-        sol = least_squares(fun, best ** pm1, jac=jac, max_nfev=config.max_iters,
-                            inside=lambda v: v.min() > 0.0 and (v ** s).min() > 0.0)
+        sol = least_squares(fun, best ** pm1, jac=jac, max_nfev=MAX_ITERS,
+                            inside=lambda v: v.min() > 0.0 and (v ** s).min() > 0.0,
+                            done=lambda: trace.residuals[-1] <= target)
         uh = sol.x ** s
         record(uh, Wr @ uh)
     trace.nfev, trace.njev, trace.message = sol.nfev, sol.njev, sol.message
@@ -360,27 +350,24 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
     return uh
 
 
-def picard_solve(config: SolverConfig, params: Params, init=1.0):
+def picard_solve(config: SolverConfig, params: Params):
     """Solve the equation restricted to the interval and return
     (GridSolution1D, SolverTrace).
 
-    init is a positive constant, callable, or radial profile evaluated on
-    the grid, and symmetrized.  The solve reaches residuals near machine
+    The sweeps start from u = 1 and reach residuals near machine
     precision; the converged flag records final residual <= stop_tol.  A
-    start that is not strictly positive raises NonPositive, and so, with
-    the trace attached, does a solution that lost positivity.
+    solution that lost positivity raises NonPositive with the trace
+    attached.
     """
     if params.n != 1:
         raise ValueError("the bounded-domain solver runs in dimension 1")
     G = config.domain
     count = config.grid_size if config.grid_size % 2 == 1 else config.grid_size + 1
-    x = graded_grid(G.a, G.b, count, config.grading_exponent)
+    x = graded_grid(G.a, G.b, count, GRADING_EXPONENT)
     Wr = product_integration_matrix(x, params.lam)
-    u0 = _initial_values(init, x)
-    c = count // 2
 
     trace = SolverTrace()
-    uh = _solve_even(Wr, 0.5 * (u0[c:] + u0[c::-1]), params, config, trace)
+    uh = _solve_even(Wr, np.ones(count // 2 + 1), params, config.stop_tol, trace)
     trace.iterations = len(trace.residuals)
     trace.converged = trace.residuals[-1] <= config.stop_tol
     solution = GridSolution1D(tuple(x), tuple(np.concatenate([uh[:0:-1], uh])), params, G)

@@ -179,8 +179,7 @@ def test_criterion_09_kernel_conditions():
         ys = xs - np.exp(rng.uniform(math.log(0.3), math.log(3.0), 50)) \
             * np.where(rng.uniform(size=50) < 0.5, 1.0, -1.0)
         worst_translation = max(worst_translation,
-                                translation_annihilation_check(p, list(zip(xs, ys)),
-                                                               h=1e-4))
+                                translation_annihilation_check(p, list(zip(xs, ys))))
         rep = kernel_growth_check(p, 4)
         worst_const = max(worst_const, rep.max_deviation)
     ok = worst_translation <= 1e-8 and worst_const <= 1e-10
@@ -203,7 +202,7 @@ def _solve(grid_size):
     p = Params(1, 0.5)
     cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=grid_size,
                        stop_tol=1e-8)
-    solution, trace = picard_solve(cfg, p, init=1.0)
+    solution, trace = picard_solve(cfg, p)
     return p, cfg, solution, trace
 
 

@@ -43,12 +43,13 @@ class TestRadialProfile:
         g = RadialProfile.lieb(1.0, 0.75)
         assert g.exponent_at_zero() == 0.0
         assert g.exponent_at_infinity() == -1.5
-        # D^k: a power loses one power per derivative at both ends, a Lieb
-        # profile stays bounded at 0 and loses one per derivative at infinity
+        # D^k: a power loses one power per derivative at both ends; a Lieb
+        # profile is smooth and even at 0, so its odd derivatives vanish like
+        # r there, and it loses one power per derivative at infinity
         for k in (1, 2, 3):
             assert f.exponent_at_zero(k) == -0.75 - k
             assert f.exponent_at_infinity(k) == -0.75 - k
-            assert g.exponent_at_zero(k) == 0.0
+            assert g.exponent_at_zero(k) == k % 2
             assert g.exponent_at_infinity(k) == -1.5 - k
         # a power that vanishes at 0 turns singular there after enough derivatives
         h = RadialProfile.power_singular(1.0, -0.5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebeq import regularity
 from liebeq.regularity import (Domain1D, _keeps_growing, decay_singularity_scan,
                                kernel_growth_check, translation_annihilation_check,
                                weight, weighted_norm)
@@ -196,12 +197,14 @@ class TestKernelGrowth:
 
 class TestTranslationAnnihilation:
     def test_spec_point(self, p_half):
-        assert translation_annihilation_check(p_half, [(1.0, 0.3)], h=1e-4) <= 1e-8
+        assert translation_annihilation_check(p_half, [(1.0, 0.3)]) <= 1e-8
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, p_half, h):
-        # h = 0 gives 0/0 = NaN, which max(0.0, nan) silently drops
-        with pytest.raises(ValueError, match="step h"):
+        # h = 0 would give 0/0 = NaN, which max(0.0, nan) silently drops: the
+        # step is a fixed positive constant, and no caller can pass another
+        assert 0.0 < regularity._TRANSLATION_STEP < math.inf
+        with pytest.raises(TypeError):
             translation_annihilation_check(p_half, [(1.0, 0.3)], h=h)
 
     def test_no_points_is_an_error(self, p_half):
@@ -222,7 +225,7 @@ class TestTranslationAnnihilation:
         rng = np.random.default_rng(11)
         xs = rng.uniform(-2, 2, 50)
         ys = xs - np.exp(rng.uniform(math.log(0.3), math.log(3.0), 50))
-        assert translation_annihilation_check(p, list(zip(xs, ys)), h=1e-4) <= 1e-8
+        assert translation_annihilation_check(p, list(zip(xs, ys))) <= 1e-8
 
     def test_diagonal_rejected(self, p_half):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from liebeq.quadrature import NonConvergent, QuadratureSpec, integrate
 from liebeq.regularity import Domain1D, weighted_norm
-from liebeq.solver import (ROUNDING_FLOOR, NonPositive, SolverConfig, graded_grid,
+from liebeq.solver import (MAX_ITERS, ROUNDING_FLOOR, SolverConfig, graded_grid,
                            moment_matrix, picard_solve, product_integration_matrix,
                            residual_on_points)
 from liebeq.specfun import Params, lieb_constant_L
@@ -30,7 +30,7 @@ def converged():
     p = Params(1, 0.5)
     cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129,
                        stop_tol=1e-8)
-    solution, trace = picard_solve(cfg, p, init=1.0)
+    solution, trace = picard_solve(cfg, p)
     return p, cfg, solution, trace
 
 
@@ -171,7 +171,7 @@ class TestNewtonScheme:
         _, cfg, _, trace = converged
         assert trace.converged
         assert trace.residuals[-1] <= cfg.stop_tol
-        assert trace.iterations <= cfg.max_iters
+        assert trace.iterations <= MAX_ITERS
 
     def test_residual_decreases_after_burn_in(self, converged):
         _, _, _, trace = converged
@@ -239,11 +239,6 @@ class TestNewtonScheme:
         probes = np.linspace(-0.9, 0.9, 21)
         assert residual_on_points(solution, probes) <= 10 * cfg.stop_tol
 
-    def test_positive_init_required(self, converged):
-        p, cfg, _, _ = converged
-        with pytest.raises(NonPositive):
-            picard_solve(cfg, p, init=-1.0)
-
     def test_profile_interface(self, converged):
         _, _, solution, _ = converged
         mid = solution.value(0.0)
@@ -281,7 +276,7 @@ class TestNewtonScheme:
         assert trace.nfev == trace.njev == 0
         assert trace.message == "the accelerated sweeps reached a residual <= 1e-14"
         assert trace.iterations == len(trace.residuals) == trace.accelerated
-        assert trace.iterations <= cfg.max_iters
+        assert trace.iterations <= MAX_ITERS
         assert len(trace.amplitudes) == len(trace.minima) == trace.iterations
         assert min(trace.residuals[:-1]) > ROUNDING_FLOOR
 
@@ -293,25 +288,37 @@ class TestNewtonScheme:
         assert trace.converged and trace.residuals[-1] <= 1e-15
 
     def test_trace_of_fallback(self):
-        # at (129, 0.99) max_iters accelerated sweeps stop short of the
+        # at (129, 0.99) MAX_ITERS accelerated sweeps stop short of the
         # floor; the finish starts from their best iterate, goes below every
         # one of them, and the record keeps the sweeps, the finish's
         # residual evaluations and the solution, in that order
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
         _, trace = picard_solve(cfg, Params(1, 0.99))
         assert trace.converged
-        assert trace.accelerated == cfg.max_iters
+        assert trace.accelerated == MAX_ITERS
         assert min(trace.residuals[:trace.accelerated]) > ROUNDING_FLOOR
         assert trace.nfev > 0 and trace.njev > 0
         assert trace.iterations == len(trace.residuals) == \
             trace.accelerated + trace.nfev + 1
-        assert trace.iterations <= 2 * cfg.max_iters + 1
+        assert trace.iterations <= 2 * MAX_ITERS + 1
         assert trace.message.startswith("the finish stopped")
         assert len(trace.amplitudes) == len(trace.minima) == trace.iterations
         # the finish's first evaluation is the best accelerated iterate
         assert trace.residuals[trace.accelerated] == \
             pytest.approx(min(trace.residuals[:trace.accelerated]), rel=1e-6)
         assert trace.residuals[-1] < min(trace.residuals[:trace.accelerated])
+
+    def test_finish_stops_at_the_sweeps_target(self):
+        # at (129, 0.9) the sweeps stall short of the floor, and one Newton
+        # step of the finish reaches it; no evaluation is spent after that
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
+        _, trace = picard_solve(cfg, Params(1, 0.9))
+        assert trace.accelerated == MAX_ITERS
+        assert trace.message == "the finish reached the sweeps' target residual"
+        finish = trace.residuals[trace.accelerated:]
+        assert len(finish) == trace.nfev + 1
+        assert finish[-1] == finish[-2] <= ROUNDING_FLOOR
+        assert min(finish[:-2]) > ROUNDING_FLOOR
 
     # a trust-region finish alone, from the constant start, stalls short of
     # a root on these (residuals 2e-3 to 8e-2); the sweeps bring every one
@@ -395,7 +402,7 @@ class TestNewtonScheme:
         # finite positive start, the best iterate before the overflow
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=33)
         solution, trace = picard_solve(cfg, Params(1, lam))
-        assert trace.accelerated < cfg.max_iters and trace.nfev > 0
+        assert trace.accelerated < MAX_ITERS and trace.nfev > 0
         assert np.all(np.isfinite(solution.values)) and min(solution.values) > 0.0
 
     def test_finish_compares_residual_norms_without_underflow(self):
@@ -422,10 +429,6 @@ class TestConfig:
         G = Domain1D.interval(-1.0, 1.0)
         with pytest.raises(ValueError):
             SolverConfig(domain=G, grid_size=3)
-        with pytest.raises(ValueError):
-            SolverConfig(domain=G, grading_exponent=0.5)
-        with pytest.raises(ValueError):
-            SolverConfig(domain=G, max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(domain=G, stop_tol=0.0)
 

@@ -1,0 +1,60 @@
+"""The configuration surface, pinned: a new setting, option or flag has to
+change this file on purpose, and a removed one stays refused."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from liebeq.cli import _build_parser
+from liebeq.quadrature import QuadratureSpec
+from liebeq.regularity import Domain1D, translation_annihilation_check
+from liebeq.solver import SolverConfig, picard_solve
+from liebeq.specfun import Params
+
+
+def test_library_settings():
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["rel_tol", "singularities"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+        ["domain", "grid_size", "stop_tol"]
+    assert list(inspect.signature(picard_solve).parameters) == ["config", "params"]
+    assert list(inspect.signature(translation_annihilation_check).parameters) == \
+        ["params", "points"]
+
+
+_G = Domain1D.interval(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: QuadratureSpec(max_subdivisions=2000),
+    lambda: SolverConfig(domain=_G, grading_exponent=2.0),
+    lambda: SolverConfig(domain=_G, max_iters=200),
+    lambda: picard_solve(SolverConfig(domain=_G, grid_size=33), Params(1, 0.5), init=1.0),
+    lambda: translation_annihilation_check(Params(1, 0.5), [(1.0, 0.3)], h=1e-4),
+], ids=["max_subdivisions", "grading_exponent", "max_iters", "init", "h"])
+def test_removed_keyword_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+_COMMON = ["--config", "--lambda", "--n", "--no-timestamp", "--out", "--rel-tol",
+           "--tolerance"]
+_OPTIONS = {
+    "constants": [],
+    "verify-solution": ["--radii", "--which"],
+    "riesz": ["--amplitude", "--exponent", "--r", "--which"],
+    "identity": ["--alpha", "--beta", "--f", "--form-lambda", "--form-omega", "--g",
+                 "--kind", "--zero-tolerance"],
+    "corollary": [],
+    "regularity": ["--check", "--domain", "--m", "--nu", "--which"],
+    "scan": ["--r-outer", "--threshold", "--which"],
+    "solve": ["--a", "--b", "--grid-size", "--stop-tol"],
+}
+
+
+def test_cli_options():
+    _, subparsers = _build_parser()
+    got = {name: sorted(option for action in sub._actions if action.dest != "help"
+                        for option in action.option_strings)
+           for name, sub in subparsers.items()}
+    assert got == {name: sorted(_COMMON + own) for name, own in _OPTIONS.items()}
