@@ -2,7 +2,8 @@
 
 Runs every entry of tests/test_cli.py's GOLDEN_RUNS with --no-timestamp,
 checks its exit code, and prints golden_diff for each golden whose bytes
-changed.  Files are rewritten only with --write.
+changed, and the name of each entry that has no golden file yet.  Files are
+written only with --write.
 
     python scripts/regen_goldens.py [--write]
 
@@ -27,10 +28,10 @@ from test_cli import GOLDEN, GOLDEN_RUNS, golden_diff  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the moved goldens")
+    parser.add_argument("--write", action="store_true", help="write the moved and new goldens")
     args = parser.parse_args(argv)
 
-    moved, wrong = {}, []
+    moved, new, wrong = {}, [], []
     for name in sorted(GOLDEN_RUNS):
         cli_args, expected = GOLDEN_RUNS[name]
         out = io.StringIO()
@@ -40,16 +41,22 @@ def main(argv=None) -> int:
             wrong.append(name)
             print(f"{name}: exit code {code}, expected {expected}")
         got = out.getvalue().encode("utf-8")
-        if got != (GOLDEN / f"{name}.json").read_bytes():
+        path = GOLDEN / f"{name}.json"
+        if not path.exists():
+            moved[name] = got
+            new.append(name)
+            print(f"{name}: new, no golden file yet")
+        elif got != path.read_bytes():
             moved[name] = got
             print(golden_diff(got, name))
-    print(f"{len(GOLDEN_RUNS)} goldens: {len(moved)} moved, {len(wrong)} with a wrong exit code")
+    print(f"{len(GOLDEN_RUNS)} goldens: {len(moved) - len(new)} moved, {len(new)} new, "
+          f"{len(wrong)} with a wrong exit code")
     if wrong:
         return 1
     if args.write:
         for name, got in moved.items():
             (GOLDEN / f"{name}.json").write_bytes(got)
-        print(f"rewrote {len(moved)} goldens")
+        print(f"wrote {len(moved)} goldens")
     return 0
 
 

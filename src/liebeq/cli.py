@@ -21,7 +21,10 @@ NotApplicable (screen-rejected instances).
 Reports are JSON with stable keys; floats serialize at full round-trip
 precision (up to 17 significant digits).  With --no-timestamp the output
 of identical invocations is byte-identical.  An optional key=value config
-file supplies defaults; explicit flags win.
+file supplies defaults; explicit flags win.  A subcommand takes only the
+options it reads: --rel-tol (echoed as quadrature.rel_tol) on
+verify-solution and riesz, --tolerance on verify-solution, identity and
+corollary.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ def _exit_code(overall: str) -> int:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (inputs, results, tolerances, err_estimates)
 
-def _run_constants(args, params, quad):
+def _run_constants(args, params):
     k = riesz_power_constant(params.n, params.lam, params.n - 0.5 * params.lam)
     results = [
         {"name": "lieb_constant_C", "value": lieb_constant_C(params), "verdict": "Computed"},
@@ -136,10 +139,11 @@ def _run_constants(args, params, quad):
     return {}, results, {}, []
 
 
-def _run_verify_solution(args, params, quad):
+def _run_verify_solution(args, params):
     f = _profile_by_name(args.which, params)
     radii = _floats(args.radii)
-    report = verify_solution(f, params, radii, args.tolerance, quad)
+    report = verify_solution(f, params, radii, args.tolerance,
+                             QuadratureSpec(rel_tol=args.rel_tol))
     result = _json_ready(report)
     result.pop("params", None)
     result["name"] = f"verify-{args.which}"
@@ -149,7 +153,8 @@ def _run_verify_solution(args, params, quad):
             list(report.err_estimates))
 
 
-def _run_riesz(args, params, quad):
+def _run_riesz(args, params):
+    quad = QuadratureSpec(rel_tol=args.rel_tol)
     if args.which == "power":
         if args.exponent is None:
             raise _UsageError("--which power requires --exponent")
@@ -174,22 +179,22 @@ def _identity_result(report) -> dict:
     return {**_json_ready(report), "name": report.identity_id}
 
 
-def _run_identity(args, params, quad):
+def _run_identity(args, params):
     # every kind echoes both tolerances, so both are checked whether used or not
     check_tolerance(args.tolerance, args.zero_tolerance)
     fdesc = solution_descriptor(_profile_by_name(args.f, params), params, args.f)
     gdesc = solution_descriptor(_profile_by_name(args.g, params), params, args.g)
     if args.kind == "commutativity":
         reports = [check_commutativity(fdesc, gdesc, args.alpha, args.beta, params,
-                                       quad, tolerance=args.tolerance)]
+                                       tolerance=args.tolerance)]
     elif args.kind == "orthogonality":
-        reports = [check_orthogonality(fdesc, args.alpha, args.beta, params, quad,
+        reports = [check_orthogonality(fdesc, args.alpha, args.beta, params,
                                        tolerance=args.tolerance,
                                        zero_tolerance=args.zero_tolerance)]
     else:  # composite; the parser's choices allow no other kind
         lam_form = parse_form(args.form_lambda, params.n)
         omega_form = parse_form(args.form_omega, params.n)
-        reports = check_composite(fdesc, gdesc, lam_form, omega_form, params, quad,
+        reports = check_composite(fdesc, gdesc, lam_form, omega_form, params,
                                   tolerance=args.tolerance,
                                   zero_tolerance=args.zero_tolerance)
     inputs = {"kind": args.kind, "f": args.f, "g": args.g,
@@ -200,17 +205,17 @@ def _run_identity(args, params, quad):
             {"tolerance": args.tolerance, "zero_tolerance": args.zero_tolerance}, errs)
 
 
-def _run_corollary(args, params, quad):
+def _run_corollary(args, params):
     fdesc = solution_descriptor(singular_solution(params), params, "singular")
     gdesc = solution_descriptor(lieb_solution(params), params, "lieb")
-    report = check_commutativity(fdesc, gdesc, 0, 0, params, quad, tolerance=args.tolerance)
+    report = check_commutativity(fdesc, gdesc, 0, 0, params, tolerance=args.tolerance)
     return ({"f": "singular", "g": "lieb", "alpha": 0, "beta": 0},
             [_identity_result(report)],
             {"tolerance": args.tolerance},
             [max(report.err_lhs, report.err_rhs)])
 
 
-def _run_regularity(args, params, quad):
+def _run_regularity(args, params):
     results, errs = [], []
     if args.check == "norm":
         u = _profile_by_name(args.which, params)
@@ -234,7 +239,7 @@ def _run_regularity(args, params, quad):
     return ({"check": args.check}, results, {}, errs)
 
 
-def _run_scan(args, params, quad):
+def _run_scan(args, params):
     f = _profile_by_name(args.which, params)
     threshold = args.threshold if args.threshold is not None \
         else 1e3 * float(f.value(1.0))
@@ -246,7 +251,7 @@ def _run_scan(args, params, quad):
             [out], {}, [])
 
 
-def _run_solve(args, params, quad):
+def _run_solve(args, params):
     G = Domain1D.interval(args.a, args.b)
     config = SolverConfig(domain=G, grid_size=args.grid_size, stop_tol=args.stop_tol)
     inputs = {"a": args.a, "b": args.b, "grid_size": args.grid_size,
@@ -276,8 +281,6 @@ def _add_common(sub):
     sub.add_argument("--n", type=int, default=1, help="space dimension")
     sub.add_argument("--lambda", dest="lam", type=float, default=0.5,
                      help="kernel exponent in (0, n)")
-    sub.add_argument("--rel-tol", type=float, default=1e-9)
-    sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--out", default=None, help="write the JSON report here")
     sub.add_argument("--no-timestamp", action="store_true")
     sub.add_argument("--config", default=None, help="key=value defaults file")
@@ -295,11 +298,14 @@ def _build_parser():
 
     sub = subs.add_parser("verify-solution", help="certify a named solution")
     _add_common(sub)
+    sub.add_argument("--rel-tol", type=float, default=1e-9)
+    sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--which", choices=("singular", "lieb"), default="singular")
     sub.add_argument("--radii", default="0.5,1,2,5")
 
     sub = subs.add_parser("riesz", help="evaluate the radial potential")
     _add_common(sub)
+    sub.add_argument("--rel-tol", type=float, default=1e-9)
     sub.add_argument("--which", choices=("singular", "lieb", "power"), default="singular")
     sub.add_argument("--exponent", type=float, default=None)
     sub.add_argument("--amplitude", type=float, default=1.0)
@@ -307,6 +313,7 @@ def _build_parser():
 
     sub = subs.add_parser("identity", help="integral identity checks")
     _add_common(sub)
+    sub.add_argument("--tolerance", type=float, default=1e-6)
     sub.add_argument("--kind", choices=("commutativity", "orthogonality", "composite"),
                      default="commutativity")
     sub.add_argument("--f", choices=("singular", "lieb"), default="lieb")
@@ -319,6 +326,7 @@ def _build_parser():
 
     sub = subs.add_parser("corollary", help="order-zero cross identity")
     _add_common(sub)
+    sub.add_argument("--tolerance", type=float, default=1e-6)
 
     sub = subs.add_parser("regularity", help="weighted norms and kernel checks")
     _add_common(sub)
@@ -407,8 +415,7 @@ def main(argv=None) -> int:
             sub.set_defaults(**_read_config(args.config, {a.dest: a for a in sub._actions}))
             args = parser.parse_args(argv)
         params = Params(args.n, args.lam)
-        quad = QuadratureSpec(rel_tol=args.rel_tol)
-        inputs, results, tolerances, errs = _HANDLERS[args.subcommand](args, params, quad)
+        inputs, results, tolerances, errs = _HANDLERS[args.subcommand](args, params)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"liebeq: error: {exc}", file=sys.stderr)
         return 2
@@ -424,8 +431,10 @@ def main(argv=None) -> int:
         "results": _json_ready(results),
         "verdict": overall,
         "tolerances": _json_ready(tolerances),
-        "quadrature": {"rel_tol": args.rel_tol, "err_estimates": _json_ready(errs)},
+        "quadrature": {"err_estimates": _json_ready(errs)},
     }
+    if "rel_tol" in args:
+        payload["quadrature"]["rel_tol"] = args.rel_tol
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

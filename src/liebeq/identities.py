@@ -3,7 +3,7 @@ connecting solutions of the Lieb equation.
 
 For solutions f, g and multi-indices alpha, beta the following hold
 whenever the integrals converge absolutely (certified here by exponent
-screening before any quadrature is attempted):
+screening, exactly where each integral is a finite sum of Beta functions):
 
   cross commutativity:   int D_beta(g) D_alpha(f^(p-1))
                             = int D_alpha(f) D_beta(g^(p-1))
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import quadrature
+from . import quadrature, specfun
 from .quadrature import QuadratureSpec, ScreenResult, convergence_screen
 from .radial_riesz import RadialProfile
 from .solutions import (INCONCLUSIVE, NOT_APPLICABLE, REFUTED, VERIFIED, certify,
@@ -294,30 +294,19 @@ class _PairResult:
     scale: float = math.nan
 
 
-def _pair_integrand(u: tuple, v: tuple, n: int):
-    """D_beta(g) * D_alpha(f) for factors u = (g, beta), v = (f, alpha) as a
-    radial integrand on R^n, times |S^(n-1)| x^(n-1): on the line, 2, one
-    for each half-line."""
-    (g, beta), (f, alpha) = u, v
-
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        return (g.derivative_1d(x, beta) * f.derivative_1d(x, alpha)
-                * sphere_surface_area(n) * x ** (n - 1))
-
-    return integrand
-
-
-def _pair_integral(u: tuple, v: tuple, params: Params,
-                   quad: QuadratureSpec) -> _PairResult:
+def _pair_integral(u: tuple, v: tuple, params: Params) -> _PairResult:
     """Certified integral of D_beta(g) * D_alpha(f) over R^n for the factors
-    u = (g, beta) and v = (f, alpha), each a RadialProfile and an order.
+    u = (g, beta) and v = (f, alpha), each a RadialProfile and an order; the
+    line is the radial case n = 1 (|S^0| = 2 counts both half-lines), and
+    n > 1 takes order zero only.
 
-    The radius is integrated, the line being the case n = 1; an odd line
-    integrand is 0 by parity (both factors are even, and derivative_1d(-x, k)
-    is (-1)^k derivative_1d(x, k) exactly).  The radial reduction covers
-    alpha = beta = 0 in higher dimension.  Returns value NaN with the screen
-    attached when the screen rejects the (location, exponent) pairs.
+    Each factor is a sum of rungs c x^q (1 + x^2)^(-e) (RadialProfile.rungs),
+    and int_0^inf x^P (1 + x^2)^(-Q) dx = B(a, Q - a) / 2, a = (P + 1) / 2
+    (DLMF 5.12.3).  Every a and Q - a is positive exactly when the screen
+    accepts, as the rungs of a factor share its exponents at 0 (the least q)
+    and at infinity; a rejected pair is NaN with the screen attached.  An odd
+    line integrand is 0 by parity (both factors are even); its scale is
+    |2 int_0^inf|.
     """
     n = params.n
     (g, beta), (f, alpha) = u, v
@@ -326,34 +315,30 @@ def _pair_integral(u: tuple, v: tuple, params: Params,
                          "dimensions support only the order-zero radial case")
     at_zero = g.exponent_at_zero(beta) + f.exponent_at_zero(alpha) + (n - 1)
     tail = g.exponent_at_infinity(beta) + f.exponent_at_infinity(alpha) + (n - 1)
-    singularities = ((0.0, at_zero), (math.inf, tail))
-    screen = convergence_screen(singularities)
+    screen = convergence_screen(((0.0, at_zero), (math.inf, tail)))
     parity_forced = (alpha + beta) % 2 == 1  # even profiles, odd integrand
     if not screen:
         return _PairResult(math.nan, math.nan, screen, parity_forced)
 
-    h = quadrature.integrate(_pair_integrand(u, v, n), 0.0, math.inf,
-                             replace(quad, singularities=singularities))
-    return _PairResult(0.0 if parity_forced else h.value, h.error, screen, parity_forced,
-                       abs(h.value))
-
-
-def _pair_table(params: Params, quad: QuadratureSpec):
-    """_pair_integral for one check call, each distinct integral computed once.
-
-    The key is the unordered pair of factors.  Swapping the factors only
-    swaps the operands of the integrand's product and of the screen's and
-    tail's exponent sums, which changes no bit.
-    """
-    table = {}
-
-    def pair(u, v):
-        key = frozenset((u, v))
-        if key not in table:
-            table[key] = _pair_integral(u, v, params, quad)
-        return table[key]
-
-    return pair
+    terms, bars = [], []
+    for c1, q1, e1 in g.rungs(beta):
+        for c2, q2, e2 in f.rungs(alpha):
+            a = 0.5 * (q1 + q2 + n)                 # (P + 1) / 2
+            b = e1 + e2 - a
+            terms.append(c1 * c2 * specfun.beta(a, b))
+            # the bar in eps: 16 for the products and exp, 2 |log Gamma| for each
+            # math.lgamma, and the da, db units of rounding in a, b times
+            # |d log B / da| < 1/a + log1p(b/a), as psi(x) is in (log x - 1/x, log x)
+            da = 0.5 * (abs(q1) + abs(q2) + n)
+            db = abs(e1) + abs(e2) + da
+            bars.append(abs(terms[-1]) * (
+                16.0 + 2.0 * sum(abs(math.lgamma(x)) for x in (a, b, a + b))
+                + da * (1.0 / a + math.log1p(b / a)) + db * (1.0 / b + math.log1p(a / b))))
+    half_area = 0.5 * sphere_surface_area(n)
+    value = half_area * math.fsum(terms)
+    return _PairResult(0.0 if parity_forced else value,
+                       half_area * quadrature._EPS * math.fsum(bars),
+                       screen, parity_forced, abs(value))
 
 
 def _sum(terms) -> _PairResult:
@@ -432,7 +417,6 @@ def _report(identity_id: str, description: str, lhs: _PairResult, rhs: _PairResu
 
 def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
                         alpha, beta, params: Params,
-                        quad: QuadratureSpec | None = None,
                         tolerance: float = 1e-6) -> IdentityReport:
     """Certify  int D_beta(g) D_alpha(f^(p-1)) = int D_alpha(f) D_beta(g^(p-1)).
 
@@ -442,17 +426,15 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
     """
     check_tolerance(tolerance)
     _check_params(params, f, g)
-    pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    lhs = pair((g.base, b), (f.power, a))
-    rhs = pair((f.base, a), (g.power, b))
+    lhs = _pair_integral((g.base, b), (f.power, a), params)
+    rhs = _pair_integral((f.base, a), (g.power, b), params)
     desc = (f"int D{b}[{g.label or 'g'}] D{a}[{f.label or 'f'}^(p-1)] = "
             f"int D{a}[{f.label or 'f'}] D{b}[{g.label or 'g'}^(p-1)]")
     return _report("cross-commutativity", desc, lhs, rhs, tolerance)
 
 
 def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
-                        quad: QuadratureSpec | None = None,
                         tolerance: float = 1e-6,
                         zero_tolerance: float = 1e-8) -> IdentityReport:
     """Single-solution instance: for odd |alpha|+|beta| both integrals are
@@ -462,10 +444,9 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     """
     check_tolerance(tolerance, zero_tolerance)
     _check_params(params, f)
-    pair = _pair_table(params, quad or QuadratureSpec())
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    lhs = pair((f.base, b), (f.power, a))
-    rhs = pair((f.base, a), (f.power, b))
+    lhs = _pair_integral((f.base, b), (f.power, a), params)
+    rhs = _pair_integral((f.base, a), (f.power, b), params)
     name = f.label or "f"
     if (a + b) % 2 == 1:
         desc = (f"int D{b}[{name}] D{a}[{name}^(p-1)] = "
@@ -480,8 +461,8 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
 
 def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
                     lam_form: DifferentialForm, omega_form: DifferentialForm,
-                    params: Params, quad: QuadratureSpec | None = None,
-                    tolerance: float = 1e-6, zero_tolerance: float = 1e-8) -> list:
+                    params: Params, tolerance: float = 1e-6,
+                    zero_tolerance: float = 1e-8) -> list:
     """Composite-form identities, expanded into certified term-pair integrals.
 
     With distinct solutions this emits the form commutativity report plus
@@ -492,12 +473,11 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     """
     check_tolerance(tolerance, zero_tolerance)
     _check_params(params, f, g)
-    pair = _pair_table(params, quad or QuadratureSpec())
 
     def side(lam: DifferentialForm, x: RadialProfile,
              om: DifferentialForm, y: RadialProfile) -> _PairResult:
         """int Lam(x) Om(y) as the weighted sum of its term-pair integrals."""
-        return _sum((cl * co, pair((y, io.order), (x, il.order)))
+        return _sum((cl * co, _pair_integral((y, io.order), (x, il.order), params))
                     for cl, il in lam.terms for co, io in om.terms)
 
     lam_e, lam_o = parity_split(lam_form)
@@ -550,10 +530,10 @@ def cutoff_pair_integral(f: SolutionDescriptor, alpha, g: SolutionDescriptor,
     must show non-stabilizing values as R grows.  (The annulus is radial;
     a symmetric cutoff on the line would let odd divergences cancel.)
     """
-    quad = quad or QuadratureSpec()
     if R <= 1.0:
         raise ValueError("cutoff R must exceed 1")
     _check_params(params, f, g)
-    a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
-    integrand = _pair_integrand((g.base, b), (f.power, a), params.n)
-    return quadrature.integrate(integrand, 1.0 / R, R, quad).value
+    n = params.n
+    a, b = _as_index(alpha, n).order, _as_index(beta, n).order
+    return quadrature.integrate(lambda x: g.base.derivative_1d(x, b) * f.power.derivative_1d(x, a)
+                                * sphere_surface_area(n) * x ** (n - 1), 1.0 / R, R, quad).value

@@ -150,6 +150,15 @@ class RadialProfile:
         """d^k/dx^k of the even extension f(|x|) on the line: partial with n = 1."""
         return self.partial(np.asarray(x, dtype=float)[..., None], (int(order),))
 
+    def rungs(self, order: int) -> tuple:
+        """D^order f on x > 0 as (c, q, e) triples, the sum of the rungs
+        c x^q (1 + x^2)^(-e) of partial's ladder: a power rung x^(-e') has
+        q = k - e' and e = 0, and the amplitude is in c."""
+        rungs, _ = _ladder_plan(self.kind, self.exponent, (int(order),))
+        power = self.kind == POWER_SINGULAR
+        return tuple((self.amplitude * coef, sum(k for _, k in powers) - (e if power else 0.0),
+                      0.0 if power else e) for coef, e, powers in rungs)
+
 
 # one batch of the benchmark's identity-sweep workload uses 416 distinct keys
 @lru_cache(maxsize=1024)

@@ -37,7 +37,10 @@ class TestConstants:
         report = load_report(str(out))
         assert set(report) == {"subcommand", "params", "inputs", "results",
                                "verdict", "tolerances", "quadrature"}
-        assert set(report["quadrature"]) == {"rel_tol", "err_estimates"}
+        # rel_tol only where the subcommand integrates and has the flag
+        assert set(report["quadrature"]) == {"err_estimates"}
+        main(["verify-solution", "--no-timestamp", "--out", str(out)])
+        assert set(load_report(str(out))["quadrature"]) == {"rel_tol", "err_estimates"}
 
     def test_timestamp_toggle(self, tmp_path):
         out = tmp_path / "c.json"
@@ -179,16 +182,19 @@ class TestIdentity:
         assert code == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
-    def test_quadrature_flags_reach_the_check(self, tmp_path):
-        runs = {}
-        for tol in ("1e-9", "1e-11"):
-            out = tmp_path / f"tol{tol}.json"
-            assert main(["identity", "--kind", "commutativity", "--f", "singular",
-                         "--g", "lieb", "--rel-tol", tol, "--no-timestamp",
-                         "--out", str(out)]) == 0
-            runs[tol] = load_report(str(out))["quadrature"]
-        assert runs["1e-11"]["rel_tol"] == 1e-11
-        assert runs["1e-11"]["err_estimates"][0] < runs["1e-9"]["err_estimates"][0]
+    @pytest.mark.parametrize("command,option", [
+        ("identity", "rel-tol"), ("corollary", "rel-tol"), ("constants", "rel-tol"),
+        ("regularity", "rel-tol"), ("scan", "rel-tol"), ("solve", "rel-tol"),
+        ("constants", "tolerance"), ("riesz", "tolerance"), ("scan", "tolerance")])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, command, option):
+        # a subcommand takes only the options it reads, as a flag or a config key
+        assert main([command, f"--{option}", "1e-11", "--no-timestamp"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option}=1e-11\n")
+        assert main([command, "--config", str(cfg), "--no-timestamp"]) == 2
+        key = option.replace("-", "_")
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 class TestRiesz:
@@ -435,8 +441,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # the README's CLI invocations; the golden files hold their --no-timestamp
 # output, so any change to a printed number or key shows up byte for byte.
-# After an intended change, regenerate a file with
-#   python -m liebeq.cli <arguments> --no-timestamp > tests/golden/<name>.json
+# After an intended change, or for a new entry, run
+#   python scripts/regen_goldens.py [--write]
 README_INVOCATIONS = {
     "constants": ["constants", "--n", "4", "--lambda", "2"],
     "verify_singular": ["verify-solution", "--which", "singular", "--n", "1",

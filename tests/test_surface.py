@@ -7,8 +7,11 @@ import inspect
 import pytest
 
 from liebeq.cli import _build_parser
+from liebeq.identities import (check_commutativity, check_composite, check_orthogonality,
+                               parse_form, solution_descriptor)
 from liebeq.quadrature import QuadratureSpec
 from liebeq.regularity import Domain1D, translation_annihilation_check
+from liebeq.solutions import lieb_solution
 from liebeq.solver import SolverConfig, picard_solve
 from liebeq.specfun import Params
 
@@ -23,6 +26,9 @@ def test_library_settings():
 
 
 _G = Domain1D.interval(-1.0, 1.0)
+_P = Params(1, 0.5)
+_FL = solution_descriptor(lieb_solution(_P), _P, "lieb")
+_D1 = parse_form("d1", 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -31,21 +37,24 @@ _G = Domain1D.interval(-1.0, 1.0)
     lambda: SolverConfig(domain=_G, max_iters=200),
     lambda: picard_solve(SolverConfig(domain=_G, grid_size=33), Params(1, 0.5), init=1.0),
     lambda: translation_annihilation_check(Params(1, 0.5), [(1.0, 0.3)], h=1e-4),
-], ids=["max_subdivisions", "grading_exponent", "max_iters", "init", "h"])
+    lambda: check_commutativity(_FL, _FL, 0, 0, _P, quad=QuadratureSpec()),
+    lambda: check_orthogonality(_FL, 1, 0, _P, quad=QuadratureSpec()),
+    lambda: check_composite(_FL, _FL, _D1, _D1, _P, quad=QuadratureSpec()),
+], ids=["max_subdivisions", "grading_exponent", "max_iters", "init", "h",
+        "commutativity_quad", "orthogonality_quad", "composite_quad"])
 def test_removed_keyword_is_a_type_error(call):
     with pytest.raises(TypeError):
         call()
 
 
-_COMMON = ["--config", "--lambda", "--n", "--no-timestamp", "--out", "--rel-tol",
-           "--tolerance"]
+_COMMON = ["--config", "--lambda", "--n", "--no-timestamp", "--out"]
 _OPTIONS = {
     "constants": [],
-    "verify-solution": ["--radii", "--which"],
-    "riesz": ["--amplitude", "--exponent", "--r", "--which"],
+    "verify-solution": ["--radii", "--rel-tol", "--tolerance", "--which"],
+    "riesz": ["--amplitude", "--exponent", "--r", "--rel-tol", "--which"],
     "identity": ["--alpha", "--beta", "--f", "--form-lambda", "--form-omega", "--g",
-                 "--kind", "--zero-tolerance"],
-    "corollary": [],
+                 "--kind", "--tolerance", "--zero-tolerance"],
+    "corollary": ["--tolerance"],
     "regularity": ["--check", "--domain", "--m", "--nu", "--which"],
     "scan": ["--r-outer", "--threshold", "--which"],
     "solve": ["--a", "--b", "--grid-size", "--stop-tol"],
