@@ -13,9 +13,10 @@ Subcommands map one-to-one onto library operations:
 
 Exit codes: 0 when every verdict is positive (Verified / Convergent /
 Computed), 1 on any Refuted, NonPositive, Failed or Inconclusive result
-(the report's verdict is the first of these that some result has, and a
-NonConvergent quadrature prints one error line instead of a report), 2 on
-usage or configuration errors, and 3 when the only results are
+(the report's verdict is the first of these that some result has; a
+NonConvergent quadrature, or a value beyond the float range such as the
+constants at n = 52, lambda = 50.96, prints one error line instead of a
+report), 2 on usage or configuration errors, and 3 when the only results are
 NotApplicable (screen-rejected instances).
 
 Reports are JSON with stable keys; floats serialize at full round-trip
@@ -421,6 +422,9 @@ def main(argv=None) -> int:
         return 2
     except NonConvergent as exc:  # a failed result, not a usage error
         print(f"liebeq: error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # so is a value beyond the float range
+        print(f"liebeq: error: a value overflows the float range: {exc}", file=sys.stderr)
         return 1
 
     overall = _overall_verdict(r.get("verdict", "Computed") for r in results)

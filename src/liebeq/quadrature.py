@@ -2,7 +2,9 @@
 
 Handles integrands that are analytic between declared singular points,
 with algebraic or logarithmic singularities of exponent > -1 at interval
-endpoints and singular points, and declared power-law tails on [a, inf):
+endpoints and singular points (one exponent, or a (left, right) pair for
+an integrand that differs on the two sides), and declared power-law tails
+on [a, inf):
 (inf, e) for f(t) ~ t**e, e < -1, and (inf, -2.0) for faster decay.  The
 substitution t = 1/u folds the tail [T, inf) to one more panel (0, 1/T],
 with an endpoint exponent -2 - e at u = 0, as in QUADPACK's QAGI.
@@ -20,13 +22,16 @@ NonConvergent.
 Integrands must be vectorized and pointwise: f(x) for a float 1-D ndarray x
 returns an ndarray of the same shape, and a node's value must not depend on
 the rest of its batch.  The initial panels (the cells and the folded tail)
-share one call, on the nodes of the 15- and 7-point rules of each in turn,
-and each split takes one more, on the 44 nodes of its left child, then its
-right child.  Everything here is pure and deterministic; panel values are
-summed with math.fsum, so the result does not depend on refinement order.
-Refinement stops when the summed panel errors of the whole integral are at
-most rel_tol times the summed |panel values|: a scale-free target, so
-scaling f by a power of two scales value and error exactly.
+share one call, on the nodes of the 15- and 7-point rules of each in turn.
+Refinement runs in rounds: each pops the worst panels until their errors
+cover the excess of the summed errors over the target (scipy's quad_vec
+rule), splits them and evaluates all their children in one more call, 44
+nodes per split, each left child before its right.  Everything here is pure
+and deterministic; panel values are summed with math.fsum, so the result
+does not depend on refinement order.  Refinement stops when the summed
+panel errors of the whole integral are at most rel_tol times the summed
+|panel values|: a scale-free target, so scaling f by a power of two scales
+value and error exactly.
 """
 
 from __future__ import annotations
@@ -75,17 +80,26 @@ def convergence_screen(singularities) -> ScreenResult:
     """Decide absolute convergence from (location, exponent) pairs.
 
     Each pair declares integrand ~ |t - location|**exponent near a finite
-    location, or ~ t**exponent as t -> inf for location inf.  Returns
-    Convergent iff all finite-location exponents are > -1 and the infinity
-    exponent is < -1; the first failing location (in listed order) is
-    reported otherwise.  Exponents within 1e-9 of -1 are treated as the
-    borderline -1 and classified divergent, and a NaN exponent fails.
+    location, or ~ t**exponent as t -> inf for location inf; an exponent
+    may be a (left, right) pair, one for each side of its location, and
+    both sides are checked.  Returns Convergent iff all finite-location
+    exponents are > -1 and the infinity exponent is < -1; the first failing
+    location (in listed order) is reported otherwise.  Exponents within
+    1e-9 of -1 are treated as the borderline -1 and classified divergent,
+    and a NaN exponent fails.
     """
     for loc, e in singularities:
         tail = math.isinf(loc)
-        if not (e < -1.0 - _BORDERLINE_EPS if tail else e > -1.0 + _BORDERLINE_EPS):
-            return ScreenResult(False, math.inf if tail else loc)
+        for side in e if isinstance(e, tuple) else (e,):
+            if not (side < -1.0 - _BORDERLINE_EPS if tail else side > -1.0 + _BORDERLINE_EPS):
+                return ScreenResult(False, math.inf if tail else loc)
     return ScreenResult(True)
+
+
+def _sides(e) -> tuple:
+    """The (left, right) exponents of a declaration: a pair as given, one
+    exponent for both sides."""
+    return e if isinstance(e, tuple) else (e, e)
 
 
 def check_tolerance(*tolerances: float, name: str = "tolerance") -> None:
@@ -102,11 +116,13 @@ class QuadratureSpec:
     """Tolerance and singularity declarations for one integral: rel_tol
     bounds the summed panel errors relative to the summed |panel values|.
     singularities are (location, exponent) pairs declaring integrand
-    ~ |t - location|**exponent there, in increasing order of location.  A
-    finite location inside (a, b) becomes a cell boundary and is never
-    evaluated; exponent 0.0 marks a plain split point (a kink, or a
-    singularity left to grading).  (inf, e) declares the decay f(t) ~ t**e
-    that integrate needs for an infinite upper limit.  The pairs must pass
+    ~ |t - location|**exponent there, in increasing order of location; the
+    exponent may be a (left, right) pair for an integrand that behaves
+    differently on the two sides.  A finite location inside (a, b) becomes
+    a cell boundary and is never evaluated; exponent 0.0 marks a plain
+    split point (a kink, a jump, or a singularity left to grading).
+    (inf, e) declares the decay f(t) ~ t**e that integrate needs for an
+    infinite upper limit.  The pairs must pass
     convergence_screen, or ValueError names the first failing location.
     These are the only settings: every integral has the same budget of
     _MAX_PANELS = 2000 panels.
@@ -117,7 +133,10 @@ class QuadratureSpec:
 
     def __post_init__(self):
         check_tolerance(self.rel_tol)
-        entries = tuple((float(loc), float(e)) for loc, e in self.singularities)
+        entries = tuple((float(loc), tuple(map(float, e)) if isinstance(e, (tuple, list))
+                         else float(e)) for loc, e in self.singularities)
+        if any(len(_sides(e)) != 2 for _, e in entries):
+            raise ValueError("an exponent is one number or a (left, right) pair")
         if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
             raise ValueError("singularity locations must be strictly increasing")
         screen = convergence_screen(entries)
@@ -146,7 +165,7 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-# one batch of the benchmark's verify-sweep workload uses 286 distinct keys
+# one batch of the benchmark's verify-sweep workload uses 350 distinct keys
 @lru_cache(maxsize=1024)
 def _rule(order: int, ea: float, eb: float):
     """Gauss-Jacobi nodes on [-1, 1] for the weight (1+x)^ea (1-x)^eb, and
@@ -175,15 +194,20 @@ def _rule(order: int, ea: float, eb: float):
     return nodes, weights
 
 
-# one batch of the benchmark's verify-sweep workload uses about 145 distinct keys
+# one batch of the benchmark's verify-sweep workload uses 175 distinct keys
 @lru_cache(maxsize=1024)
 def _panel_rule(ea: float, eb: float):
-    """The 15- then 7-point nodes of the panel rule for end exponents ea, eb,
-    the weights of each rule, and 1 + x and 1 - x at the 15 nodes."""
+    """The panel rule for end exponents ea, eb: the 15- then 7-point nodes,
+    their weights as the two columns of a (22, 2) matrix (G15 on the first 15
+    rows, G7 on the last 7), and the (15, 3) columns |w|, |w|/(1+x) and
+    |w|/(1-x) of the 15-point rule, which _Panel.fit's roundoff floor sums."""
     nodes, weights = _rule(_RULE_HI, ea, eb)
     nodes_lo, weights_lo = _rule(_RULE_LO, ea, eb)
-    return (np.concatenate([nodes, nodes_lo]), weights, weights_lo,
-            1.0 + nodes, 1.0 - nodes)
+    both = np.zeros((_RULE_HI + _RULE_LO, 2))
+    both[:_RULE_HI, 0], both[_RULE_HI:, 1] = weights, weights_lo
+    size = np.abs(weights)
+    return (np.concatenate([nodes, nodes_lo]), both,
+            np.stack([size, size / (1.0 + nodes), size / (1.0 - nodes)], axis=1))
 
 
 @dataclass
@@ -208,13 +232,11 @@ class _Panel:
         1 + |e x0 / (t - x0)| of rounding t in |t - x0|^e at a declared end x0.
         """
         half = 0.5 * (self.b - self.a)
-        _, weights, weights_lo, plus, minus = rule
-        fx, fx_lo = fx[:_RULE_HI], fx[_RULE_HI:]
-        hi = half * float(np.dot(weights, fx))
-        lo = half * float(np.dot(weights_lo, fx_lo))
-        gain = 1.0 + (abs((self.left or 0.0) * self.a) / plus
-                      + abs((self.right or 0.0) * self.b) / minus) / half
-        floor = 50.0 * _EPS * half * float(np.dot(np.abs(weights * fx), gain))
+        _, weights, floor_weights = rule
+        hi, lo = (half * (fx @ weights)).tolist()
+        plain, at_a, at_b = (np.abs(fx[:_RULE_HI]) @ floor_weights).tolist()
+        floor = 50.0 * _EPS * (half * plain + abs((self.left or 0.0) * self.a) * at_a
+                               + abs((self.right or 0.0) * self.b) * at_b)
         if math.isfinite(hi) and math.isfinite(lo):
             self.value, self.error = hi, max(abs(hi - lo), floor)
         else:
@@ -246,14 +268,17 @@ def _evaluate(f, panels) -> None:
 def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
     """Adaptive integration from the initial panels, to one error target.
 
-    The worst panel, the top of a heap keyed (-error, folded, a), is split
-    until the whole integral meets the target.  NonConvergent is raised
-    instead of a split at _MAX_PANELS panels, at a panel at the float width
-    floor, or at one whose cut does not land strictly inside it; so the
-    panels on each side of the fold keep distinct left ends, and the heap
-    never compares two panels.  The
-    initial panels share one call of f, and so do the two children of each
-    split.
+    Each round pops the worst panels, from the top of a heap keyed
+    (-error, folded, a), until their errors cover the excess of the summed
+    errors over the target (scipy's quad_vec rule), splits them all and
+    evaluates every child in one call of f: the children in pop order, each
+    left child before its right.  The initial panels share one call too.
+    A round stops short of a panel it cannot split: one at the float width
+    floor, one whose cut does not land strictly inside it, or any split
+    past _MAX_PANELS panels.  When that panel is the worst of all, the run
+    raises NonConvergent.  Cuts land strictly inside, so the panels on each
+    side of the fold keep distinct left ends, and the heap never compares
+    two panels.
     """
     _evaluate(f, panels)
     heap = [(-p.error, p.folded, p.a, p) for p in panels]
@@ -265,18 +290,23 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
         target = spec.rel_tol * math.fsum(map(abs, values))
         if err <= target and math.isfinite(total):
             return QuadResult(total, err)
-        p = heap[0][3]
-        cut = p.split_point()
-        # the width floor scales with position: toward 0 panels shrink on
-        # through the subnormals until the cut lands on an end
-        if len(heap) >= _MAX_PANELS or not p.a < cut < p.b or \
-                p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
-            raise NonConvergent(
-                f"estimated error {err:.3e} above target {target:.3e} with "
-                f"{len(heap)} panels", value=total, error=err)
-        heapq.heappop(heap)
-        children = (_Panel(p.a, cut, p.left, None, p.folded),
-                    _Panel(cut, p.b, None, p.right, p.folded))
+        count, covered, children = len(heap), 0.0, []
+        while heap and (not children or covered < err - target):
+            p = heap[0][3]
+            cut = p.split_point()
+            # the width floor scales with position: toward 0 panels shrink on
+            # through the subnormals until the cut lands on an end
+            if count >= _MAX_PANELS or not p.a < cut < p.b or \
+                    p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
+                if children:
+                    break
+                raise NonConvergent(
+                    f"estimated error {err:.3e} above target {target:.3e} with "
+                    f"{count} panels", value=total, error=err)
+            heapq.heappop(heap)
+            count, covered = count + 1, covered + p.error
+            children += (_Panel(p.a, cut, p.left, None, p.folded),
+                         _Panel(cut, p.b, None, p.right, p.folded))
         _evaluate(f, children)
         for child in children:
             heapq.heappush(heap, (-child.error, child.folded, child.a, child))
@@ -301,17 +331,18 @@ def integrate(f: Callable, a: float, b: float,
         raise ValueError("lower limit must be finite")
     if not b > a:
         raise ValueError("need a < b")
-    exponents = dict(spec.singularities)
-    interior = [s for s in exponents if a < s < b]
+    below = {loc: _sides(e)[0] for loc, e in spec.singularities}
+    above = {loc: _sides(e)[1] for loc, e in spec.singularities}
+    interior = [s for s in below if a < s < b]
     T, tail = b, []
     if math.isinf(b):
-        if math.inf not in exponents:
+        if math.inf not in below:
             raise ValueError("an infinite upper limit needs a declared (inf, exponent) tail")
         T = max(a, 2.0 * max(interior, default=-math.inf))
         T = T if T > 0.0 else 1.0
         # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps
-        # the exponent declared at T, which can only be a = T
-        tail = [_Panel(0.0, 1.0 / T, -2.0 - exponents[math.inf], exponents.get(T, 0.0), True)]
+        # the exponent declared above T, which can only be a = T
+        tail = [_Panel(0.0, 1.0 / T, -2.0 - below[math.inf], above.get(T, 0.0), True)]
     cells = [a, *interior, T] if T > a else []
-    return _integrate_cells(f, [_Panel(lo, hi, exponents.get(lo, 0.0), exponents.get(hi, 0.0))
+    return _integrate_cells(f, [_Panel(lo, hi, above.get(lo, 0.0), below.get(hi, 0.0))
                                 for lo, hi in zip(cells, cells[1:])] + tail, spec)

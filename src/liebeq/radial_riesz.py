@@ -12,8 +12,11 @@ switch point (min/max = sqrt(2) - 1 in n <= 5, nearer the diagonal where
 that series would lose digits), and beyond it in w = (d/(r+s))^2 with the
 exact diagonal distance d = |s - r|, through the z -> 1 - z connection
 formula (A&S 15.3.6) that also covers its log case.  The kernel has an
-integrable singularity on the diagonal s = r, which the quadrature sees at
-d = 0 of the diagonal distance.
+integrable singularity on the diagonal s = r.  For r > 0 the potential is
+one quadrature run over a signed variable v in [-r/2, inf) whose zero is
+both the origin s = 0 (approached from v < 0) and the diagonal d = 0
+(approached from v > 0), so each sits at an exact zero with its own
+exponent.
 """
 
 from __future__ import annotations
@@ -399,15 +402,18 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
 
     The (location, exponent) pairs at 0, s = r and inf are screened before
     any quadrature runs; ScreenRejected is raised when the screen fails.
-    At r = 0 the kernel is exactly |S^(n-1)| s^(-lam).
+    At r = 0 the kernel is exactly |S^(n-1)| s^(-lam), and the potential is
+    one run over s in [0, inf).
 
-    For r > 0 the band |s - r| < r/2 is integrated in the diagonal distance
-    d = |s - r| (folding the two sides), so the kernel singularity sits at
-    an exact zero of the integration variable and graded panels can resolve
-    it to full precision.  Returns QuadResult(value, err), err the summed
-    error estimates of the pieces.  The quadrature's target is relative to
-    the summed |panel values|, so scaling f by a power of two scales value
-    and error exactly.
+    For r > 0 it is one run over v in [-r/2, inf): the inner piece s = -v
+    for v < 0, the band |s - r| <= r/2 folded in the exact diagonal
+    distance d = v on [0, r/2] (s = r + v and r - v), and the outer piece
+    s = r + v, d = v beyond.  The origin and the diagonal sit at the exact
+    zero v = 0, declared with the pair (origin exponent, diagonal exponent),
+    so graded panels resolve both to full precision, and the kernel keeps
+    its exact d.  The three pieces share one heap and one target, relative
+    to the summed |panel values|, so scaling f by a power of two scales
+    value and error exactly.  Returns QuadResult(value, err).
     """
     if not 0.0 <= r < math.inf:
         raise ValueError("radius must be nonnegative and finite")
@@ -423,28 +429,38 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
             location=screen.failing_location)
 
     origin, *diagonal, tail = budget
-
-    def smooth_integrand(s):
-        s = np.asarray(s, dtype=float)
-        return f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, np.abs(s - r))
-
     if r == 0.0:
-        return quadrature.integrate(smooth_integrand, 0.0, math.inf,
+        def on_ray(s):
+            s = np.asarray(s, dtype=float)
+            return f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, s)
+
+        return quadrature.integrate(on_ray, 0.0, math.inf,
                                     replace(quad, singularities=(origin, tail)))
 
-    def folded_band(d):
-        d = np.asarray(d, dtype=float)
-        both, dd = np.concatenate([r + d, r - d]), np.concatenate([d, d])
-        values = f.value(both) * both ** (n - 1) * _kernel_from_distance(n, lam, r, both, dd)
-        return values[:d.size] + values[d.size:]
-
     half = 0.5 * r
-    (_, at_diagonal), = diagonal     # at d = 0 of the band
-    inner = quadrature.integrate(smooth_integrand, 0.0, half,
-                                 replace(quad, singularities=(origin,)))
-    band = quadrature.integrate(folded_band, 0.0, half,
-                                replace(quad, singularities=((0.0, at_diagonal),)))
-    outer = quadrature.integrate(smooth_integrand, 1.5 * r, math.inf,
-                                 replace(quad, singularities=(tail,)))
-    return QuadResult(inner.value + band.value + outer.value,
-                      inner.error + band.error + outer.error)
+    (_, at_diagonal), = diagonal
+
+    def integrand(v):
+        # v < 0: s = -v, d = r + v; 0 <= v <= r/2: s = r + v and r - v, d = v;
+        # v > r/2: s = r + v, d = v.  Batches in one piece skip the masks.
+        v = np.asarray(v, dtype=float)
+        lo, hi = v.min(), v.max()
+        if hi < 0.0:
+            s, d = -v, r + v
+        elif lo < 0.0:
+            inner = v < 0.0
+            s, d = np.where(inner, -v, r + v), np.where(inner, r + v, v)
+        else:
+            s, d = r + v, v
+        band = (None if hi < 0.0 or lo > half else slice(None) if lo >= 0.0 and hi <= half
+                else (v >= 0.0) & (v <= half))
+        if band is not None:
+            s, d = np.concatenate([s, r - v[band]]), np.concatenate([d, v[band]])
+        values = f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, d)
+        out = values[:v.size]
+        if band is not None:
+            out[band] += values[v.size:]
+        return out
+
+    return quadrature.integrate(integrand, -half, math.inf, replace(
+        quad, singularities=((0.0, (origin[1], at_diagonal)), (half, 0.0), tail)))

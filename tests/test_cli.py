@@ -247,6 +247,17 @@ def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
     assert captured.err == "liebeq: error: budget exhausted\n"
 
 
+@pytest.mark.parametrize("argv", [["constants", "--n", "52", "--lambda", "50.96"],
+                                  ["corollary", "--n", "52", "--lambda", "50.96"]])
+def test_float_overflow_is_one_error_line(capsys, argv):
+    # the constants of the solutions leave the float range at n = 52
+    assert main(argv + ["--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("liebeq: error: a value overflows the float range: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_report_verdict_names_the_failing_verdict():
     # Refuted only when some result is; otherwise the first failing verdict
     # in the order NonPositive, Failed, Inconclusive; every failure exits 1

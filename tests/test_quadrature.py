@@ -128,34 +128,74 @@ def _panel_nodes(a, b, ea, eb):
 
 
 @pytest.mark.parametrize("f,spec,jacobi", [
-    (lambda s: np.exp(3.0 * s) * np.sin(7.0 * s), QuadratureSpec(), False),
+    (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False),
     (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
 ])
-def test_one_integrand_call_per_split(monkeypatch, f, spec, jacobi):
-    # the initial cell is one call on its 15 + 7 nodes; each split is one call
-    # on the nodes of its left child, then those of its right child
-    splits, calls = [], []
+def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
+    # the initial cell is one call on its 15 + 7 nodes; each round after it
+    # is one call on the nodes of every panel it splits, in pop order, each
+    # split's left child before its right
+    events = []
     split_point = quadrature._Panel.split_point
 
     def recorded(panel):
         cut = split_point(panel)
-        splits.append((panel.a, cut, panel.b, panel.left or 0.0, panel.right or 0.0))
+        events.append((panel.a, cut, panel.b, panel.left or 0.0, panel.right or 0.0))
         return cut
 
     monkeypatch.setattr(quadrature._Panel, "split_point", recorded)
-    result = integrate(lambda x: calls.append(np.array(x)) or f(x), 0.0, 1.0, spec)
-    assert len(calls) == 1 + len(splits) > 1
-    assert any(ea != 0.0 for *_, ea, _ in splits) == jacobi
-    ea, eb = dict(spec.singularities).get(0.0, 0.0), 0.0
-    assert np.array_equal(calls[0], _panel_nodes(0.0, 1.0, ea, eb))
-    for x, (a, cut, b, ea, eb) in zip(calls[1:], splits):
-        assert x.shape == (44,)
-        assert np.array_equal(x, np.concatenate([_panel_nodes(a, cut, ea, 0.0),
-                                                 _panel_nodes(cut, b, 0.0, eb)]))
+    result = integrate(lambda x: events.append(np.array(x)) or f(x), 0.0, 1.0, spec)
+    ea = dict(spec.singularities).get(0.0, 0.0)
+    assert np.array_equal(events[0], _panel_nodes(0.0, 1.0, ea, 0.0))
+    rounds, splits = [], []
+    for event in events[1:]:
+        if isinstance(event, tuple):
+            splits.append(event)
+        else:
+            rounds.append((event, splits))
+            splits = []
+    assert not splits and len(rounds) > 1
+    assert any(len(splits) > 1 for _, splits in rounds)
+    assert any(ea != 0.0 for _, splits in rounds for *_, ea, _ in splits) == jacobi
+    for x, splits in rounds:
+        assert np.array_equal(x, np.concatenate([
+            nodes for a, cut, b, ea, eb in splits
+            for nodes in (_panel_nodes(a, cut, ea, 0.0), _panel_nodes(cut, b, 0.0, eb))]))
     # a node's value does not depend on its batch, so neither does the result
     chunked = lambda x: np.concatenate([f(x[i:i + 22]) for i in range(0, x.size, 22)])
     monkeypatch.undo()
     assert integrate(chunked, 0.0, 1.0, spec) == result
+
+
+def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch):
+    # scipy's quad_vec rule: a round pops the worst panels until their errors
+    # reach the excess of the summed errors over the target
+    spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
+    live, popped, rounds = [], [], []
+    split_point, evaluate = quadrature._Panel.split_point, quadrature._evaluate
+
+    def recorded_split(panel):
+        popped.append(panel)
+        return split_point(panel)
+
+    def recorded_evaluate(f, panels):
+        if popped:
+            kept = [p for p in live if all(p is not q for q in popped)]
+            excess = (math.fsum(p.error for p in live)
+                      - spec.rel_tol * math.fsum(abs(p.value) for p in live))
+            errors = [p.error for p in popped]
+            assert errors == sorted(errors, reverse=True)
+            assert errors[-1] >= max((p.error for p in kept), default=0.0)
+            assert sum(errors[:-1]) < excess <= sum(errors)
+            rounds.append(len(popped))
+            live[:], popped[:] = kept, []
+        evaluate(f, panels)
+        live.extend(panels)
+
+    monkeypatch.setattr(quadrature._Panel, "split_point", recorded_split)
+    monkeypatch.setattr(quadrature, "_evaluate", recorded_evaluate)
+    value, err = integrate(lambda x: x ** -0.5 * np.cos(20.0 * x), 0.0, 1.0, spec)
+    assert max(rounds) > 1 and err <= spec.rel_tol * abs(value)
 
 
 def test_initial_cells_share_one_call():
@@ -258,6 +298,34 @@ def test_panel_budget_runs_out_at_2000_panels():
         integrate(lambda s: np.abs(np.sin(400.0 * np.pi * s)), 0, 1)
 
 
+# -- per-side exponents ------------------------------------------------------
+
+def test_per_side_exponents_within_the_bar():
+    # |t|^(-0.3) left of 0 and t^(-0.7) right of it: each cell at 0 takes the
+    # Gauss-Jacobi rule of its own side
+    spec = QuadratureSpec(singularities=((0.0, (-0.3, -0.7)),))
+    calls = []
+    value, err = integrate(lambda t: calls.append(np.array(t)) or
+                           np.where(t < 0.0, np.abs(t) ** -0.3, np.abs(t) ** -0.7),
+                           -1.0, 1.0, spec)
+    assert np.array_equal(calls[0], np.concatenate([_panel_nodes(-1.0, 0.0, 0.0, -0.3),
+                                                    _panel_nodes(0.0, 1.0, -0.7, 0.0)]))
+    assert abs(value - (1.0 / 0.7 + 1.0 / 0.3)) <= err
+
+
+@pytest.mark.parametrize("sides", [(-1.0, -0.5), (-0.5, -1.0), (-0.5, -1.0 + 1e-10),
+                                   (-1.5, 0.0), (0.0, math.nan)])
+def test_per_side_exponent_at_or_below_minus_one_is_refused(sides):
+    assert convergence_screen(((0.0, sides),)).failing_location == 0.0
+    with pytest.raises(ValueError, match="at 0.0 diverges"):
+        QuadratureSpec(singularities=((0.0, sides),))
+
+
+def test_per_side_exponent_is_a_pair():
+    with pytest.raises(ValueError, match="pair"):
+        QuadratureSpec(singularities=((0.0, (-0.5, -0.5, -0.5)),))
+
+
 # -- singularities away from 0 -----------------------------------------------
 
 def _split_power_exact(c, b, e, weight):
@@ -318,11 +386,11 @@ def test_jacobi_rule_against_beta_closed_form(order, ea, eb):
 
 
 def test_rule_cache_holds_a_few_hundred_rules():
-    # one verify-sweep batch of the benchmark uses 286 distinct (order, ea,
+    # one verify-sweep batch of the benchmark uses 350 distinct (order, ea,
     # eb) keys; a repeated pass over more than that rebuilds no rule
     keys = [(order, ea, eb) for order in (7, 15)
-            for ea in np.linspace(-0.95, 2.0, 15) for eb in np.linspace(-0.95, 2.0, 11)]
-    assert len(set(keys)) >= 300
+            for ea in np.linspace(-0.95, 2.0, 15) for eb in np.linspace(-0.95, 2.0, 13)]
+    assert len(set(keys)) >= 350
     for key in keys:
         _rule(*key)
     misses = _rule.cache_info().misses

@@ -1,9 +1,11 @@
+import heapq
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from liebeq import quadrature
 from liebeq.quadrature import QuadratureSpec, integrate
 from liebeq.radial_riesz import (RadialProfile, ScreenRejected, _kernel_from_distance,
                                  _ladder_plan, angular_kernel, riesz_potential_radial)
@@ -421,3 +423,53 @@ class TestRieszPotential:
         value, err = riesz_potential_radial(f, p, r, QuadratureSpec(rel_tol=rel_tol))
         exact = float(f.value(r)) ** p.pm1
         assert abs(value - exact) <= err + 8 * math.ulp(exact)
+
+    @pytest.mark.parametrize("r", [0.0, 0.2, 1.0, 7.5])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_integrate_run_per_radius(self, monkeypatch, n, r):
+        # r > 0: the inner piece, the folded band and the outer piece are one
+        # run over v in [-r/2, inf), with the origin and the diagonal at v = 0
+        p = Params(n, 0.4 * n)
+        runs = []
+        integrate_once = quadrature.integrate
+
+        def counted(f, a, b, spec):
+            runs.append((a, b, spec.singularities))
+            return integrate_once(f, a, b, spec)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        value, err = riesz_potential_radial(lieb_solution(p), p, r)
+        assert len(runs) == 1
+        a, b, singularities = runs[0]
+        origin = lieb_solution(p).exponent_at_zero() + n - 1
+        if r == 0.0:
+            assert (a, b) == (0.0, math.inf) and singularities[0] == (0.0, origin - p.lam)
+        else:
+            assert (a, b) == (-0.5 * r, math.inf)
+            assert singularities[:2] == ((0.0, (origin, min(0.0, n - 1 - p.lam))),
+                                         (0.5 * r, 0.0))
+        exact = float(lieb_solution(p).value(r)) ** p.pm1
+        assert abs(value - exact) <= err + 8 * math.ulp(exact)
+
+    def test_heap_keys_are_distinct_without_a_tie_break(self, monkeypatch):
+        # the three pieces share one heap keyed (-error, folded, a): the live
+        # keys stay distinct, so no two panels are compared and the run is
+        # deterministic
+        p = Params(3, 1.5)
+        f = singular_solution(p)
+        first = riesz_potential_radial(f, p, 1.3)
+        pushed = []
+
+        def push(heap, entry):
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+            assert len({key[1:3] for key in heap}) == len(heap)
+
+        class Recording:
+            heapify, heappop, heappush = heapq.heapify, heapq.heappop, staticmethod(push)
+
+        monkeypatch.setattr(quadrature, "heapq", Recording)
+        assert riesz_potential_radial(f, p, 1.3) == first
+        assert pushed and all(len(entry) == 4 for entry in pushed)
+        assert all(entry[:3] == (-entry[3].error, entry[3].folded, entry[3].a)
+                   for entry in pushed)
