@@ -14,7 +14,10 @@ Panels are graded geometrically toward cell boundaries.  A panel that
 touches a declared exponent e at x0 integrates with the Gauss-Jacobi rule
 for the weight |t - x0|^e (Golub & Welsch 1969), every other panel with
 Gauss-Legendre; each panel's error is the difference of two orders, at
-least QUADPACK's roundoff floor (Piessens et al. 1983).  A singularity that
+least QUADPACK's roundoff floor (Piessens et al. 1983), plus the error
+both orders share when a declared exponent e is off by a rounding from the
+integrand's true power: about eps |e| / (1 + e) of the panel's value, which
+matters only for e near -1.  A singularity that
 is not declared must be resolved by grading alone: at x0 != 0 float
 spacing stops the grading near widths eps*|x0|, and such a panel raises
 NonConvergent.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -76,12 +80,30 @@ class ScreenResult:
         return self.convergent
 
 
+def _sides(e) -> tuple:
+    """The (left, right) exponents of a declaration: a pair as given, one
+    exponent for both sides."""
+    return e if isinstance(e, tuple) else (e, e)
+
+
+def _exponent(e):
+    """A declared exponent in the one form the rest of this module reads: a
+    number as a float, a (left, right) pair of numbers, tuple or list, as a
+    tuple of two floats."""
+    pair = tuple(e) if isinstance(e, (tuple, list)) else None
+    if pair is None and isinstance(e, numbers.Real):
+        return float(e)
+    if pair is not None and len(pair) == 2 and all(isinstance(x, numbers.Real) for x in pair):
+        return tuple(map(float, pair))
+    raise ValueError("an exponent is one number or a (left, right) pair")
+
+
 def convergence_screen(singularities) -> ScreenResult:
     """Decide absolute convergence from (location, exponent) pairs.
 
     Each pair declares integrand ~ |t - location|**exponent near a finite
     location, or ~ t**exponent as t -> inf for location inf; an exponent
-    may be a (left, right) pair, one for each side of its location, and
+    may be a (left, right) tuple, one for each side of its location, and
     both sides are checked.  Returns Convergent iff all finite-location
     exponents are > -1 and the infinity exponent is < -1; the first failing
     location (in listed order) is reported otherwise.  Exponents within
@@ -90,16 +112,10 @@ def convergence_screen(singularities) -> ScreenResult:
     """
     for loc, e in singularities:
         tail = math.isinf(loc)
-        for side in e if isinstance(e, tuple) else (e,):
+        for side in _sides(e):
             if not (side < -1.0 - _BORDERLINE_EPS if tail else side > -1.0 + _BORDERLINE_EPS):
                 return ScreenResult(False, math.inf if tail else loc)
     return ScreenResult(True)
-
-
-def _sides(e) -> tuple:
-    """The (left, right) exponents of a declaration: a pair as given, one
-    exponent for both sides."""
-    return e if isinstance(e, tuple) else (e, e)
 
 
 def check_tolerance(*tolerances: float, name: str = "tolerance") -> None:
@@ -117,8 +133,9 @@ class QuadratureSpec:
     bounds the summed panel errors relative to the summed |panel values|.
     singularities are (location, exponent) pairs declaring integrand
     ~ |t - location|**exponent there, in increasing order of location; the
-    exponent may be a (left, right) pair for an integrand that behaves
-    differently on the two sides.  A finite location inside (a, b) becomes
+    exponent may be a (left, right) pair, tuple or list, for an integrand
+    that behaves differently on the two sides; it is stored as a tuple, and
+    anything else is a ValueError.  A finite location inside (a, b) becomes
     a cell boundary and is never evaluated; exponent 0.0 marks a plain
     split point (a kink, a jump, or a singularity left to grading).
     (inf, e) declares the decay f(t) ~ t**e that integrate needs for an
@@ -133,10 +150,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         check_tolerance(self.rel_tol)
-        entries = tuple((float(loc), tuple(map(float, e)) if isinstance(e, (tuple, list))
-                         else float(e)) for loc, e in self.singularities)
-        if any(len(_sides(e)) != 2 for _, e in entries):
-            raise ValueError("an exponent is one number or a (left, right) pair")
+        entries = tuple((float(loc), _exponent(e)) for loc, e in self.singularities)
         if any(b <= a for (a, _), (b, _) in zip(entries, entries[1:])):
             raise ValueError("singularity locations must be strictly increasing")
         screen = convergence_screen(entries)
@@ -157,6 +171,7 @@ _GRADING_RATIO = 0.25          # geometric grading toward singular endpoints
 _MAX_PANELS = 2000             # the panel budget of one integral
 _RULE_LO, _RULE_HI = 7, 15     # Gauss pair for value/error estimation
 _EPS = float(np.finfo(float).eps)
+_EXPONENT_ULPS = 8.0           # assumed rounding of a declared exponent, in eps |e|
 
 
 @lru_cache(maxsize=None)
@@ -226,19 +241,26 @@ class _Panel:
 
     def fit(self, fx, rule) -> None:
         """Value from the 15-point rule for the panel's end exponents, error
-        max(|G15 - G7|, roundoff floor), from the integrand's values fx at
-        the nodes of its _panel_rule.  The floor is QUADPACK's 50 eps
-        sum|w f|, each term scaled by the first-order gain
+        max(|G15 - G7|, roundoff floor) + exponent term, from the integrand's
+        values fx at the nodes of its _panel_rule.  The floor is QUADPACK's
+        50 eps sum|w f|, each term scaled by the first-order gain
         1 + |e x0 / (t - x0)| of rounding t in |t - x0|^e at a declared end x0.
+        The exponent term covers a declared e that is a rounded float: off
+        by delta from the integrand's true power, both rules miss about
+        delta / (1 + e) of the panel's value, since int_0^1 x^e log x dx is
+        -1 / (1 + e)^2; delta is taken as _EXPONENT_ULPS eps |e|.
         """
         half = 0.5 * (self.b - self.a)
         _, weights, floor_weights = rule
         hi, lo = (half * (fx @ weights)).tolist()
         plain, at_a, at_b = (np.abs(fx[:_RULE_HI]) @ floor_weights).tolist()
-        floor = 50.0 * _EPS * (half * plain + abs((self.left or 0.0) * self.a) * at_a
-                               + abs((self.right or 0.0) * self.b) * at_b)
+        left, right = self.left or 0.0, self.right or 0.0
+        floor = 50.0 * _EPS * (half * plain + abs(left * self.a) * at_a
+                               + abs(right * self.b) * at_b)
+        shared = _EXPONENT_ULPS * _EPS * half * plain * (abs(left) / (1.0 + left)
+                                                         + abs(right) / (1.0 + right))
         if math.isfinite(hi) and math.isfinite(lo):
-            self.value, self.error = hi, max(abs(hi - lo), floor)
+            self.value, self.error = hi, max(abs(hi - lo), floor) + shared
         else:
             self.value, self.error = 0.0, math.inf
 

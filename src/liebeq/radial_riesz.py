@@ -402,10 +402,7 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
 
     The (location, exponent) pairs at 0, s = r and inf are screened before
     any quadrature runs; ScreenRejected is raised when the screen fails.
-    At r = 0 the kernel is exactly |S^(n-1)| s^(-lam), and the potential is
-    one run over s in [0, inf).
-
-    For r > 0 it is one run over v in [-r/2, inf): the inner piece s = -v
+    The potential is one run over v in [-r/2, inf): the inner piece s = -v
     for v < 0, the band |s - r| <= r/2 folded in the exact diagonal
     distance d = v on [0, r/2] (s = r + v and r - v), and the outer piece
     s = r + v, d = v beyond.  The origin and the diagonal sit at the exact
@@ -413,7 +410,9 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     so graded panels resolve both to full precision, and the kernel keeps
     its exact d.  The three pieces share one heap and one target, relative
     to the summed |panel values|, so scaling f by a power of two scales
-    value and error exactly.  Returns QuadResult(value, err).
+    value and error exactly.  At r = 0 only the outer piece is left: v = s
+    = d in [0, inf), where the kernel is exactly |S^(n-1)| s^(-lam) and 0
+    carries one exponent.  Returns QuadResult(value, err).
     """
     if not 0.0 <= r < math.inf:
         raise ValueError("radius must be nonnegative and finite")
@@ -429,16 +428,9 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
             location=screen.failing_location)
 
     origin, *diagonal, tail = budget
-    if r == 0.0:
-        def on_ray(s):
-            s = np.asarray(s, dtype=float)
-            return f.value(s) * s ** (n - 1) * _kernel_from_distance(n, lam, r, s, s)
-
-        return quadrature.integrate(on_ray, 0.0, math.inf,
-                                    replace(quad, singularities=(origin, tail)))
-
     half = 0.5 * r
-    (_, at_diagonal), = diagonal
+    singularities = ((origin, tail) if r == 0.0 else
+                     ((0.0, (origin[1], diagonal[0][1])), (half, 0.0), tail))
 
     def integrand(v):
         # v < 0: s = -v, d = r + v; 0 <= v <= r/2: s = r + v and r - v, d = v;
@@ -462,5 +454,5 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
             out[band] += values[v.size:]
         return out
 
-    return quadrature.integrate(integrand, -half, math.inf, replace(
-        quad, singularities=((0.0, (origin[1], at_diagonal)), (half, 0.0), tail)))
+    return quadrature.integrate(integrand, -half, math.inf,
+                                replace(quad, singularities=singularities))

@@ -321,9 +321,33 @@ def test_per_side_exponent_at_or_below_minus_one_is_refused(sides):
         QuadratureSpec(singularities=((0.0, sides),))
 
 
-def test_per_side_exponent_is_a_pair():
+@pytest.mark.parametrize("exponent", [(-0.5, -0.5, -0.5), (-0.5,), "-0.5", None,
+                                      ("-0.5", 0.0), ((-0.5, 0.0), 0.0)])
+def test_per_side_exponent_is_a_pair(exponent):
     with pytest.raises(ValueError, match="pair"):
-        QuadratureSpec(singularities=((0.0, (-0.5, -0.5, -0.5)),))
+        QuadratureSpec(singularities=((0.0, exponent),))
+
+
+def test_exponent_forms_are_stored_as_float_or_tuple():
+    # a list pair is kept as a tuple, so every reader sees one of two forms
+    spec = QuadratureSpec(singularities=((0, [-0.25, np.float32(-0.5)]), (1, -0.5)))
+    assert spec.singularities == ((0.0, (-0.25, -0.5)), (1.0, -0.5))
+    assert type(spec.singularities[0][1]) is tuple
+    assert all(type(side) is float for side in spec.singularities[0][1])
+
+
+# -- a declared exponent off by a rounding -----------------------------------
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+@pytest.mark.parametrize("ulps", [-3, 1, 3])
+def test_declared_exponent_off_by_a_rounding_within_the_bar(gap, ulps):
+    # int_0^1 t^e dt = 1 / (1 + e), declared a few ulps off e: both Gauss
+    # orders miss about ulps * ulp(e) / (1 + e) of the value, which their
+    # difference cannot show
+    e = -1.0 + gap
+    spec = QuadratureSpec(singularities=((0.0, e + ulps * math.ulp(e)),))
+    value, err = integrate(lambda t: t ** e, 0.0, 1.0, spec)
+    assert abs(value - 1.0 / (1.0 + e)) <= err
 
 
 # -- singularities away from 0 -----------------------------------------------

@@ -424,6 +424,19 @@ class TestRieszPotential:
         exact = float(f.value(r)) ** p.pm1
         assert abs(value - exact) <= err + 8 * math.ulp(exact)
 
+    # the origin and the folded tail carry exponents lam/2 above -1: a
+    # rounding in their declared exponents costs about eps / (lam/2) of the
+    # value, which the 15- and 7-point rules share
+    @pytest.mark.parametrize("frac", [1e-5, 3e-5, 1e-4, 3e-4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exponent_near_minus_one_error_within_bar(self, n, frac):
+        p = Params(n, frac * n)
+        f = singular_solution(p)
+        for r in (0.5, 2.0):
+            value, err = riesz_potential_radial(f, p, r, QuadratureSpec(rel_tol=1e-9))
+            exact = float(f.value(r)) ** p.pm1
+            assert abs(value - exact) <= err + 8 * math.ulp(exact), r
+
     @pytest.mark.parametrize("r", [0.0, 0.2, 1.0, 7.5])
     @pytest.mark.parametrize("n", [1, 3])
     def test_one_integrate_run_per_radius(self, monkeypatch, n, r):
