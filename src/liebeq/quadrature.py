@@ -28,10 +28,14 @@ the rest of its batch.  The initial panels (the cells and the folded tail)
 share one call, on the nodes of the 15- and 7-point rules of each in turn.
 Refinement runs in rounds: each pops the worst panels until their errors
 cover the excess of the summed errors over the target (scipy's quad_vec
-rule), splits them and evaluates all their children in one more call, 44
-nodes per split, each left child before its right.  Everything here is pure
-and deterministic; panel values are summed with math.fsum, so the result
-does not depend on refinement order.  Refinement stops when the summed
+rule), cuts them and evaluates all their children in one more call, 22
+nodes per child.  A panel that touches one cell boundary (an end of the
+range or a declared point) takes at once the whole geometric mesh toward it
+that its error asks for, ceil(log4(error / target)) cuts at ratio 0.25, as
+hp refinement does toward an algebraic singularity (Schwab 1998); any other
+panel is cut in two.  Everything here is pure and deterministic; panel
+values are summed with math.fsum, so the result does not depend on
+refinement order.  Refinement stops when the summed
 panel errors of the whole integral are at most rel_tol times the summed
 |panel values|: a scale-free target, so scaling f by a power of two scales
 value and error exactly.
@@ -180,7 +184,7 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-# one batch of the benchmark's verify-sweep workload uses 350 distinct keys
+# one seed-4 batch of the benchmark's verify-sweep workload uses 350 distinct keys
 @lru_cache(maxsize=1024)
 def _rule(order: int, ea: float, eb: float):
     """Gauss-Jacobi nodes on [-1, 1] for the weight (1+x)^ea (1-x)^eb, and
@@ -209,7 +213,7 @@ def _rule(order: int, ea: float, eb: float):
     return nodes, weights
 
 
-# one batch of the benchmark's verify-sweep workload uses 175 distinct keys
+# one seed-4 batch of the benchmark's verify-sweep workload uses 175 distinct keys
 @lru_cache(maxsize=1024)
 def _panel_rule(ea: float, eb: float):
     """The panel rule for end exponents ea, eb: the 15- then 7-point nodes,
@@ -272,6 +276,37 @@ class _Panel:
             return self.b - _GRADING_RATIO * w
         return self.a + 0.5 * w
 
+    def cut(self, depth: int) -> list:
+        """The children of cutting at split_point, left before right; with
+        exactly one end a cell boundary, the child at that end is cut again,
+        up to depth cuts in all: a geometric mesh, each cut's far child in
+        turn and the end child last.  No cut lands outside its panel or
+        splits one at the float width floor, which scales with position:
+        toward 0 panels shrink through the subnormals until a cut lands on
+        an end.  [] when the first cut cannot be made."""
+        if (self.left is None) == (self.right is None):
+            depth = min(depth, 1)
+        children, p = [], self
+        for _ in range(depth):
+            cut = p.split_point()
+            if not p.a < cut < p.b or p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
+                break
+            lo = _Panel(p.a, cut, p.left, None, p.folded)
+            hi = _Panel(cut, p.b, None, p.right, p.folded)
+            far, p = (hi, lo) if p.left is not None and p.right is None else (lo, hi)
+            children.append(far)
+        return children + [p] if children else []
+
+
+def _depth(error: float, target: float) -> int:
+    """The cuts of a geometric mesh toward a cell boundary x0: the end panel
+    of an integrand a(t) + |t - x0|^e b(t) loses a factor 1/_GRADING_RATIO
+    = 4 of its error per cut, so ceil(log4(error / target)) cuts, at least
+    1, and 1 when that ratio is not finite (an error that is not, or a
+    zero target)."""
+    ratio = error / target if target > 0.0 else math.inf
+    return max(1, math.ceil(0.5 * math.log2(ratio))) if 1.0 < ratio < math.inf else 1
+
 
 def _evaluate(f, panels) -> None:
     """Fit each panel, from one call of f on the nodes of all of them in turn:
@@ -292,12 +327,14 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
 
     Each round pops the worst panels, from the top of a heap keyed
     (-error, folded, a), until their errors cover the excess of the summed
-    errors over the target (scipy's quad_vec rule), splits them all and
-    evaluates every child in one call of f: the children in pop order, each
-    left child before its right.  The initial panels share one call too.
-    A round stops short of a panel it cannot split: one at the float width
-    floor, one whose cut does not land strictly inside it, or any split
-    past _MAX_PANELS panels.  When that panel is the worst of all, the run
+    errors over the target (scipy's quad_vec rule), cuts them all and
+    evaluates every child in one call of f: the children of each popped
+    panel in pop order, as _Panel.cut lists them, with _depth(error, target)
+    cuts toward a lone cell boundary.  The initial panels share one call too.
+    Every child counts toward _MAX_PANELS, and a cascade stops at it.  A
+    round stops short of a panel it cannot cut: one at the float width
+    floor, one whose cut does not land strictly inside it, or any cut past
+    _MAX_PANELS panels.  When that panel is the worst of all, the run
     raises NonConvergent.  Cuts land strictly inside, so the panels on each
     side of the fold keep distinct left ends, and the heap never compares
     two panels.
@@ -315,20 +352,16 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
         count, covered, children = len(heap), 0.0, []
         while heap and (not children or covered < err - target):
             p = heap[0][3]
-            cut = p.split_point()
-            # the width floor scales with position: toward 0 panels shrink on
-            # through the subnormals until the cut lands on an end
-            if count >= _MAX_PANELS or not p.a < cut < p.b or \
-                    p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
+            mesh = p.cut(min(_depth(p.error, target), _MAX_PANELS - count))
+            if not mesh:
                 if children:
                     break
                 raise NonConvergent(
                     f"estimated error {err:.3e} above target {target:.3e} with "
                     f"{count} panels", value=total, error=err)
             heapq.heappop(heap)
-            count, covered = count + 1, covered + p.error
-            children += (_Panel(p.a, cut, p.left, None, p.folded),
-                         _Panel(cut, p.b, None, p.right, p.folded))
+            count, covered = count + len(mesh) - 1, covered + p.error
+            children += mesh
         _evaluate(f, children)
         for child in children:
             heapq.heappush(heap, (-child.error, child.folded, child.a, child))

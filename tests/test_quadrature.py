@@ -127,40 +127,67 @@ def _panel_nodes(a, b, ea, eb):
     return 0.5 * (a + b) + 0.5 * (b - a) * nodes
 
 
+def _round_children(live, rel_tol):
+    """The panels a round pops from live, worst first until their errors
+    cover the excess over the target, and the (a, b, left, right) children
+    it evaluates: a panel with both ends declared or neither is cut once,
+    left child before right; one with exactly one declared end is cut
+    ceil(log4(error / target)) times (at least once) toward that end, by
+    split_point on the end child each time, each cut's far child listed
+    in turn and the end child last."""
+    err = math.fsum(p.error for p in live)
+    target = rel_tol * math.fsum(abs(p.value) for p in live)
+    popped, children = [], []
+    for p in sorted(live, key=lambda p: (-p.error, p.folded, p.a)):
+        if popped and sum(q.error for q in popped) >= err - target:
+            break
+        popped.append(p)
+        one_end = (p.left is None) != (p.right is None)
+        depth = max(1, math.ceil(math.log(p.error / target, 4))) if one_end else 1
+        q = p
+        for _ in range(depth):
+            cut = q.split_point()
+            lo = quadrature._Panel(q.a, cut, q.left, None, q.folded)
+            hi = quadrature._Panel(cut, q.b, None, q.right, q.folded)
+            far, q = (hi, lo) if one_end and p.left is not None else (lo, hi)
+            children.append(far)
+        children.append(q)
+    return popped, [(c.a, c.b, c.left, c.right) for c in children]
+
+
 @pytest.mark.parametrize("f,spec,jacobi", [
     (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False),
     (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
 ])
 def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
     # the initial cell is one call on its 15 + 7 nodes; each round after it
-    # is one call on the nodes of every panel it splits, in pop order, each
-    # split's left child before its right
-    events = []
-    split_point = quadrature._Panel.split_point
+    # is one call on the nodes of the children of every panel it pops, in
+    # pop order, a declared end's geometric cascade from its first cut to
+    # its last
+    calls, live, rounds = [], [], []
+    evaluate = quadrature._evaluate
 
-    def recorded(panel):
-        cut = split_point(panel)
-        events.append((panel.a, cut, panel.b, panel.left or 0.0, panel.right or 0.0))
-        return cut
+    def recorded(f, panels):
+        evaluate(f, panels)
+        if live:
+            popped, children = _round_children(live, spec.rel_tol)
+            assert [(p.a, p.b, p.left, p.right) for p in panels] == children
+            assert np.array_equal(calls[-1], np.concatenate([
+                _panel_nodes(a, b, left or 0.0, right or 0.0) for a, b, left, right in children]))
+            rounds.append((popped, children))
+            live[:] = [p for p in live if all(p is not q for q in popped)]
+        live.extend(panels)
 
-    monkeypatch.setattr(quadrature._Panel, "split_point", recorded)
-    result = integrate(lambda x: events.append(np.array(x)) or f(x), 0.0, 1.0, spec)
+    monkeypatch.setattr(quadrature, "_evaluate", recorded)
+    result = integrate(lambda x: calls.append(np.array(x)) or f(x), 0.0, 1.0, spec)
     ea = dict(spec.singularities).get(0.0, 0.0)
-    assert np.array_equal(events[0], _panel_nodes(0.0, 1.0, ea, 0.0))
-    rounds, splits = [], []
-    for event in events[1:]:
-        if isinstance(event, tuple):
-            splits.append(event)
-        else:
-            rounds.append((event, splits))
-            splits = []
-    assert not splits and len(rounds) > 1
-    assert any(len(splits) > 1 for _, splits in rounds)
-    assert any(ea != 0.0 for _, splits in rounds for *_, ea, _ in splits) == jacobi
-    for x, splits in rounds:
-        assert np.array_equal(x, np.concatenate([
-            nodes for a, cut, b, ea, eb in splits
-            for nodes in (_panel_nodes(a, cut, ea, 0.0), _panel_nodes(cut, b, 0.0, eb))]))
+    assert np.array_equal(calls[0], _panel_nodes(0.0, 1.0, ea, 0.0))
+    assert len(calls) == len(rounds) + 1 > 2
+    assert any(len(popped) > 1 for popped, _ in rounds)
+    # some popped panel is replaced by a cascade of more than two children
+    assert any(len(children) > 2 * len(popped) for popped, children in rounds)
+    assert any(left not in (None, 0.0) for _, children in rounds
+               for _, _, left, _ in children) == jacobi
     # a node's value does not depend on its batch, so neither does the result
     chunked = lambda x: np.concatenate([f(x[i:i + 22]) for i in range(0, x.size, 22)])
     monkeypatch.undo()
@@ -169,13 +196,15 @@ def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
 
 def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch):
     # scipy's quad_vec rule: a round pops the worst panels until their errors
-    # reach the excess of the summed errors over the target
+    # reach the excess of the summed errors over the target; a popped panel
+    # may be replaced by a cascade of children, whose own cuts are not pops
     spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
     live, popped, rounds = [], [], []
     split_point, evaluate = quadrature._Panel.split_point, quadrature._evaluate
 
     def recorded_split(panel):
-        popped.append(panel)
+        if any(panel is p for p in live):
+            popped.append(panel)
         return split_point(panel)
 
     def recorded_evaluate(f, panels):
@@ -187,7 +216,7 @@ def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch)
             assert errors == sorted(errors, reverse=True)
             assert errors[-1] >= max((p.error for p in kept), default=0.0)
             assert sum(errors[:-1]) < excess <= sum(errors)
-            rounds.append(len(popped))
+            rounds.append((len(popped), len(panels)))
             live[:], popped[:] = kept, []
         evaluate(f, panels)
         live.extend(panels)
@@ -195,7 +224,105 @@ def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch)
     monkeypatch.setattr(quadrature._Panel, "split_point", recorded_split)
     monkeypatch.setattr(quadrature, "_evaluate", recorded_evaluate)
     value, err = integrate(lambda x: x ** -0.5 * np.cos(20.0 * x), 0.0, 1.0, spec)
-    assert max(rounds) > 1 and err <= spec.rel_tol * abs(value)
+    # the integrand changes sign, so the target is rel_tol times the summed
+    # |panel values|, which exceeds |value|
+    assert max(pops for pops, _ in rounds) > 1
+    assert err <= spec.rel_tol * math.fsum(abs(p.value) for p in live)
+    assert any(children > 2 * pops for pops, children in rounds)
+    # x = t^2: the integral is 2 int_0^1 cos(20 t^2) dt
+    with mpmath.workdps(30):
+        exact = float(2 * mpmath.quad(lambda t: mpmath.cos(20 * t * t), [0, 0.5, 1]))
+    assert abs(value - exact) <= err + 8 * math.ulp(exact)
+
+
+# -- geometric cascades toward a declared end --------------------------------
+
+@pytest.mark.parametrize("panel", [
+    quadrature._Panel(0.0, 1.0, -0.5, None),
+    quadrature._Panel(-3.0, 0.7, None, -0.25),
+    quadrature._Panel(0.0, 0.5, 1.5, None, True),
+])
+def test_cascade_cuts_are_successive_split_points(panel):
+    # the mesh is the one successive rounds would build: split_point applied
+    # again to the end child, bit for bit, each cut's far child in turn
+    end, expected = panel, []
+    for _ in range(6):
+        cut = end.split_point()
+        lo = quadrature._Panel(end.a, cut, end.left, None, end.folded)
+        hi = quadrature._Panel(cut, end.b, None, end.right, end.folded)
+        far, end = (hi, lo) if panel.left is not None else (lo, hi)
+        expected.append(far)
+    assert panel.cut(6) == expected + [end]
+
+
+def test_panels_without_exactly_one_declared_end_take_one_cut():
+    for left, right in ((None, None), (0.0, 0.0), (-0.5, 0.0)):
+        children = quadrature._Panel(0.0, 1.0, left, right).cut(9)
+        assert [(c.a, c.b, c.left, c.right) for c in children] == [
+            (0.0, 0.5, left, None), (0.5, 1.0, None, right)]
+
+
+@pytest.mark.parametrize("ratio,depth", [
+    (0.5, 1), (1.0, 1), (3.9, 1), (4.0, 1), (4.01, 2), (16.0, 2), (17.0, 3),
+    (4.0 ** 7, 7), (1.001 * 4.0 ** 7, 8), (1e9, 15), (1e300, 499),
+])
+def test_cascade_depth_is_log4_of_error_over_target(ratio, depth):
+    # each cut toward the end divides the end panel's error by about 4
+    assert depth == max(1, math.ceil(math.log(ratio, 4) - 1e-12))
+    for target in (1e-12, 1.0, 3.0):
+        assert quadrature._depth(ratio * target, target) == depth
+
+
+@pytest.mark.parametrize("error,target", [
+    (math.inf, 1e-9), (math.nan, 1e-9), (1.0, 0.0), (math.inf, 0.0), (1e300, 1e-300),
+])
+def test_non_finite_error_or_zero_target_takes_one_cut(error, target):
+    assert quadrature._depth(error, target) == 1
+
+
+def test_nan_at_a_declared_end_is_cut_once_per_round(monkeypatch):
+    # a panel whose error is not finite has no depth to aim for: the panel at
+    # 0 is cut once a round, down to the subnormals, where the run refuses
+    sizes = []
+    evaluate = quadrature._evaluate
+    monkeypatch.setattr(quadrature, "_evaluate",
+                        lambda f, panels: sizes.append(len(panels)) or evaluate(f, panels))
+    f = lambda s: np.where(s < 1e-3, np.nan, 1.0)
+    with pytest.raises(NonConvergent):
+        integrate(f, 0.0, 1.0, QuadratureSpec(singularities=((0.0, -0.5),)))
+    assert len(sizes) > 500 and set(sizes[-500:]) == {2}
+
+
+def test_cascade_stops_at_the_float_width_floor():
+    # away from 0 the end child reaches widths near 8 eps |x0|, where the
+    # cascade stops short of its depth with every cut strictly inside
+    floor = lambda a, b: b - a <= 8.0 * quadrature._EPS * max(abs(a), abs(b))
+    children = quadrature._Panel(1.0, 1.0 + 2.0 ** -30, 0.0, None).cut(100)
+    assert 2 < len(children) < 100 and all(c.a < c.b for c in children)
+    # the k-th cut split [1, children[k].b], above the floor; the end child is at it
+    assert not any(floor(1.0, c.b) for c in children[:-1])
+    assert floor(children[-1].a, children[-1].b)
+    # toward 0 the floor scales with position: the panels shrink through the
+    # subnormals until a cut lands on the end
+    children = quadrature._Panel(0.0, 1.0, -0.5, None).cut(10_000)
+    assert 500 < len(children) < 10_000 and all(c.a < c.b for c in children)
+    assert children[-1].split_point() in (children[-1].a, children[-1].b)
+
+
+def test_cascade_stops_at_the_panel_budget(monkeypatch):
+    # 1995 cells with a declared singular end on each side: round 1 halves
+    # both end cells (1997 panels); in round 2 the first end panel popped
+    # cascades with room for three cuts only, its children count toward the
+    # budget, so the second is not cut, and the next round refuses
+    sizes = []
+    evaluate = quadrature._evaluate
+    monkeypatch.setattr(quadrature, "_evaluate",
+                        lambda f, panels: sizes.append(len(panels)) or evaluate(f, panels))
+    spec = QuadratureSpec(rel_tol=1e-12, singularities=(
+        (0.0, -0.5), *((float(k), 0.0) for k in range(1, 1995)), (1995.0, -0.5)))
+    with pytest.raises(NonConvergent, match="with 2000 panels"):
+        integrate(lambda s: 1.0 + s ** -0.5 + (1995.0 - s) ** -0.5, 0.0, 1995.0, spec)
+    assert sizes == [1995, 4, 4]
 
 
 def test_initial_cells_share_one_call():

@@ -464,6 +464,19 @@ class TestRieszPotential:
         exact = float(lieb_solution(p).value(r)) ** p.pm1
         assert abs(value - exact) <= err + 8 * math.ulp(exact)
 
+    def test_singular_potential_takes_four_integrand_calls(self, monkeypatch):
+        # a work counter: the panel at the diagonal v = 0 takes its geometric
+        # mesh in one round, not one round per level (11 calls before)
+        p = Params(1, 0.5)
+        calls = []
+        integrate_once = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate", lambda f, a, b, spec: integrate_once(
+            lambda v: calls.append(v.size) or f(v), a, b, spec))
+        value, err = riesz_potential_radial(singular_solution(p), p, 1.0)
+        assert len(calls) <= 4
+        exact = float(singular_solution(p).value(1.0)) ** p.pm1
+        assert abs(value - exact) <= err + 8 * math.ulp(exact)
+
     def test_heap_keys_are_distinct_without_a_tie_break(self, monkeypatch):
         # the three pieces share one heap keyed (-error, folded, a): the live
         # keys stay distinct, so no two panels are compared and the run is
