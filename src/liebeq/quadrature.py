@@ -29,16 +29,18 @@ share one call, on the nodes of the 15- and 7-point rules of each in turn.
 Refinement runs in rounds: each pops the worst panels until their errors
 cover the excess of the summed errors over the target (scipy's quad_vec
 rule), cuts them and evaluates all their children in one more call, 22
-nodes per child.  A panel that touches one cell boundary (an end of the
-range or a declared point) takes at once the whole geometric mesh toward it
-that its error asks for, ceil(log4(error / target)) cuts at ratio 0.25, as
-hp refinement does toward an algebraic singularity (Schwab 1998); any other
-panel is cut in two.  Everything here is pure and deterministic; panel
-values are summed with math.fsum, so the result does not depend on
-refinement order.  Refinement stops when the summed
-panel errors of the whole integral are at most rel_tol times the summed
-|panel values|: a scale-free target, so scaling f by a power of two scales
-value and error exactly.
+nodes per child.  A panel whose one cell boundary is a declared location
+takes at once the whole geometric mesh toward it that its error asks for,
+as hp refinement does toward an algebraic singularity (Schwab 1998):
+ceil(log4(error / target) / k) cuts at ratio 0.25, where k >= 1 is the
+order error ~ width^k its own cut showed, 1 for an end the weight does not
+capture and large for one it captures exactly, which then takes one cut.
+Any other panel is cut in two.  Everything here is pure and deterministic;
+panel values are summed with math.fsum, so the result does not depend on
+refinement order.  Refinement stops when the summed panel errors of the
+whole integral are at most rel_tol times the summed |panel values|: a
+scale-free target, so scaling f by a power of two scales value and error
+exactly.
 """
 
 from __future__ import annotations
@@ -233,15 +235,31 @@ def _panel_rule(ea: float, eb: float):
 class _Panel:
     """A panel [a, b].  left and right are the exponents declared at a and b
     when those are cell boundaries (0.0 when none is declared), and None
-    inside a cell.  A folded panel lies in u = 1/t and integrates f(1/u)/u^2."""
+    inside a cell.  A folded panel lies in u = 1/t and integrates f(1/u)/u^2.
+    declared says which of a and b is a location listed in the spec's
+    singularities (u = 0 of the fold stands for inf); only toward such a
+    point does cut grade a geometric mesh.  source is the (error, width) of
+    the panel this one was cut from, None for an initial panel."""
 
     a: float
     b: float
     left: float | None
     right: float | None
     folded: bool = False
+    declared: tuple = (False, False)
+    source: tuple | None = None
     value: float = 0.0
     error: float = math.inf
+
+    def order(self) -> float:
+        """The k of error ~ width^k that the cut from the source shows, at
+        least 1, the order of an end a(t) + |t - x0|^e b(t) whose a the
+        weight |t - x0|^e does not capture; 1 without a source or a finite
+        drop.  A weight that captures the end exactly shows a large k."""
+        if self.source is None or not 0.0 < self.error < self.source[0] < math.inf:
+            return 1.0
+        error, width = self.source
+        return max(1.0, math.log(error / self.error) / math.log(width / (self.b - self.a)))
 
     def fit(self, fx, rule) -> None:
         """Value from the 15-point rule for the panel's end exponents, error
@@ -277,35 +295,37 @@ class _Panel:
         return self.a + 0.5 * w
 
     def cut(self, depth: int) -> list:
-        """The children of cutting at split_point, left before right; with
-        exactly one end a cell boundary, the child at that end is cut again,
+        """The children of cutting at split_point: left before right, or
+        with exactly one end a cell boundary, the child away from it first.
+        When that end is a declared location the child at it is cut again,
         up to depth cuts in all: a geometric mesh, each cut's far child in
         turn and the end child last.  No cut lands outside its panel or
         splits one at the float width floor, which scales with position:
         toward 0 panels shrink through the subnormals until a cut lands on
         an end.  [] when the first cut cannot be made."""
-        if (self.left is None) == (self.right is None):
+        if (self.left is None) == (self.right is None) or \
+                not self.declared[self.left is None]:
             depth = min(depth, 1)
-        children, p = [], self
+        children, p, src = [], self, (self.error, self.b - self.a)
         for _ in range(depth):
             cut = p.split_point()
             if not p.a < cut < p.b or p.b - p.a <= 8.0 * _EPS * max(abs(p.a), abs(p.b)):
                 break
-            lo = _Panel(p.a, cut, p.left, None, p.folded)
-            hi = _Panel(cut, p.b, None, p.right, p.folded)
+            lo = _Panel(p.a, cut, p.left, None, p.folded, (p.declared[0], False), src)
+            hi = _Panel(cut, p.b, None, p.right, p.folded, (False, p.declared[1]), src)
             far, p = (hi, lo) if p.left is not None and p.right is None else (lo, hi)
             children.append(far)
         return children + [p] if children else []
 
 
-def _depth(error: float, target: float) -> int:
-    """The cuts of a geometric mesh toward a cell boundary x0: the end panel
-    of an integrand a(t) + |t - x0|^e b(t) loses a factor 1/_GRADING_RATIO
-    = 4 of its error per cut, so ceil(log4(error / target)) cuts, at least
-    1, and 1 when that ratio is not finite (an error that is not, or a
-    zero target)."""
+def _depth(error: float, target: float, order: float = 1.0) -> int:
+    """The cuts of a geometric mesh toward a declared point x0: an end panel
+    whose error goes as width^order loses a factor 4^order of it per cut at
+    _GRADING_RATIO = 0.25, so ceil(log4(error / target) / order) cuts (for
+    a(t) + |t - x0|^e b(t), order 1: a factor 4), at least 1, and 1 when
+    that ratio is not finite (an error that is not, or a zero target)."""
     ratio = error / target if target > 0.0 else math.inf
-    return max(1, math.ceil(0.5 * math.log2(ratio))) if 1.0 < ratio < math.inf else 1
+    return max(1, math.ceil(0.5 * math.log2(ratio) / order)) if 1.0 < ratio < math.inf else 1
 
 
 def _evaluate(f, panels) -> None:
@@ -329,8 +349,8 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
     (-error, folded, a), until their errors cover the excess of the summed
     errors over the target (scipy's quad_vec rule), cuts them all and
     evaluates every child in one call of f: the children of each popped
-    panel in pop order, as _Panel.cut lists them, with _depth(error, target)
-    cuts toward a lone cell boundary.  The initial panels share one call too.
+    panel in pop order, as _Panel.cut lists them, with _depth(error,
+    target, order) cuts toward a lone declared cell boundary.  The initial panels share one call too.
     Every child counts toward _MAX_PANELS, and a cascade stops at it.  A
     round stops short of a panel it cannot cut: one at the float width
     floor, one whose cut does not land strictly inside it, or any cut past
@@ -352,7 +372,7 @@ def _integrate_cells(f, panels: list, spec: QuadratureSpec) -> QuadResult:
         count, covered, children = len(heap), 0.0, []
         while heap and (not children or covered < err - target):
             p = heap[0][3]
-            mesh = p.cut(min(_depth(p.error, target), _MAX_PANELS - count))
+            mesh = p.cut(min(_depth(p.error, target, p.order()), _MAX_PANELS - count))
             if not mesh:
                 if children:
                     break
@@ -397,7 +417,9 @@ def integrate(f: Callable, a: float, b: float,
         T = T if T > 0.0 else 1.0
         # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps
         # the exponent declared above T, which can only be a = T
-        tail = [_Panel(0.0, 1.0 / T, -2.0 - below[math.inf], above.get(T, 0.0), True)]
+        tail = [_Panel(0.0, 1.0 / T, -2.0 - below[math.inf], above.get(T, 0.0), True,
+                       (True, T in above))]
     cells = [a, *interior, T] if T > a else []
-    return _integrate_cells(f, [_Panel(lo, hi, above.get(lo, 0.0), below.get(hi, 0.0))
+    return _integrate_cells(f, [_Panel(lo, hi, above.get(lo, 0.0), below.get(hi, 0.0), False,
+                                       (lo in above, hi in below))
                                 for lo, hi in zip(cells, cells[1:])] + tail, spec)

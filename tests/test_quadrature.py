@@ -127,50 +127,71 @@ def _panel_nodes(a, b, ea, eb):
     return 0.5 * (a + b) + 0.5 * (b - a) * nodes
 
 
-def _round_children(live, rel_tol):
+def _order(p, sources):
+    """The k of error ~ width^k that p's cut from its source showed: the
+    (error, width) of the panel it was cut from, in sources by (a, b); at
+    least 1, and 1 without a finite drop."""
+    error, width = sources.get((p.a, p.b), (math.inf, math.inf))
+    if not 0.0 < p.error < error < math.inf:
+        return 1.0
+    return max(1.0, math.log(error / p.error) / math.log(width / (p.b - p.a)))
+
+
+def _round_children(live, spec, sources):
     """The panels a round pops from live, worst first until their errors
     cover the excess over the target, and the (a, b, left, right) children
-    it evaluates: a panel with both ends declared or neither is cut once,
-    left child before right; one with exactly one declared end is cut
-    ceil(log4(error / target)) times (at least once) toward that end, by
-    split_point on the end child each time, each cut's far child listed
-    in turn and the end child last."""
+    it evaluates: a panel whose one cell boundary is a location the spec
+    declares is cut ceil(log4(error / target) / k) times (at least once)
+    toward it, k its _order, by split_point on the end child each time,
+    each cut's far child listed in turn and the end child last; any other
+    panel is cut once, left child before right.  sources gains the
+    (error, width) each child was cut from."""
+    declared = {loc for loc, _ in spec.singularities}
     err = math.fsum(p.error for p in live)
-    target = rel_tol * math.fsum(abs(p.value) for p in live)
+    target = spec.rel_tol * math.fsum(abs(p.value) for p in live)
     popped, children = [], []
     for p in sorted(live, key=lambda p: (-p.error, p.folded, p.a)):
         if popped and sum(q.error for q in popped) >= err - target:
             break
         popped.append(p)
         one_end = (p.left is None) != (p.right is None)
-        depth = max(1, math.ceil(math.log(p.error / target, 4))) if one_end else 1
-        q = p
+        toward = (p.a if p.left is not None else p.b) in declared and one_end
+        depth = max(1, math.ceil(math.log(p.error / target, 4) / _order(p, sources))) \
+            if toward else 1
+        q, mesh = p, []
         for _ in range(depth):
             cut = q.split_point()
             lo = quadrature._Panel(q.a, cut, q.left, None, q.folded)
             hi = quadrature._Panel(cut, q.b, None, q.right, q.folded)
             far, q = (hi, lo) if one_end and p.left is not None else (lo, hi)
-            children.append(far)
-        children.append(q)
-    return popped, [(c.a, c.b, c.left, c.right) for c in children]
+            mesh.append(far)
+        for c in mesh + [q]:
+            sources[c.a, c.b] = (p.error, p.b - p.a)
+            children.append((c.a, c.b, c.left, c.right))
+    return popped, children
 
 
-@pytest.mark.parametrize("f,spec,jacobi", [
-    (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False),
-    (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
+@pytest.mark.parametrize("f,spec,jacobi,cascade", [
+    (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False, False),
+    (lambda s: s ** -0.5 * np.cos(20.0 * s),
+     QuadratureSpec(singularities=((0.0, -0.5),)), True, False),
+    (lambda s: (1.0 + s ** -0.5) * np.cos(20.0 * s),
+     QuadratureSpec(singularities=((0.0, -0.5),)), True, True),
 ])
-def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
+def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi, cascade):
     # the initial cell is one call on its 15 + 7 nodes; each round after it
     # is one call on the nodes of the children of every panel it pops, in
     # pop order, a declared end's geometric cascade from its first cut to
-    # its last
-    calls, live, rounds = [], [], []
+    # its last.  The undeclared end 1 takes one cut a round, and so does the
+    # declared end 0 of s^-1/2 cos(20 s), whose weight captures it exactly;
+    # the cos(20 s) that s^-1/2 does not multiply makes 0 cascade.
+    calls, live, rounds, sources = [], [], [], {}
     evaluate = quadrature._evaluate
 
     def recorded(f, panels):
         evaluate(f, panels)
         if live:
-            popped, children = _round_children(live, spec.rel_tol)
+            popped, children = _round_children(live, spec, sources)
             assert [(p.a, p.b, p.left, p.right) for p in panels] == children
             assert np.array_equal(calls[-1], np.concatenate([
                 _panel_nodes(a, b, left or 0.0, right or 0.0) for a, b, left, right in children]))
@@ -184,8 +205,8 @@ def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
     assert np.array_equal(calls[0], _panel_nodes(0.0, 1.0, ea, 0.0))
     assert len(calls) == len(rounds) + 1 > 2
     assert any(len(popped) > 1 for popped, _ in rounds)
-    # some popped panel is replaced by a cascade of more than two children
-    assert any(len(children) > 2 * len(popped) for popped, children in rounds)
+    # a popped panel is replaced by a cascade of more than two children
+    assert any(len(children) > 2 * len(popped) for popped, children in rounds) == cascade
     assert any(left not in (None, 0.0) for _, children in rounds
                for _, _, left, _ in children) == jacobi
     # a node's value does not depend on its batch, so neither does the result
@@ -194,10 +215,17 @@ def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
     assert integrate(chunked, 0.0, 1.0, spec) == result
 
 
-def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch):
+@pytest.mark.parametrize("f,cascade", [
+    (lambda x: x ** -0.5 * np.cos(20.0 * x), False),
+    (lambda x: (1.0 + x ** -0.5) * (2.0 + np.cos(20.0 * x)), True),
+])
+def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch, f, cascade):
     # scipy's quad_vec rule: a round pops the worst panels until their errors
     # reach the excess of the summed errors over the target; a popped panel
-    # may be replaced by a cascade of children, whose own cuts are not pops
+    # may be replaced by a cascade of children, whose own cuts are not pops.
+    # The weight x^-1/2 captures the first integrand's end exactly, so it
+    # takes one cut; the 2 + cos(20 x) it does not multiply in the second
+    # makes the end cascade
     spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
     live, popped, rounds = [], [], []
     split_point, evaluate = quadrature._Panel.split_point, quadrature._evaluate
@@ -223,28 +251,29 @@ def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch)
 
     monkeypatch.setattr(quadrature._Panel, "split_point", recorded_split)
     monkeypatch.setattr(quadrature, "_evaluate", recorded_evaluate)
-    value, err = integrate(lambda x: x ** -0.5 * np.cos(20.0 * x), 0.0, 1.0, spec)
-    # the integrand changes sign, so the target is rel_tol times the summed
-    # |panel values|, which exceeds |value|
-    assert max(pops for pops, _ in rounds) > 1
-    assert err <= spec.rel_tol * math.fsum(abs(p.value) for p in live)
-    assert any(children > 2 * pops for pops, children in rounds)
-    # x = t^2: the integral is 2 int_0^1 cos(20 t^2) dt
+    value, err = integrate(f, 0.0, 1.0, spec)
+    assert max(pops for pops, _ in rounds) > 1 and err <= spec.rel_tol * abs(value)
+    assert any(children > 2 * pops for pops, children in rounds) == cascade
+    # x = t^2: the integral of x^-1/2 cos(20 x) is 2 int_0^1 cos(20 t^2) dt,
+    # and that of (1 + x^-1/2)(2 + cos(20 x)) is 6 + sin(20) / 20 more
     with mpmath.workdps(30):
-        exact = float(2 * mpmath.quad(lambda t: mpmath.cos(20 * t * t), [0, 0.5, 1]))
+        exact = 2 * mpmath.quad(lambda t: mpmath.cos(20 * t * t), [0, 0.5, 1])
+        exact = float(exact + (6 + mpmath.sin(20) / 20 if cascade else 0))
     assert abs(value - exact) <= err + 8 * math.ulp(exact)
 
 
 # -- geometric cascades toward a declared end --------------------------------
 
 @pytest.mark.parametrize("panel", [
-    quadrature._Panel(0.0, 1.0, -0.5, None),
-    quadrature._Panel(-3.0, 0.7, None, -0.25),
-    quadrature._Panel(0.0, 0.5, 1.5, None, True),
+    quadrature._Panel(0.0, 1.0, -0.5, None, declared=(True, False), error=0.25),
+    quadrature._Panel(-3.0, 0.7, None, -0.25, declared=(False, True), error=1e-3),
+    quadrature._Panel(0.0, 0.5, 1.5, None, True, (True, False), error=2.0),
 ])
 def test_cascade_cuts_are_successive_split_points(panel):
     # the mesh is the one successive rounds would build: split_point applied
-    # again to the end child, bit for bit, each cut's far child in turn
+    # again to the end child, bit for bit, each cut's far child in turn; the
+    # end child alone keeps the declared end, and each child records the
+    # (error, width) of the panel it was cut from
     end, expected = panel, []
     for _ in range(6):
         cut = end.split_point()
@@ -252,14 +281,82 @@ def test_cascade_cuts_are_successive_split_points(panel):
         hi = quadrature._Panel(cut, end.b, None, end.right, end.folded)
         far, end = (hi, lo) if panel.left is not None else (lo, hi)
         expected.append(far)
-    assert panel.cut(6) == expected + [end]
+    children = panel.cut(6)
+    assert [(c.a, c.b, c.left, c.right, c.folded) for c in children] == \
+        [(c.a, c.b, c.left, c.right, c.folded) for c in expected + [end]]
+    assert [c.declared for c in children] == [(False, False)] * 6 + [panel.declared]
+    assert {c.source for c in children} == {(panel.error, panel.b - panel.a)}
 
 
-def test_panels_without_exactly_one_declared_end_take_one_cut():
-    for left, right in ((None, None), (0.0, 0.0), (-0.5, 0.0)):
-        children = quadrature._Panel(0.0, 1.0, left, right).cut(9)
-        assert [(c.a, c.b, c.left, c.right) for c in children] == [
-            (0.0, 0.5, left, None), (0.5, 1.0, None, right)]
+@pytest.mark.parametrize("left,right,declared,cut", [
+    (None, None, (False, False), 0.5),
+    (0.0, 0.0, (True, True), 0.5),
+    (-0.5, 0.0, (True, False), 0.5),
+    # an end of the range that the spec does not list is graded toward but
+    # not cascaded; as in a cascade, the child at the end comes last
+    (0.0, None, (False, False), 0.25),
+    (None, 0.0, (False, False), 0.75),
+])
+def test_panels_without_exactly_one_declared_end_take_one_cut(left, right, declared, cut):
+    children = quadrature._Panel(0.0, 1.0, left, right, declared=declared).cut(9)
+    expected = [(0.0, cut, left, None), (cut, 1.0, None, right)]
+    if left is not None and right is None:
+        expected.reverse()
+    assert [(c.a, c.b, c.left, c.right) for c in children] == expected
+
+
+def test_integrate_declares_only_listed_locations(monkeypatch):
+    # the cells' ends and the fold's u = 0 are declared exactly where the
+    # spec lists a location: an interior point, a range end, or inf
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def recorded(f, panels):
+        seen.extend((p.a, p.b, p.folded, p.declared) for p in panels)
+        raise Seen
+
+    monkeypatch.setattr(quadrature, "_evaluate", recorded)
+    for spec, b in ((QuadratureSpec(singularities=((0.0, -0.5), (0.5, 0.0))), 1.0),
+                    (QuadratureSpec(singularities=((0.5, 0.0), (math.inf, -2.0))), math.inf)):
+        with pytest.raises(Seen):
+            integrate(np.cos, 0.0, b, spec)
+    assert seen == [(0.0, 0.5, False, (True, True)), (0.5, 1.0, False, (True, False)),
+                    (0.0, 0.5, False, (False, True)), (0.5, 1.0, False, (True, False)),
+                    (0.0, 1.0, True, (True, False))]
+
+
+def test_order_is_the_rate_the_cut_from_the_source_shows():
+    # error ~ width^k from the source's (error, width): a quarter of the
+    # width and a 16th of the error is k = 2; at least 1, and 1 without a
+    # source or a finite drop
+    panel = lambda error, source: quadrature._Panel(
+        0.0, 0.25, -0.5, None, declared=(True, False), source=source, error=error)
+    assert panel(1.0 / 16.0, (1.0, 1.0)).order() == pytest.approx(2.0, rel=1e-15)
+    assert panel(1e-9, (1.0, 1.0)).order() == pytest.approx(9 / math.log10(4), rel=1e-14)
+    for error, source in ((0.5, (1.0, 1.0)), (0.25, (1.0, 1.0)), (2.0, (1.0, 1.0)),
+                          (0.1, None), (0.1, (math.inf, 1.0)), (math.inf, (1.0, 1.0)),
+                          (math.nan, (1.0, 1.0)), (0.0, (1.0, 1.0))):
+        assert panel(error, source).order() == 1.0
+
+
+def test_declared_end_captured_by_its_weight_takes_one_cut(monkeypatch):
+    # x^-1/2 cos(20 x) with (0, -1/2) declared: the weight integrates the
+    # end exactly, so the panel at 0 shows a large order after its first cut
+    # and is cut once a round, as a cell without a cascade would be; with
+    # 1 + cos(20 x) added, which the weight does not capture, the order is
+    # about 1 and the end cascades
+    spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
+    sizes = []
+    evaluate = quadrature._evaluate
+    monkeypatch.setattr(quadrature, "_evaluate",
+                        lambda f, panels: sizes.append(len(panels)) or evaluate(f, panels))
+    integrate(lambda x: x ** -0.5 * np.cos(20.0 * x), 0.0, 1.0, spec)
+    assert sizes == [1, 2, 4, 4, 8]
+    sizes.clear()
+    integrate(lambda x: (1.0 + x ** -0.5) * np.cos(20.0 * x), 0.0, 1.0, spec)
+    assert max(sizes) > 8
 
 
 @pytest.mark.parametrize("ratio,depth", [
@@ -271,6 +368,16 @@ def test_cascade_depth_is_log4_of_error_over_target(ratio, depth):
     assert depth == max(1, math.ceil(math.log(ratio, 4) - 1e-12))
     for target in (1e-12, 1.0, 3.0):
         assert quadrature._depth(ratio * target, target) == depth
+        assert quadrature._depth(ratio * target, target, 1.0) == depth
+
+
+@pytest.mark.parametrize("ratio,order,depth", [
+    (4.0 ** 7, 2.0, 4), (4.0 ** 8, 2.0, 4), (1e9, 3.0, 5), (1e9, 15.0, 1), (1e300, 1e3, 1),
+])
+def test_cascade_depth_divides_by_the_observed_order(ratio, order, depth):
+    # an end whose error goes as width^k loses 4^k of it per cut
+    for target in (1e-12, 1.0, 3.0):
+        assert quadrature._depth(ratio * target, target, order) == depth
 
 
 @pytest.mark.parametrize("error,target", [
@@ -297,14 +404,14 @@ def test_cascade_stops_at_the_float_width_floor():
     # away from 0 the end child reaches widths near 8 eps |x0|, where the
     # cascade stops short of its depth with every cut strictly inside
     floor = lambda a, b: b - a <= 8.0 * quadrature._EPS * max(abs(a), abs(b))
-    children = quadrature._Panel(1.0, 1.0 + 2.0 ** -30, 0.0, None).cut(100)
+    children = quadrature._Panel(1.0, 1.0 + 2.0 ** -30, 0.0, None, declared=(True, False)).cut(100)
     assert 2 < len(children) < 100 and all(c.a < c.b for c in children)
     # the k-th cut split [1, children[k].b], above the floor; the end child is at it
     assert not any(floor(1.0, c.b) for c in children[:-1])
     assert floor(children[-1].a, children[-1].b)
     # toward 0 the floor scales with position: the panels shrink through the
     # subnormals until a cut lands on the end
-    children = quadrature._Panel(0.0, 1.0, -0.5, None).cut(10_000)
+    children = quadrature._Panel(0.0, 1.0, -0.5, None, declared=(True, False)).cut(10_000)
     assert 500 < len(children) < 10_000 and all(c.a < c.b for c in children)
     assert children[-1].split_point() in (children[-1].a, children[-1].b)
 
