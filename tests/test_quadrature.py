@@ -171,20 +171,11 @@ def _round_children(live, spec, sources):
     return popped, children
 
 
-@pytest.mark.parametrize("f,spec,jacobi,cascade", [
-    (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False, False),
-    (lambda s: s ** -0.5 * np.cos(20.0 * s),
-     QuadratureSpec(singularities=((0.0, -0.5),)), True, False),
-    (lambda s: (1.0 + s ** -0.5) * np.cos(20.0 * s),
-     QuadratureSpec(singularities=((0.0, -0.5),)), True, True),
-])
-def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi, cascade):
-    # the initial cell is one call on its 15 + 7 nodes; each round after it
-    # is one call on the nodes of the children of every panel it pops, in
-    # pop order, a declared end's geometric cascade from its first cut to
-    # its last.  The undeclared end 1 takes one cut a round, and so does the
-    # declared end 0 of s^-1/2 cos(20 s), whose weight captures it exactly;
-    # the cos(20 s) that s^-1/2 does not multiply makes 0 cascade.
+def _pinned_rounds(monkeypatch, f, spec):
+    """Integrate f over [0, 1], checking that the initial cell is one call on
+    its 15 + 7 nodes and each round after it one call on the nodes of the
+    children _round_children rebuilds, in pop order; the (popped, children)
+    of each round."""
     calls, live, rounds, sources = [], [], [], {}
     evaluate = quadrature._evaluate
 
@@ -205,28 +196,42 @@ def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi, cascade):
     assert np.array_equal(calls[0], _panel_nodes(0.0, 1.0, ea, 0.0))
     assert len(calls) == len(rounds) + 1 > 2
     assert any(len(popped) > 1 for popped, _ in rounds)
-    # a popped panel is replaced by a cascade of more than two children
-    assert any(len(children) > 2 * len(popped) for popped, children in rounds) == cascade
-    assert any(left not in (None, 0.0) for _, children in rounds
-               for _, _, left, _ in children) == jacobi
     # a node's value does not depend on its batch, so neither does the result
     chunked = lambda x: np.concatenate([f(x[i:i + 22]) for i in range(0, x.size, 22)])
     monkeypatch.undo()
     assert integrate(chunked, 0.0, 1.0, spec) == result
+    return rounds
 
 
-@pytest.mark.parametrize("f,cascade", [
-    (lambda x: x ** -0.5 * np.cos(20.0 * x), False),
-    (lambda x: (1.0 + x ** -0.5) * (2.0 + np.cos(20.0 * x)), True),
+@pytest.mark.parametrize("f,spec,jacobi", [
+    (lambda s: np.exp(3.0 * s) * np.sin(37.0 * s), QuadratureSpec(), False),
+    (lambda s: s ** -0.5 * np.cos(20.0 * s), QuadratureSpec(singularities=((0.0, -0.5),)), True),
 ])
-def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch, f, cascade):
-    # scipy's quad_vec rule: a round pops the worst panels until their errors
-    # reach the excess of the summed errors over the target; a popped panel
-    # may be replaced by a cascade of children, whose own cuts are not pops.
-    # The weight x^-1/2 captures the first integrand's end exactly, so it
-    # takes one cut; the 2 + cos(20 x) it does not multiply in the second
-    # makes the end cascade
-    spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
+def test_one_integrand_call_per_round(monkeypatch, f, spec, jacobi):
+    # one call a round, on the children of every popped panel in pop order.
+    # The undeclared end 1 takes one cut a round, and so does the declared
+    # end 0 of s^-1/2 cos(20 s), whose weight captures it exactly
+    rounds = _pinned_rounds(monkeypatch, f, spec)
+    assert all(len(children) == 2 * len(popped) for popped, children in rounds)
+    assert any(left not in (None, 0.0) for _, children in rounds
+               for _, _, left, _ in children) == jacobi
+
+
+def test_one_integrand_call_per_round_with_a_cascade(monkeypatch):
+    # the cos(20 s) that s^-1/2 does not multiply makes the declared end 0
+    # cascade: its geometric mesh is listed from the first cut to the last,
+    # in the round's one call
+    rounds = _pinned_rounds(monkeypatch, lambda s: (1.0 + s ** -0.5) * np.cos(20.0 * s),
+                            QuadratureSpec(singularities=((0.0, -0.5),)))
+    assert any(len(children) > 2 * len(popped) for popped, children in rounds)
+
+
+def _covered_rounds(monkeypatch, f, spec):
+    """Integrate f over [0, 1], checking scipy's quad_vec rule in each round:
+    it pops the worst panels until their errors reach the excess of the
+    summed errors over the target.  A popped panel may be replaced by a
+    cascade of children, whose own cuts are not pops.  The (value, error)
+    and the (pops, children) of each round."""
     live, popped, rounds = [], [], []
     split_point, evaluate = quadrature._Panel.split_point, quadrature._evaluate
 
@@ -252,13 +257,35 @@ def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch,
     monkeypatch.setattr(quadrature._Panel, "split_point", recorded_split)
     monkeypatch.setattr(quadrature, "_evaluate", recorded_evaluate)
     value, err = integrate(f, 0.0, 1.0, spec)
-    assert max(pops for pops, _ in rounds) > 1 and err <= spec.rel_tol * abs(value)
-    assert any(children > 2 * pops for pops, children in rounds) == cascade
-    # x = t^2: the integral of x^-1/2 cos(20 x) is 2 int_0^1 cos(20 t^2) dt,
-    # and that of (1 + x^-1/2)(2 + cos(20 x)) is 6 + sin(20) / 20 more
+    monkeypatch.undo()
+    return value, err, rounds
+
+
+def _fresnel_like():
+    """int_0^1 x^-1/2 cos(20 x) dx = 2 int_0^1 cos(20 t^2) dt (x = t^2)."""
     with mpmath.workdps(30):
-        exact = 2 * mpmath.quad(lambda t: mpmath.cos(20 * t * t), [0, 0.5, 1])
-        exact = float(exact + (6 + mpmath.sin(20) / 20 if cascade else 0))
+        return 2 * mpmath.quad(lambda t: mpmath.cos(20 * t * t), [0, 0.5, 1])
+
+
+def test_round_splits_the_fewest_worst_panels_that_cover_the_excess(monkeypatch):
+    # the weight x^-1/2 captures this integrand's end exactly: one cut a round
+    spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
+    value, err, rounds = _covered_rounds(monkeypatch, lambda x: x ** -0.5 * np.cos(20.0 * x), spec)
+    assert max(pops for pops, _ in rounds) > 1 and err <= spec.rel_tol * abs(value)
+    assert all(children == 2 * pops for pops, children in rounds)
+    exact = float(_fresnel_like())
+    assert abs(value - exact) <= err + 8 * math.ulp(exact)
+
+
+def test_round_covers_the_excess_when_a_panel_cascades(monkeypatch):
+    # the 2 + cos(20 x) that x^-1/2 does not multiply makes the end 0 cascade
+    spec = QuadratureSpec(rel_tol=1e-12, singularities=((0.0, -0.5),))
+    value, err, rounds = _covered_rounds(
+        monkeypatch, lambda x: (1.0 + x ** -0.5) * (2.0 + np.cos(20.0 * x)), spec)
+    assert max(pops for pops, _ in rounds) > 1 and err <= spec.rel_tol * abs(value)
+    assert any(children > 2 * pops for pops, children in rounds)
+    with mpmath.workdps(30):
+        exact = float(_fresnel_like() + 6 + mpmath.sin(20) / 20)
     assert abs(value - exact) <= err + 8 * math.ulp(exact)
 
 
