@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from liebeq.quadrature import NonConvergent, QuadratureSpec  # noqa: E402
+from liebeq.quadrature import NonConvergent  # noqa: E402
 from liebeq.radial_riesz import riesz_potential_radial  # noqa: E402
 from liebeq.solutions import lieb_solution, singular_solution  # noqa: E402
 from liebeq.specfun import Params  # noqa: E402
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         f = FAMILIES[family](params)
         exact = float(f.value(r)) ** params.pm1
         try:
-            value, err = riesz_potential_radial(f, params, r, QuadratureSpec(rel_tol=rel_tol))
+            value, err = riesz_potential_radial(f, params, r, rel_tol=rel_tol)
         except NonConvergent as exc:
             failed += 1
             print(f"nonconvergent {family} n={n} lam={lam!r} r={r!r} rel_tol={rel_tol:g}: {exc}")

@@ -25,7 +25,7 @@ of identical invocations is byte-identical.  An optional key=value config
 file supplies defaults; explicit flags win.  A subcommand takes only the
 options it reads: --rel-tol (echoed as quadrature.rel_tol) on
 verify-solution and riesz, --tolerance on verify-solution, identity and
-corollary.
+corollary, and --exponent and --amplitude on riesz with --which power only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .identities import (check_commutativity, check_composite, check_orthogonality,
                          parse_form, solution_descriptor)
-from .quadrature import NonConvergent, QuadratureSpec
+from .quadrature import NonConvergent
 from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
 from .regularity import (Domain1D, _kernel_sample, decay_singularity_scan,
                          kernel_growth_check, translation_annihilation_check, weighted_norm)
@@ -143,8 +143,7 @@ def _run_constants(args, params):
 def _run_verify_solution(args, params):
     f = _profile_by_name(args.which, params)
     radii = _floats(args.radii)
-    report = verify_solution(f, params, radii, args.tolerance,
-                             QuadratureSpec(rel_tol=args.rel_tol))
+    report = verify_solution(f, params, radii, args.tolerance, args.rel_tol)
     result = _json_ready(report)
     result.pop("params", None)
     result["name"] = f"verify-{args.which}"
@@ -155,17 +154,25 @@ def _run_verify_solution(args, params):
 
 
 def _run_riesz(args, params):
-    quad = QuadratureSpec(rel_tol=args.rel_tol)
+    check_tolerance(args.rel_tol)
+    power = {}
     if args.which == "power":
         if args.exponent is None:
             raise _UsageError("--which power requires --exponent")
-        f = RadialProfile.power_singular(args.amplitude, args.exponent)
+        power = {"exponent": args.exponent,
+                 "amplitude": 1.0 if args.amplitude is None else args.amplitude}
+        f = RadialProfile.power_singular(power["amplitude"], power["exponent"])
     else:
+        given = [f"--{name}" for name in ("exponent", "amplitude")
+                 if getattr(args, name) is not None]
+        if given:
+            raise _UsageError(f"--which {args.which} takes no {' or '.join(given)}")
         f = _profile_by_name(args.which, params)
+    radii = _floats(args.r)
     results, errs = [], []
-    for r in _floats(args.r):
+    for r in radii:
         try:
-            value, err = riesz_potential_radial(f, params, r, quad)
+            value, err = riesz_potential_radial(f, params, r, args.rel_tol)
             outcome = {"verdict": "Computed"}
         except ScreenRejected as exc:  # this radius only; the others still run
             value = err = math.nan
@@ -173,7 +180,7 @@ def _run_riesz(args, params):
         results.append({"name": f"potential(r={r!r})", "r": r, "value": value,
                         "err_estimate": err, **outcome})
         errs.append(err)
-    return ({"which": args.which, "r": _floats(args.r)}, results, {}, errs)
+    return {"which": args.which, "r": radii, **power}, results, {}, errs
 
 
 def _identity_result(report) -> dict:
@@ -244,7 +251,7 @@ def _run_scan(args, params):
     f = _profile_by_name(args.which, params)
     threshold = args.threshold if args.threshold is not None \
         else 1e3 * float(f.value(1.0))
-    rep = decay_singularity_scan(f, params, args.r_outer, threshold)
+    rep = decay_singularity_scan(f, args.r_outer, threshold)
     out = _json_ready(rep)
     out["name"] = f"scan-{args.which}"
     out["verdict"] = "Verified" if rep.decay_verified else "Refuted"
@@ -309,7 +316,7 @@ def _build_parser():
     sub.add_argument("--rel-tol", type=float, default=1e-9)
     sub.add_argument("--which", choices=("singular", "lieb", "power"), default="singular")
     sub.add_argument("--exponent", type=float, default=None)
-    sub.add_argument("--amplitude", type=float, default=1.0)
+    sub.add_argument("--amplitude", type=float, default=None)
     sub.add_argument("--r", default="1.0")
 
     sub = subs.add_parser("identity", help="integral identity checks")

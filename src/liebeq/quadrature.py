@@ -186,8 +186,6 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-# one seed-4 batch of the benchmark's verify-sweep workload uses 350 distinct keys
-@lru_cache(maxsize=1024)
 def _rule(order: int, ea: float, eb: float):
     """Gauss-Jacobi nodes on [-1, 1] for the weight (1+x)^ea (1-x)^eb, and
     its weights divided by that weight, so that sum(w * f(x)) integrates f
@@ -237,8 +235,9 @@ class _Panel:
     when those are cell boundaries (0.0 when none is declared), and None
     inside a cell.  A folded panel lies in u = 1/t and integrates f(1/u)/u^2.
     declared says which of a and b is a location listed in the spec's
-    singularities (u = 0 of the fold stands for inf); only toward such a
-    point does cut grade a geometric mesh.  source is the (error, width) of
+    singularities (u = 0 of the fold stands for inf, except at the folded
+    exponent 0, where f(1/u)/u^2 is smooth); only toward such a point does
+    cut grade a geometric mesh.  source is the (error, width) of
     the panel this one was cut from, None for an initial panel."""
 
     a: float
@@ -415,10 +414,11 @@ def integrate(f: Callable, a: float, b: float,
             raise ValueError("an infinite upper limit needs a declared (inf, exponent) tail")
         T = max(a, 2.0 * max(interior, default=-math.inf))
         T = T if T > 0.0 else 1.0
-        # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e; u = 1/T keeps
-        # the exponent declared above T, which can only be a = T
-        tail = [_Panel(0.0, 1.0 / T, -2.0 - below[math.inf], above.get(T, 0.0), True,
-                       (True, T in above))]
+        # f(1/u) / u^2 ~ u^(-2 - e) at u = 0 when f(t) ~ t^e, and smooth
+        # there at e = -2; u = 1/T keeps the exponent declared above T, which
+        # can only be a = T
+        fold = -2.0 - below[math.inf]
+        tail = [_Panel(0.0, 1.0 / T, fold, above.get(T, 0.0), True, (fold != 0.0, T in above))]
     cells = [a, *interior, T] if T > a else []
     return _integrate_cells(f, [_Panel(lo, hi, above.get(lo, 0.0), below.get(hi, 0.0), False,
                                        (lo in above, hi in below))

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import quadrature
-from .quadrature import QuadratureSpec, QuadResult, convergence_screen
+from .quadrature import QuadratureSpec, QuadResult, check_tolerance, convergence_screen
 from .specfun import Params, sphere_surface_area
 
 __all__ = [
@@ -44,7 +44,7 @@ LIEB = "lieb"
 
 
 class ScreenRejected(Exception):
-    """The convergence screen rejected the potential's singularity budget."""
+    """The convergence screen rejected the potential's singularities."""
 
     def __init__(self, message, location=None):
         super().__init__(message)
@@ -387,21 +387,10 @@ def angular_kernel(n: int, lam: float, r: float, s: float):
 # ---------------------------------------------------------------------------
 # the radial Riesz potential
 
-def _potential_budget(f: RadialProfile, params: Params, r: float) -> tuple:
-    n, lam = params.n, params.lam
-    zero_exp = f.exponent_at_zero() + (n - 1)
-    tail = (math.inf, f.exponent_at_infinity() - lam + (n - 1))
-    if r == 0.0:
-        return (0.0, zero_exp - lam), tail
-    return (0.0, zero_exp), (r, min(0.0, (n - 1) - lam)), tail
-
-
 def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
-                           quad: QuadratureSpec | None = None) -> QuadResult:
-    """(Tf)(r) = int_0^inf f(s) s^(n-1) K(r, s) ds for radial f.
+                           rel_tol: float = 1e-9) -> QuadResult:
+    """(Tf)(r) = int_0^inf f(s) s^(n-1) K(r, s) ds for radial f, to rel_tol.
 
-    The (location, exponent) pairs at 0, s = r and inf are screened before
-    any quadrature runs; ScreenRejected is raised when the screen fails.
     The potential is one run over v in [-r/2, inf): the inner piece s = -v
     for v < 0, the band |s - r| <= r/2 folded in the exact diagonal
     distance d = v on [0, r/2] (s = r + v and r - v), and the outer piece
@@ -412,25 +401,25 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
     to the summed |panel values|, so scaling f by a power of two scales
     value and error exactly.  At r = 0 only the outer piece is left: v = s
     = d in [0, inf), where the kernel is exactly |S^(n-1)| s^(-lam) and 0
-    carries one exponent.  Returns QuadResult(value, err).
+    carries one exponent.  The declarations are screened first: ScreenRejected
+    names the failing point in s, 0, r (right of v = 0) or inf.
     """
+    check_tolerance(rel_tol)
     if not 0.0 <= r < math.inf:
         raise ValueError("radius must be nonnegative and finite")
-    quad = quad or QuadratureSpec()
     n, lam = params.n, params.lam
     r = float(r)
-
-    budget = _potential_budget(f, params, r)
-    screen = convergence_screen(budget)
-    if not screen:
-        raise ScreenRejected(
-            f"potential integral diverges at {screen.failing_location}",
-            location=screen.failing_location)
-
-    origin, *diagonal, tail = budget
     half = 0.5 * r
-    singularities = ((origin, tail) if r == 0.0 else
-                     ((0.0, (origin[1], diagonal[0][1])), (half, 0.0), tail))
+    origin = f.exponent_at_zero() + (n - 1)
+    tail = (math.inf, f.exponent_at_infinity() - lam + (n - 1))
+    singularities = (((0.0, origin - lam), tail) if r == 0.0 else
+                     ((0.0, (origin, min(0.0, (n - 1) - lam))), (half, 0.0), tail))
+    screen = convergence_screen(singularities)
+    if not screen:
+        at = screen.failing_location
+        if at == 0.0 < r and convergence_screen(((0.0, origin),)):
+            at = r
+        raise ScreenRejected(f"potential integral diverges at {at}", location=at)
 
     def integrand(v):
         # v < 0: s = -v, d = r + v; 0 <= v <= r/2: s = r + v and r - v, d = v;
@@ -455,4 +444,4 @@ def riesz_potential_radial(f: RadialProfile, params: Params, r: float,
         return out
 
     return quadrature.integrate(integrand, -half, math.inf,
-                                replace(quad, singularities=singularities))
+                                QuadratureSpec(rel_tol, singularities))

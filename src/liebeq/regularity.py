@@ -291,8 +291,7 @@ def _scan_values(f, radii: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(f(radii), dtype=float))
 
 
-def decay_singularity_scan(f, params: Params, R_outer: float,
-                           blowup_threshold: float) -> DecayScanReport:
+def decay_singularity_scan(f, R_outer: float, blowup_threshold: float) -> DecayScanReport:
     """Scan a radial profile for decay at infinity and blow-up points.
 
     Samples 400 log-spaced radii on [1e-8 R_outer, R_outer].  Decay is

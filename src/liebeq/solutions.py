@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import QuadratureSpec, check_tolerance
+from .quadrature import check_tolerance
 from .radial_riesz import RadialProfile, riesz_potential_radial
 from .specfun import Params, lieb_constant_C, lieb_constant_L
 
@@ -82,15 +82,15 @@ def lieb_solution(params: Params) -> RadialProfile:
 
 
 def verify_solution(f: RadialProfile, params: Params, radii,
-                    tolerance: float = 1e-6,
-                    quad: QuadratureSpec | None = None) -> ResidualReport:
-    """Certify or refute a candidate solution on the given sample radii.
+                    tolerance: float = 1e-6, rel_tol: float = 1e-9) -> ResidualReport:
+    """Certify or refute a candidate solution on the given sample radii, each
+    potential to rel_tol.
 
     Radii must be nonnegative, finite and nonempty; r = 0 is rejected for
     profiles that are singular there.  Raises ScreenRejected if the
     potential's convergence screen fails at any radius.
     """
-    check_tolerance(tolerance)
+    check_tolerance(rel_tol, tolerance)
     radii = tuple(float(r) for r in radii)
     if not radii:
         raise ValueError("need at least one sample radius")
@@ -98,12 +98,11 @@ def verify_solution(f: RadialProfile, params: Params, radii,
         raise ValueError("radii must be nonnegative and finite")
     if f.exponent_at_zero() < 0.0 and any(r == 0.0 for r in radii):
         raise ValueError("r = 0 is a singular point of this profile")
-    quad = quad or QuadratureSpec()
 
     pm1 = params.pm1
     lhs, rhs, errs = [], [], []
     for r in radii:
-        value, err = riesz_potential_radial(f, params, r, quad)
+        value, err = riesz_potential_radial(f, params, r, rel_tol)
         lhs.append(value)
         rhs.append(float(f.value(r)) ** pm1)
         errs.append(err)

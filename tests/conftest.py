@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from liebeq import Params, QuadratureSpec
+from liebeq import Params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -13,11 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def p_half():
     return Params(1, 0.5)
-
-
-@pytest.fixture
-def quad():
-    return QuadratureSpec()
 
 
 @pytest.fixture

@@ -282,9 +282,9 @@ def test_criterion_12_decay_scan():
     p = Params(1, 0.5)
     fC = singular_solution(p)
     fL = lieb_solution(p)
-    repC = decay_singularity_scan(fC, p, 1e3,
+    repC = decay_singularity_scan(fC, 1e3,
                                   blowup_threshold=1e3 * float(fC.value(1.0)))
-    repL = decay_singularity_scan(fL, p, 1e3,
+    repL = decay_singularity_scan(fL, 1e3,
                                   blowup_threshold=1e3 * float(fL.value(1.0)))
     ok = (repC.singular_points == (0.0,) and repC.decay_verified
           and repL.singular_points == () and repL.decay_verified)

@@ -233,6 +233,36 @@ class TestRiesz:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("which", ["singular", "lieb"])
+    @pytest.mark.parametrize("option,value", [("exponent", "3"), ("amplitude", "7")])
+    def test_power_options_refused_with_a_named_solution(self, tmp_path, capsys,
+                                                         which, option, value):
+        # --exponent and --amplitude shape the power profile only: a named
+        # solution refuses them, as a flag or a config key
+        args = ["riesz", "--which", which, "--no-timestamp"]
+        assert main(args + [f"--{option}", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{option}" in captured.err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option}={value}\n")
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert f"--{option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,amplitude", [([], 1.0), (["--amplitude", "2.5"], 2.5)])
+    def test_power_report_echoes_its_profile(self, tmp_path, extra, amplitude):
+        out = tmp_path / "riesz.json"
+        assert main(["riesz", "--which", "power", "--exponent", "0.7", *extra, "--r", "1",
+                     "--no-timestamp", "--out", str(out)]) == 0
+        assert load_report(str(out))["inputs"] == {"which": "power", "r": [1.0],
+                                                   "exponent": 0.7, "amplitude": amplitude}
+
+    @pytest.mark.parametrize("args", [["--which", "power"], ["--r", ""]])
+    def test_bad_rel_tol_is_refused_first(self, args, capsys):
+        # the quadrature tolerance is checked before the profile and radii
+        assert main(["riesz", "--rel-tol", "0", *args, "--no-timestamp"]) == 2
+        assert "tolerance must be positive and finite, got 0.0" in capsys.readouterr().err
+
 
 def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
     def integrate(*args, **kwargs):

@@ -399,6 +399,24 @@ class TestRieszPotential:
             riesz_potential_radial(f, p_half, 0.0)
         assert err.value.location == 0.0
 
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_screen_rejects_borderline_diagonal_at_r(self, r):
+        # at lam within 1e-9 of n the diagonal |s - r|^(n-1-lam) is the
+        # borderline -1: declared on the right of v = 0, reported at s = r
+        p = Params(1, 1.0 - 5e-11)
+        with pytest.raises(ScreenRejected) as err:
+            riesz_potential_radial(RadialProfile.power_singular(1.0, 0.5), p, r)
+        assert err.value.location == r
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, math.inf, math.nan])
+    def test_bad_rel_tol_is_refused_before_the_screen(self, p_half, rel_tol):
+        # the singular profile's potential at r = 0 would fail the screen
+        f = singular_solution(p_half)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            riesz_potential_radial(f, p_half, 0.0, rel_tol)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify_solution(f, p_half, [1.0], rel_tol=rel_tol)
+
     def test_screen_rejects_fat_tail(self, p_half):
         # s^(-e) |1-s|^(-1/2) decays like s^(-e-1/2), too slowly for e <= 1/2
         for exponent in (0.1, 0.0):
@@ -420,7 +438,7 @@ class TestRieszPotential:
     def test_small_radius_error_within_bar(self, lam, r, rel_tol):
         p = Params(3, lam)
         f = lieb_solution(p)
-        value, err = riesz_potential_radial(f, p, r, QuadratureSpec(rel_tol=rel_tol))
+        value, err = riesz_potential_radial(f, p, r, rel_tol)
         exact = float(f.value(r)) ** p.pm1
         assert abs(value - exact) <= err + 8 * math.ulp(exact)
 
@@ -433,7 +451,7 @@ class TestRieszPotential:
         p = Params(n, frac * n)
         f = singular_solution(p)
         for r in (0.5, 2.0):
-            value, err = riesz_potential_radial(f, p, r, QuadratureSpec(rel_tol=1e-9))
+            value, err = riesz_potential_radial(f, p, r, 1e-9)
             exact = float(f.value(r)) ** p.pm1
             assert abs(value - exact) <= err + 8 * math.ulp(exact), r
 

@@ -235,7 +235,7 @@ class TestTranslationAnnihilation:
 class TestDecayScan:
     def test_singular_solution(self, p_half):
         f = singular_solution(p_half)
-        rep = decay_singularity_scan(f, p_half, 1e3,
+        rep = decay_singularity_scan(f, 1e3,
                                      blowup_threshold=1e3 * float(f.value(1.0)))
         assert rep.decay_verified
         assert rep.singular_points == (0.0,)
@@ -243,32 +243,32 @@ class TestDecayScan:
 
     def test_lieb_solution(self, p_half):
         f = lieb_solution(p_half)
-        rep = decay_singularity_scan(f, p_half, 1e3,
+        rep = decay_singularity_scan(f, 1e3,
                                      blowup_threshold=1e3 * float(f.value(1.0)))
         assert rep.decay_verified
         assert rep.singular_points == ()
         assert rep.bounding_radius == 0.0
 
-    def test_constant_profile_fails_decay(self, p_half):
+    def test_constant_profile_fails_decay(self):
         const = lambda r: np.ones_like(np.asarray(r, dtype=float))
-        rep = decay_singularity_scan(const, p_half, 1e3, blowup_threshold=10.0)
+        rep = decay_singularity_scan(const, 1e3, blowup_threshold=10.0)
         assert not rep.decay_verified
         assert rep.singular_points == ()
 
-    def test_interior_pole_detected(self, p_half):
+    def test_interior_pole_detected(self):
         f = lambda r: 1.0 / (np.abs(np.asarray(r, dtype=float) - 3.0) + 1e-12) ** 0.5
-        rep = decay_singularity_scan(f, p_half, 1e3, blowup_threshold=5.0)
+        rep = decay_singularity_scan(f, 1e3, blowup_threshold=5.0)
         assert len(rep.singular_points) == 1
         assert rep.singular_points[0] == pytest.approx(3.0, abs=0.05)
         assert rep.bounding_radius > 3.0
 
-    def test_two_poles_detected(self, p_half):
+    def test_two_poles_detected(self):
         # two clusters above the threshold, each refined on its own bracket
         def f(r):
             r = np.asarray(r, dtype=float)
             return (1.0 / (np.abs(r - 3.0) + 1e-12) ** 0.5
                     + 1.0 / (np.abs(r - 30.0) + 1e-9) ** 0.7)
-        rep = decay_singularity_scan(f, p_half, 1e3, blowup_threshold=5.0)
+        rep = decay_singularity_scan(f, 1e3, blowup_threshold=5.0)
         assert rep.singular_points == pytest.approx((2.99995, 29.9993), rel=1e-5)
         assert rep.bounding_radius == pytest.approx(31.35, rel=1e-3)
 
@@ -277,11 +277,11 @@ class TestDecayScan:
                                                    (1e3, math.inf)])
     def test_scan_needs_finite_inputs(self, p_half, R_outer, threshold):
         with pytest.raises(ValueError, match="finite"):
-            decay_singularity_scan(lieb_solution(p_half), p_half, R_outer, threshold)
+            decay_singularity_scan(lieb_solution(p_half), R_outer, threshold)
 
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, -math.inf])
     def test_scan_needs_a_positive_threshold(self, p_half, threshold):
         # every |f| >= 0 lies above a threshold <= 0, so the whole scan would
         # be one cluster and bounding_radius would be R_outer
         with pytest.raises(ValueError, match="blowup threshold must be positive and finite"):
-            decay_singularity_scan(lieb_solution(p_half), p_half, 1e3, threshold)
+            decay_singularity_scan(lieb_solution(p_half), 1e3, threshold)

@@ -8,10 +8,11 @@ import pytest
 
 from liebeq.cli import _build_parser
 from liebeq.identities import (check_commutativity, check_composite, check_orthogonality,
-                               parse_form, solution_descriptor)
+                               cutoff_pair_integral, parse_form, solution_descriptor)
 from liebeq.quadrature import QuadratureSpec
-from liebeq.regularity import Domain1D, translation_annihilation_check
-from liebeq.solutions import lieb_solution
+from liebeq.radial_riesz import riesz_potential_radial
+from liebeq.regularity import Domain1D, decay_singularity_scan, translation_annihilation_check
+from liebeq.solutions import lieb_solution, verify_solution
 from liebeq.solver import SolverConfig, picard_solve
 from liebeq.specfun import Params
 
@@ -23,6 +24,14 @@ def test_library_settings():
     assert list(inspect.signature(picard_solve).parameters) == ["config", "params"]
     assert list(inspect.signature(translation_annihilation_check).parameters) == \
         ["params", "points"]
+    assert list(inspect.signature(riesz_potential_radial).parameters) == \
+        ["f", "params", "r", "rel_tol"]
+    assert list(inspect.signature(verify_solution).parameters) == \
+        ["f", "params", "radii", "tolerance", "rel_tol"]
+    assert list(inspect.signature(cutoff_pair_integral).parameters) == \
+        ["f", "alpha", "g", "beta", "params", "R"]
+    assert list(inspect.signature(decay_singularity_scan).parameters) == \
+        ["f", "R_outer", "blowup_threshold"]
 
 
 _G = Domain1D.interval(-1.0, 1.0)
@@ -40,8 +49,12 @@ _D1 = parse_form("d1", 1)
     lambda: check_commutativity(_FL, _FL, 0, 0, _P, quad=QuadratureSpec()),
     lambda: check_orthogonality(_FL, 1, 0, _P, quad=QuadratureSpec()),
     lambda: check_composite(_FL, _FL, _D1, _D1, _P, quad=QuadratureSpec()),
+    lambda: riesz_potential_radial(_FL.base, _P, 1.0, quad=QuadratureSpec()),
+    lambda: verify_solution(_FL.base, _P, [1.0], quad=QuadratureSpec()),
+    lambda: cutoff_pair_integral(_FL, 0, _FL, 0, _P, 1e2, quad=QuadratureSpec()),
 ], ids=["max_subdivisions", "grading_exponent", "max_iters", "init", "h",
-        "commutativity_quad", "orthogonality_quad", "composite_quad"])
+        "commutativity_quad", "orthogonality_quad", "composite_quad",
+        "potential_quad", "verify_quad", "cutoff_quad"])
 def test_removed_keyword_is_a_type_error(call):
     with pytest.raises(TypeError):
         call()
