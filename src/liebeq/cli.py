@@ -169,6 +169,8 @@ def _run_riesz(args, params):
             raise _UsageError(f"--which {args.which} takes no {' or '.join(given)}")
         f = _profile_by_name(args.which, params)
     radii = _floats(args.r)
+    if not radii:
+        raise _UsageError("need at least one sample radius")
     results, errs = [], []
     for r in radii:
         try:

@@ -19,12 +19,15 @@ stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
 2004).  Anderson acceleration of depth 5 (Walker & Ni, SIAM J. Numer.
 Anal. 49, 2011) mixes the last sweeps by a least-squares fit over the
 m = N//2 + 1 right-half nodes and takes the relative residual to the
-rounding floor, 1e-14, with one product Wr u per sweep; on grids of 33 to
-513 nodes it got there at every lam from 0.02 to 0.8 checked.  Where it
-stalls (MAX_ITERS sweeps short of the floor, or an overflowing sweep),
-Newton steps in the variable v = u^(p-1), with Levenberg-Marquardt steps
-where a Newton step fails, finish from the sweeps' best iterate to the
-same floor, or as near it as rounding lets them.
+rounding floor, 1e-14, with one product Wr u per sweep.  The sweeps start
+from the shape the solutions take (see below), the whole-line bubble
+dilated to the centre spacing; M cancels its amplitude.  On grids of 33
+to 513 nodes they got there at every lam from 0.02 to 0.98 checked, and
+at 1025 nodes up to 0.95.  Where they stall (MAX_ITERS sweeps short of
+the floor, or an overflowing sweep), Newton steps in the variable
+v = u^(p-1), with Levenberg-Marquardt steps where a Newton step fails,
+finish from the sweeps' best iterate to the same floor, or as near it as
+rounding lets them.
 
 A caution on interpretation: at the equation's own conjugate exponent
 p = 2n/(2n-lam) the bounded-domain problem has no positive solution.
@@ -354,10 +357,12 @@ def picard_solve(config: SolverConfig, params: Params):
     """Solve the equation restricted to the interval and return
     (GridSolution1D, SolverTrace).
 
-    The sweeps start from u = 1 and reach residuals near machine
-    precision; the converged flag records final residual <= stop_tol.  A
-    solution that lost positivity raises NonPositive with the trace
-    attached.
+    The sweeps start from the whole-line Lieb bubble
+    (1 + ((x - x_c)/h)^2)^(-(n - lam/2)) dilated to the centre spacing
+    h = x_(c+1) - x_c, the shape every discrete solution concentrates into,
+    and reach residuals near machine precision; the converged flag records
+    final residual <= stop_tol.  A solution that lost positivity raises
+    NonPositive with the trace attached.
     """
     if params.n != 1:
         raise ValueError("the bounded-domain solver runs in dimension 1")
@@ -366,8 +371,11 @@ def picard_solve(config: SolverConfig, params: Params):
     x = graded_grid(G.a, G.b, count, GRADING_EXPONENT)
     Wr = product_integration_matrix(x, params.lam)
 
+    # the sweeps' factor M cancels the start's amplitude, so none is chosen
+    c = count // 2
+    start = (1.0 + ((x[c:] - x[c]) / (x[c + 1] - x[c])) ** 2) ** -params.solution_exponent
     trace = SolverTrace()
-    uh = _solve_even(Wr, np.ones(count // 2 + 1), params, config.stop_tol, trace)
+    uh = _solve_even(Wr, start, params, config.stop_tol, trace)
     trace.iterations = len(trace.residuals)
     trace.converged = trace.residuals[-1] <= config.stop_tol
     solution = GridSolution1D(tuple(x), tuple(np.concatenate([uh[:0:-1], uh])), params, G)

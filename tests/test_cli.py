@@ -219,6 +219,14 @@ class TestRiesz:
             else:
                 assert math.isfinite(result["value"])
 
+    @pytest.mark.parametrize("radii", ["", ","])
+    def test_empty_radius_list_is_usage_error(self, tmp_path, capsys, radii):
+        # as verify-solution does: no radius judges nothing
+        out = tmp_path / "riesz.json"
+        assert main(["riesz", "--n", "1", "--lambda", "0.5", "--r", radii,
+                     "--no-timestamp", "--out", str(out)]) == 2
+        assert "need at least one sample radius" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--which", "power", "--exponent", "0.7", "--amplitude", "inf"],
@@ -391,8 +399,9 @@ class TestSolve:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    # one solve path, from u = 1 on the one graded grid within one budget:
-    # the removed options are usage errors, as flags and as config keys
+    # one solve path, from the dilated bubble on the one graded grid within
+    # one budget: the removed options are usage errors, as flags and as
+    # config keys
     @pytest.mark.parametrize("option", [["--scheme", "direct"], ["--damping", "0.5"],
                                         ["--grading-exponent", "2"], ["--max-iters", "200"],
                                         ["--init", "1"]])

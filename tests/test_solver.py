@@ -266,13 +266,15 @@ class TestNewtonScheme:
         with pytest.raises(ValueError):
             solution.derivative_1d(0.3, 2)   # u_h'' is a measure
 
-    @pytest.mark.parametrize("lam", [0.3, 0.7])
-    def test_trace_of_accelerated_sweeps(self, lam):
+    # from the dilated bubble; from u = 1 the same sweeps took 35 and 65
+    @pytest.mark.parametrize("lam, sweeps", [(0.3, 20), (0.7, 34)], ids=["0.3", "0.7"])
+    def test_trace_of_accelerated_sweeps(self, lam, sweeps):
         # the accelerated sweeps reach the rounding floor: no finish runs,
         # and the record is one entry per sweep, the last one the solution's
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=257)
         _, trace = picard_solve(cfg, Params(1, lam))
         assert trace.converged and trace.residuals[-1] <= ROUNDING_FLOOR
+        assert trace.accelerated <= sweeps
         assert trace.nfev == trace.njev == 0
         assert trace.message == "the accelerated sweeps reached a residual <= 1e-14"
         assert trace.iterations == len(trace.residuals) == trace.accelerated
@@ -309,10 +311,10 @@ class TestNewtonScheme:
         assert trace.residuals[-1] < min(trace.residuals[:trace.accelerated])
 
     def test_finish_stops_at_the_sweeps_target(self):
-        # at (129, 0.9) the sweeps stall short of the floor, and one Newton
+        # at (1025, 0.97) the sweeps stall short of the floor, and one Newton
         # step of the finish reaches it; no evaluation is spent after that
-        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=129)
-        _, trace = picard_solve(cfg, Params(1, 0.9))
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=1025)
+        _, trace = picard_solve(cfg, Params(1, 0.97))
         assert trace.accelerated == MAX_ITERS
         assert trace.message == "the finish reached the sweeps' target residual"
         finish = trace.residuals[trace.accelerated:]
@@ -320,7 +322,7 @@ class TestNewtonScheme:
         assert finish[-1] == finish[-2] <= ROUNDING_FLOOR
         assert min(finish[:-2]) > ROUNDING_FLOOR
 
-    # a trust-region finish alone, from the constant start, stalls short of
+    # a trust-region finish alone, from the start u = 1, stalled short of
     # a root on these (residuals 2e-3 to 8e-2); the sweeps bring every one
     # into its basin
     @pytest.mark.parametrize("N, lam", [(257, 0.55), (257, 0.65), (257, 0.74),
@@ -337,8 +339,9 @@ class TestNewtonScheme:
     # the Lieb constant L, the whole-line solution's peak, is 4.9e-8 at
     # lam = 0.9, 1.1e-17 at 0.95 and 4.4e-117 at 0.99: the solutions are that
     # small, so the finish's step test is relative to max u^(p-1).  The
-    # finish starts from the best accelerated iterate: from the last one it
-    # runs out of evaluations at (257, 0.99)
+    # finish starts from the best accelerated iterate: from the last one,
+    # with the sweeps started from u = 1, it ran out of evaluations at
+    # (257, 0.99)
     @pytest.mark.parametrize("N, lam", [(129, 0.9), (257, 0.95), (129, 0.99),
                                         (257, 0.99), (513, 0.95)])
     def test_small_amplitude_solutions_reach_machine_residuals(self, N, lam):
@@ -407,13 +410,22 @@ class TestNewtonScheme:
 
     def test_finish_compares_residual_norms_without_underflow(self):
         # at lam = 0.993 the solution is about 1e-176, so |F|^2 underflows:
-        # compared squared, every trial tied at 0 and the finish gave up
-        # after 15 evaluations at a residual of 0.23.  Compared unsquared it
-        # keeps going; convergence from lam = 0.993 is not yet reached
+        # compared squared, every trial ties at 0 and the finish gives up
+        # short of convergence.  Compared unsquared it converges
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=201)
         solution, trace = picard_solve(cfg, Params(1, 0.993))
         assert max(solution.values) < 1e-150 and min(solution.values) > 0.0
-        assert trace.nfev > 15 and trace.residuals[-1] < 1e-3
+        assert trace.converged and trace.residuals[-1] <= 1e-13
+
+    # the amplitude is about 1e-176 at lam = 0.993 and 1e-261 at 0.995; from
+    # the bubble both converge (from u = 1 every one of these ended Failed)
+    @pytest.mark.parametrize("N", [129, 257, 513])
+    @pytest.mark.parametrize("lam", [0.993, 0.995])
+    def test_converges_near_lambda_one(self, N, lam):
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        solution, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.converged and trace.residuals[-1] <= 1e-13
+        assert min(solution.values) > 0.0
 
     @pytest.mark.parametrize("N, peak", [(129, "1.064"), (257, "1.461"), (513, "2.048")])
     def test_peak_matches_readme_table(self, N, peak):
