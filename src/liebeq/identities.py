@@ -336,10 +336,11 @@ def _pair_integral(u: tuple, v: tuple, params: Params) -> _PairResult:
                 16.0 + 2.0 * (abs(la) + abs(lb) + abs(lab))
                 + da * (1.0 / a + math.log1p(b / a)) + db * (1.0 / b + math.log1p(a / b))))
     half_area = 0.5 * sphere_surface_area(n)
-    value = half_area * math.fsum(terms)
-    return _PairResult(0.0 if parity_forced else value,
-                       half_area * quadrature._EPS * math.fsum(bars),
-                       screen, parity_forced, abs(value))
+    bar = half_area * quadrature._EPS * math.fsum(bars)  # bars >= 0: no inf - inf
+    value = half_area * math.fsum(terms) if math.isfinite(bar) else math.inf
+    if not math.isfinite(value + bar):  # c1 c2, as C^(p-1) L at n = 40
+        raise OverflowError(f"a pair integral's Beta sum at n = {n} is not finite")
+    return _PairResult(0.0 if parity_forced else value, bar, screen, parity_forced, abs(value))
 
 
 def _sum(terms) -> _PairResult:

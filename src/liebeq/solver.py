@@ -17,9 +17,10 @@ sweeps u <- M^gamma (T_G u)^s, with s = 1/(p-1), gamma = s/(s-1) and the
 stabilizing factor M = <u,u>/<u,(T_G u)^s>, cancel that amplitude growth
 (Petviashvili 1976; Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42,
 2004).  Anderson acceleration of depth 5 (Walker & Ni, SIAM J. Numer.
-Anal. 49, 2011) mixes the last sweeps by a least-squares fit over the
-m = N//2 + 1 right-half nodes and takes the relative residual to the
-rounding floor, 1e-14, with one product Wr u per sweep.  The sweeps start
+Anal. 49, 2011) mixes the last sweeps by the normal equations of the Gram
+matrix of their residual differences over the m = N//2 + 1 right-half
+nodes, and takes the relative residual to the rounding floor, 1e-14, with
+one product Wr u per sweep.  The sweeps start
 from the shape the solutions take (see below), the whole-line bubble
 dilated to the centre spacing; M cancels its amplitude.  On grids of 33
 to 513 nodes they got there at every lam from 0.02 to 0.98 checked, and
@@ -272,14 +273,17 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
     Anderson-accelerated sweeps, type II with depth ANDERSON_DEPTH (Walker
     & Ni, SIAM J. Numer. Anal. 49, 2011), run until the residual reaches
     min(ROUNDING_FLOOR, stop_tol).  Each takes the coefficients c that
-    minimise |f - dF c|, f = g - u the fixed-point residual of the sweep g
-    of u and dF the stored differences of consecutive residuals, and moves
-    to g - dG c, dG the differences of the sweeps; an extrapolated iterate
-    that is not finite and positive gives way to g, and the stored
-    differences are cleared.  Where MAX_ITERS sweeps stop short or a sweep
-    overflows, the finish starts from the iterate of least residual and
-    stops at the same residual target, unless another of its stops comes
-    first."""
+    minimise |f - dF^T c| from the normal equations (dF dF^T) c = dF f,
+    f = g - u the fixed-point residual of the sweep g of u and the rows of
+    dF the stored differences of consecutive residuals, and moves to
+    g - dG^T c, dG the differences of the sweeps.  Each sweep fills one row
+    of these rings and one row and column of the Gram matrix dF dF^T
+    (Eyert, J. Comp. Phys. 124, 1996).  A singular Gram matrix, or an
+    extrapolated iterate that is not finite and positive, gives way to g,
+    and the stored differences are cleared.  Where MAX_ITERS sweeps stop
+    short or a sweep overflows, the finish starts from the iterate of least
+    residual and stops at the same residual target, unless another of its
+    stops comes first."""
     pm1 = params.pm1
     s = 1.0 / pm1
     # Petviashvili sweeps: T = (Wr u)^s is homogeneous of degree s > 1, and
@@ -307,9 +311,11 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
         return s * Wr * (v ** (s - 1.0))[None, :] - np.eye(len(v))
 
     target = min(ROUNDING_FLOOR, stop_tol)
-    dF = np.empty((len(uh), ANDERSON_DEPTH))  # one difference a column, oldest first
+    # rings of differences, one a row; rows [:stored] hold the history
+    dF = np.empty((ANDERSON_DEPTH, len(uh)))
     dG = np.empty_like(dF)
-    stored, last = 0, None
+    gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # dF dF^T
+    stored, slot, last = 0, 0, None
     best, best_residual = uh, math.inf
     Wu = Wr @ uh
     with np.errstate(all="ignore"):
@@ -321,18 +327,20 @@ def _solve_even(Wr: np.ndarray, uh: np.ndarray, params: Params,
             f = g - uh
             uh = g
             if last is not None:
-                if stored == ANDERSON_DEPTH:
-                    dF[:, :-1], dG[:, :-1] = dF[:, 1:], dG[:, 1:]
-                else:
-                    stored += 1
-                dF[:, stored - 1] = f - last[0]
-                dG[:, stored - 1] = g - last[1]
-                coef = np.linalg.lstsq(dF[:, :stored], f, rcond=None)[0]
-                mixed = g - dG[:, :stored] @ coef
-                if 0.0 < mixed.min() and mixed.max() < math.inf:
+                dF[slot], dG[slot] = f - last[0], g - last[1]
+                stored = min(stored + 1, ANDERSON_DEPTH)
+                gram[slot, :stored] = gram[:stored, slot] = dF[:stored] @ dF[slot]
+                slot = (slot + 1) % ANDERSON_DEPTH
+                try:
+                    coef = np.linalg.solve(gram[:stored, :stored], dF[:stored] @ f)
+                    mixed = g - coef @ dG[:stored]
+                    mixes = 0.0 < mixed.min() and mixed.max() < math.inf
+                except np.linalg.LinAlgError:
+                    mixes = False
+                if mixes:
                     uh = mixed
                 else:
-                    stored = 0
+                    stored = slot = 0
             last = f, g
             Wu = Wr @ uh
             trace.accelerated += 1

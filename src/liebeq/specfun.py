@@ -91,7 +91,7 @@ def sphere_surface_area(n: int) -> float:
 
     n = 1 gives exactly 2, the counting measure of the two-point sphere; the
     log-Gamma domain takes over from n = 344, where Gamma(n/2) overflows.
-    A call costs well under a microsecond, so nothing caches it.
+    Cached: the angular kernel calls it on every integrand call.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

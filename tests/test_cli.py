@@ -286,9 +286,11 @@ def test_nonconvergent_quadrature_is_one_error_line(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [["constants", "--n", "52", "--lambda", "50.96"],
-                                  ["corollary", "--n", "52", "--lambda", "50.96"]])
+                                  ["corollary", "--n", "52", "--lambda", "50.96"],
+                                  ["corollary", "--n", "40", "--lambda", "39.2"]])
 def test_float_overflow_is_one_error_line(capsys, argv):
-    # the constants of the solutions leave the float range at n = 52
+    # the constants of the solutions leave the float range at n = 52, and
+    # the product C^(p-1) L in the corollary's Beta sum at n = 40
     assert main(argv + ["--no-timestamp"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -311,16 +311,28 @@ class TestNewtonScheme:
         assert trace.residuals[-1] < min(trace.residuals[:trace.accelerated])
 
     def test_finish_stops_at_the_sweeps_target(self):
-        # at (1025, 0.97) the sweeps stall short of the floor, and one Newton
+        # at (1025, 0.98) the sweeps stall short of the floor, and one Newton
         # step of the finish reaches it; no evaluation is spent after that
         cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=1025)
-        _, trace = picard_solve(cfg, Params(1, 0.97))
+        _, trace = picard_solve(cfg, Params(1, 0.98))
         assert trace.accelerated == MAX_ITERS
         assert trace.message == "the finish reached the sweeps' target residual"
         finish = trace.residuals[trace.accelerated:]
         assert len(finish) == trace.nfev + 1
         assert finish[-1] == finish[-2] <= ROUNDING_FLOOR
         assert min(finish[:-2]) > ROUNDING_FLOOR
+
+    # the Anderson mix solves the normal equations of the history's Gram
+    # matrix, so the sweeps need no least-squares call
+    @pytest.mark.parametrize("N, lam", [(257, 0.5), (513, 0.7)])
+    def test_sweeps_converge_without_lstsq(self, monkeypatch, N, lam):
+        def lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=N)
+        _, trace = picard_solve(cfg, Params(1, lam))
+        assert trace.converged and trace.nfev == 0
 
     # a trust-region finish alone, from the start u = 1, stalled short of
     # a root on these (residuals 2e-3 to 8e-2); the sweeps bring every one
