@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     other = np.load(args.compare) if args.compare else None
-    saved, worst = {}, (0.0, None)
+    saved, worst = {}, (0.0, "")
     failed = sweeps = nfev = 0
     start = time.perf_counter()
     domain = Domain1D.interval(-1.0, 1.0)

@@ -23,8 +23,8 @@ nodes, and takes the relative residual to the rounding floor, 1e-14, with
 one product Wr u per sweep.  The sweeps start
 from the shape the solutions take (see below), the whole-line bubble
 dilated to the centre spacing; M cancels its amplitude.  On grids of 33
-to 513 nodes they got there at every lam from 0.02 to 0.98 checked, and
-at 1025 nodes up to 0.95.  Where they stall (MAX_ITERS sweeps short of
+to 257 nodes they got there at every lam from 0.02 to 0.98 checked, and
+at 513 and 1025 nodes up to 0.97.  Where they stall (MAX_ITERS sweeps short of
 the floor, or an overflowing sweep), Newton steps in the variable
 v = u^(p-1), with Levenberg-Marquardt steps where a Newton step fails,
 finish from the sweeps' best iterate to the same floor, or as near it as
