@@ -39,8 +39,8 @@ import time
 
 import numpy as np
 
-from .identities import (check_commutativity, check_composite, check_orthogonality,
-                         parse_form, solution_descriptor)
+from .identities import (ZERO_TOLERANCE, check_commutativity, check_composite,
+                         check_orthogonality, parse_form, solution_descriptor)
 from .quadrature import NonConvergent
 from .radial_riesz import RadialProfile, ScreenRejected, riesz_potential_radial
 from .regularity import (Domain1D, _kernel_sample, decay_singularity_scan,
@@ -109,8 +109,6 @@ def load_report(path: str) -> dict:
 
 def _overall_verdict(verdicts) -> str:
     verdicts = list(verdicts)
-    if not verdicts:
-        return "Computed"
     for failing in _FAILURE_VERDICTS:
         if failing in verdicts:
             return failing
@@ -145,7 +143,6 @@ def _run_verify_solution(args, params):
     radii = _floats(args.radii)
     report = verify_solution(f, params, radii, args.tolerance, args.rel_tol)
     result = _json_ready(report)
-    result.pop("params", None)
     result["name"] = f"verify-{args.which}"
     return ({"which": args.which, "radii": radii},
             [result],
@@ -190,8 +187,6 @@ def _identity_result(report) -> dict:
 
 
 def _run_identity(args, params):
-    # every kind echoes both tolerances, so both are checked whether used or not
-    check_tolerance(args.tolerance, args.zero_tolerance)
     fdesc = solution_descriptor(_profile_by_name(args.f, params), params, args.f)
     gdesc = solution_descriptor(_profile_by_name(args.g, params), params, args.g)
     if args.kind == "commutativity":
@@ -199,20 +194,18 @@ def _run_identity(args, params):
                                        tolerance=args.tolerance)]
     elif args.kind == "orthogonality":
         reports = [check_orthogonality(fdesc, args.alpha, args.beta, params,
-                                       tolerance=args.tolerance,
-                                       zero_tolerance=args.zero_tolerance)]
+                                       tolerance=args.tolerance)]
     else:  # composite; the parser's choices allow no other kind
         lam_form = parse_form(args.form_lambda, params.n)
         omega_form = parse_form(args.form_omega, params.n)
         reports = check_composite(fdesc, gdesc, lam_form, omega_form, params,
-                                  tolerance=args.tolerance,
-                                  zero_tolerance=args.zero_tolerance)
+                                  tolerance=args.tolerance)
     inputs = {"kind": args.kind, "f": args.f, "g": args.g,
               "alpha": args.alpha, "beta": args.beta,
               "form_lambda": args.form_lambda, "form_omega": args.form_omega}
     errs = [max(r.err_lhs, r.err_rhs) for r in reports]
     return (inputs, [_identity_result(r) for r in reports],
-            {"tolerance": args.tolerance, "zero_tolerance": args.zero_tolerance}, errs)
+            {"tolerance": args.tolerance, "zero_tolerance": ZERO_TOLERANCE}, errs)
 
 
 def _run_corollary(args, params):
@@ -230,6 +223,9 @@ def _run_regularity(args, params):
     if args.check == "norm":
         u = _profile_by_name(args.which, params)
         G = _parse_domain(args.domain)
+        if G.n != params.n:  # the weights and nu < n read G.n, the profile params.n
+            raise _UsageError(f"domain {args.domain!r} has dimension {G.n}, "
+                              f"but --n is {params.n}")
         res = weighted_norm(u, args.m, args.nu, G)
         out = _json_ready(res)
         out["name"] = f"weighted-norm-{args.which}"
@@ -332,7 +328,6 @@ def _build_parser():
     sub.add_argument("--beta", type=int, default=0)
     sub.add_argument("--form-lambda", default="d1")
     sub.add_argument("--form-omega", default="d1")
-    sub.add_argument("--zero-tolerance", type=float, default=1e-8)
 
     sub = subs.add_parser("corollary", help="order-zero cross identity")
     _add_common(sub)

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 6
+# the bound on a zero-target gap; both solution families are even, so every
+# zero target is an exact 0 by parity and any positive bound certifies it
+ZERO_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -437,14 +440,13 @@ def check_commutativity(f: SolutionDescriptor, g: SolutionDescriptor,
 
 
 def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
-                        tolerance: float = 1e-6,
-                        zero_tolerance: float = 1e-8) -> IdentityReport:
+                        tolerance: float = 1e-6) -> IdentityReport:
     """Single-solution instance: for odd |alpha|+|beta| both integrals are
-    certified zero relative to their conditioning; for even totals the
-    signed equality (-1)^|beta| I(beta, alpha) = (-1)^|alpha| I(alpha, beta)
-    is certified.
+    certified zero, within ZERO_TOLERANCE of their conditioning; for even
+    totals the signed equality (-1)^|beta| I(beta, alpha) = (-1)^|alpha|
+    I(alpha, beta) is certified.
     """
-    check_tolerance(tolerance, zero_tolerance)
+    check_tolerance(tolerance)
     _check_params(params, f)
     a, b = _as_index(alpha, params.n).order, _as_index(beta, params.n).order
     lhs = _pair_integral((f.base, b), (f.power, a), params)
@@ -453,7 +455,7 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
     if (a + b) % 2 == 1:
         desc = (f"int D{b}[{name}] D{a}[{name}^(p-1)] = "
                 f"int D{a}[{name}] D{b}[{name}^(p-1)] = 0")
-        return _report("odd-orthogonality", desc, lhs, rhs, zero_tolerance,
+        return _report("odd-orthogonality", desc, lhs, rhs, ZERO_TOLERANCE,
                        zero_target=True)
     desc = (f"(-1)^{b} int D{b}[{name}] D{a}[{name}^(p-1)] = "
             f"(-1)^{a} int D{a}[{name}] D{b}[{name}^(p-1)]")
@@ -463,8 +465,7 @@ def check_orthogonality(f: SolutionDescriptor, alpha, beta, params: Params,
 
 def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
                     lam_form: DifferentialForm, omega_form: DifferentialForm,
-                    params: Params, tolerance: float = 1e-6,
-                    zero_tolerance: float = 1e-8) -> list:
+                    params: Params, tolerance: float = 1e-6) -> list:
     """Composite-form identities, expanded into certified term-pair integrals.
 
     With distinct solutions this emits the form commutativity report plus
@@ -473,7 +474,7 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     plain commutativity.  Singleton forms reproduce check_commutativity and
     check_orthogonality values exactly (same code path).
     """
-    check_tolerance(tolerance, zero_tolerance)
+    check_tolerance(tolerance)
     _check_params(params, f, g)
 
     def side(lam: DifferentialForm, x: RadialProfile,
@@ -514,11 +515,11 @@ def check_composite(f: SolutionDescriptor, g: SolutionDescriptor,
     reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f) Lam_o(f^(p-1)) = 0",
-        side(lam_e, f.base, lam_o, f.power), _sum([]), zero_tolerance, zero_target=True))
+        side(lam_e, f.base, lam_o, f.power), _sum([]), ZERO_TOLERANCE, zero_target=True))
     reports.append(_report(
         "composite-orthogonality",
         "int Lam_e(f^(p-1)) Lam_o(f) = 0",
-        side(lam_e, f.power, lam_o, f.base), _sum([]), zero_tolerance, zero_target=True))
+        side(lam_e, f.power, lam_o, f.base), _sum([]), ZERO_TOLERANCE, zero_target=True))
     return reports
 
 

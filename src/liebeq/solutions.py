@@ -61,7 +61,6 @@ class ResidualReport:
     relative quadrature error estimates.
     """
 
-    params: Params
     sample_radii: tuple
     lhs_values: tuple
     rhs_values: tuple
@@ -112,7 +111,6 @@ def verify_solution(f: RadialProfile, params: Params, radii,
     rel_errs = [e / abs(b) for e, b in zip(errs, rhs)]
 
     return ResidualReport(
-        params=params,
         sample_radii=radii,
         lhs_values=tuple(lhs),
         rhs_values=tuple(rhs),

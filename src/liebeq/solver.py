@@ -190,14 +190,10 @@ class GridSolution1D:
     x: tuple
     values: tuple
     params: Params
-    domain: Domain1D
 
     def value(self, x):
         out = np.interp(x, self.x, self.values)
         return out if out.ndim else float(out)
-
-    def __call__(self, x):
-        return self.value(x)
 
     def derivative_1d(self, x, order: int):
         """d^k u_h/dx^k for k <= 1: the value, or the slope of the panel to
@@ -374,9 +370,8 @@ def picard_solve(config: SolverConfig, params: Params):
     """
     if params.n != 1:
         raise ValueError("the bounded-domain solver runs in dimension 1")
-    G = config.domain
     count = config.grid_size if config.grid_size % 2 == 1 else config.grid_size + 1
-    x = graded_grid(G.a, G.b, count, GRADING_EXPONENT)
+    x = graded_grid(config.domain.a, config.domain.b, count, GRADING_EXPONENT)
     Wr = product_integration_matrix(x, params.lam)
 
     # the sweeps' factor M cancels the start's amplitude, so none is chosen
@@ -386,7 +381,7 @@ def picard_solve(config: SolverConfig, params: Params):
     uh = _solve_even(Wr, start, params, config.stop_tol, trace)
     trace.iterations = len(trace.residuals)
     trace.converged = trace.residuals[-1] <= config.stop_tol
-    solution = GridSolution1D(tuple(x), tuple(np.concatenate([uh[:0:-1], uh])), params, G)
+    solution = GridSolution1D(tuple(x), tuple(np.concatenate([uh[:0:-1], uh])), params)
     return solution, trace
 
 

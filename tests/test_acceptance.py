@@ -111,8 +111,7 @@ def test_criterion_06_orthogonality_suite():
     ok = True
     for a in range(4):
         for b in range(4):
-            rep = check_orthogonality(fL, a, b, p, tolerance=1e-6,
-                                      zero_tolerance=1e-8)
+            rep = check_orthogonality(fL, a, b, p, tolerance=1e-6)
             ok = ok and rep.verdict == VERIFIED
             if (a + b) % 2 == 1:
                 worst_zero = max(worst_zero, abs(rep.lhs), abs(rep.rhs))
@@ -127,8 +126,7 @@ def test_criterion_07_composite_forms():
     p = Params(1, 0.5)
     fL = solution_descriptor(lieb_solution(p), p, "lieb")
     form = parse_form("d1 + d11", 1)
-    reports = check_composite(fL, fL, form, form, p,
-                              tolerance=1e-6, zero_tolerance=1e-8)
+    reports = check_composite(fL, fL, form, form, p, tolerance=1e-6)
     chain = [r for r in reports if r.identity_id.startswith("parity-chain")]
     zeros = [r for r in reports if r.identity_id == "composite-orthogonality"]
     ok = (len(chain) == 3 and len(zeros) == 2

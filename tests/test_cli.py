@@ -144,6 +144,15 @@ class TestIdentity:
         assert report["verdict"] == "NotApplicable"
         assert report["results"][0]["screen"]["convergent"] is False
 
+    def test_composite_with_a_rejected_part_exits_three(self, tmp_path):
+        out = tmp_path / "na.json"
+        code = main(["identity", "--kind", "composite", "--f", "singular", "--g", "lieb",
+                     "--form-lambda", "d1 + d11", "--form-omega", "d1",
+                     "--no-timestamp", "--out", str(out)])
+        assert code == 3
+        report = load_report(str(out))
+        assert [r["verdict"] for r in report["results"]] == ["NotApplicable"] * 3
+
     def test_composite(self, tmp_path):
         out = tmp_path / "comp.json"
         code = main(["identity", "--kind", "composite", "--f", "lieb",
@@ -153,10 +162,10 @@ class TestIdentity:
         assert code == 0
         assert len(load_report(str(out))["results"]) == 5
 
-    @pytest.mark.parametrize("option", [["--zero-tolerance", "-1"], ["--tolerance", "-1"]])
+    @pytest.mark.parametrize("option", [["--tolerance", "-1"], ["--tolerance", "0"]])
     def test_nonpositive_tolerance_is_usage_error(self, option, capsys):
-        # Lambda_o of d11 is empty, so the composite-orthogonality integrals
-        # are exactly 0; a negative tolerance would refute them
+        # the parity chain of d11 is exact, so its gaps are 0: a negative
+        # tolerance would refute them, and a zero one is refused with it
         code = main(["identity", "--kind", "composite", "--f", "lieb", "--g", "lieb",
                      "--form-lambda", "d11", "--form-omega", "d11", *option,
                      "--no-timestamp"])
@@ -176,16 +185,18 @@ class TestIdentity:
         assert "cannot parse form term" in captured.err
 
     def test_unused_tolerance_is_still_checked(self, capsys):
-        # commutativity reads no zero tolerance, but the report echoes it
-        code = main(["identity", "--kind", "commutativity", "--zero-tolerance", "-1",
-                     "--no-timestamp"])
+        # an odd-total orthogonality reads only the zero-target bound, but the
+        # report echoes the tolerance
+        code = main(["identity", "--kind", "orthogonality", "--alpha", "1", "--beta", "0",
+                     "--tolerance", "-1", "--no-timestamp"])
         assert code == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,option", [
         ("identity", "rel-tol"), ("corollary", "rel-tol"), ("constants", "rel-tol"),
         ("regularity", "rel-tol"), ("scan", "rel-tol"), ("solve", "rel-tol"),
-        ("constants", "tolerance"), ("riesz", "tolerance"), ("scan", "tolerance")])
+        ("constants", "tolerance"), ("riesz", "tolerance"), ("scan", "tolerance"),
+        ("identity", "zero-tolerance")])
     def test_unread_option_is_usage_error(self, tmp_path, capsys, command, option):
         # a subcommand takes only the options it reads, as a flag or a config key
         assert main([command, f"--{option}", "1e-11", "--no-timestamp"]) == 2
@@ -369,6 +380,13 @@ class TestCorollaryAndScan:
         (["regularity", "--check", "norm", "--domain", "ball:1,nan"], "finite width"),
         (["regularity", "--check", "norm", "--domain", "interval:-1e308,1e308"], "finite width"),
         (["regularity", "--check", "norm", "--nu", "nan"], "nu = nan"),
+        # the weights and nu < n read the domain's n, the profile reads --n
+        (["regularity", "--check", "norm", "--n", "1", "--domain", "ball:3,1", "--nu", "2.5"],
+         "domain 'ball:3,1' has dimension 3, but --n is 1"),
+        (["regularity", "--check", "norm", "--n", "2", "--lambda", "1",
+          "--domain", "interval:-1,1"], "has dimension 1, but --n is 2"),
+        (["regularity", "--check", "norm", "--n", "2", "--lambda", "1"],
+         "domain 'ball:1,1' has dimension 1, but --n is 2"),
         (["regularity", "--check", "kernel-growth", "--m", "-1"], "m = -1"),
         (["scan", "--which", "lieb", "--threshold=-1"], "threshold must be positive and finite"),
         (["scan", "--which", "lieb", "--threshold", "0"], "threshold must be positive and finite"),
@@ -380,6 +398,19 @@ class TestCorollaryAndScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["riesz", "--which", "power"], "--which power requires --exponent"),
+    (["regularity", "--check", "norm", "--domain", "cube:1,1"], "unknown domain kind 'cube'"),
+    (["regularity", "--check", "norm", "--domain", "ball:1"], "cannot parse domain 'ball:1'"),
+    (["verify-solution", "--radii", "1,x"], "cannot parse number list '1,x'"),
+])
+def test_missing_or_malformed_input_is_usage_error(args, message, capsys):
+    assert main(args + ["--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 class TestSolve:
@@ -436,6 +467,13 @@ class TestConfigFile:
         report = load_report(str(out))
         assert report["params"]["n"] == 2
         assert report["params"]["lambda"] == 1.0
+
+    def test_config_turns_a_flag_on(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-timestamp=true\n")
+        out = tmp_path / "out.json"
+        assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "timestamp" not in load_report(str(out))
 
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -474,6 +474,18 @@ class TestComposite:
         comm = next(r for r in reports if r.identity_id == "composite-commutativity")
         assert comm.verdict == VERIFIED
 
+    def test_rejected_part_makes_every_report_not_applicable(self, descriptors):
+        # in every side the term pair with D2 of the singular profile (or of
+        # its power) diverges at 0, and one rejected pair stands for its sum
+        p, fC, fL = descriptors
+        reports = check_composite(fC, fL, parse_form("d1 + d11", 1), parse_form("d1", 1), p)
+        assert [r.identity_id for r in reports] == ["composite-commutativity",
+                                                    "composite-orthogonality",
+                                                    "composite-orthogonality"]
+        for r in reports:
+            assert r.verdict == NOT_APPLICABLE
+            assert not r.screen.convergent and math.isnan(r.lhs)
+
     def test_singleton_reproduces_commutativity(self, descriptors):
         p, fC, fL = descriptors
         rep = check_commutativity(fC, fL, 0, 0, p)
@@ -515,18 +527,16 @@ class TestPairTable:
                             lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
         return calls
 
-    @pytest.mark.parametrize("tolerances", [{"tolerance": -1.0}, {"zero_tolerance": -1.0},
-                                            {"zero_tolerance": 0.0},
+    @pytest.mark.parametrize("tolerances", [{"tolerance": -1.0}, {"tolerance": 0.0},
                                             {"tolerance": math.inf}])
     def test_bad_tolerance_refused_before_any_quadrature(self, descriptors, integrate_calls,
                                                           tolerances):
         p, fC, fL = descriptors
         form = parse_form("d11", 1)
         checks = [lambda: check_composite(fL, fL, form, form, p, **tolerances),
-                  lambda: check_orthogonality(fL, 1, 0, p, **tolerances)]
-        if "tolerance" in tolerances:
-            # the screen rejects this pair: the NotApplicable path refuses it too
-            checks.append(lambda: check_commutativity(fC, fC, 1, 0, p, **tolerances))
+                  lambda: check_orthogonality(fL, 1, 0, p, **tolerances),
+                  # the screen rejects this pair: the NotApplicable path refuses it too
+                  lambda: check_commutativity(fC, fC, 1, 0, p, **tolerances)]
         for check in checks:
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 check()

@@ -334,6 +334,27 @@ class TestNewtonScheme:
         _, trace = picard_solve(cfg, Params(1, lam))
         assert trace.converged and trace.nfev == 0
 
+    @pytest.mark.parametrize("failures", [1, 3, 10])
+    def test_singular_gram_matrix_clears_the_history(self, monkeypatch, failures):
+        # the sweep that meets a singular Gram matrix moves to g and starts
+        # a new history; the sweeps still reach the same solution
+        cfg = SolverConfig(domain=Domain1D.interval(-1.0, 1.0), grid_size=257)
+        reference, _ = picard_solve(cfg, Params(1, 0.5))
+        solve, calls = np.linalg.solve, []
+
+        def singular_at_first(*args):
+            calls.append(None)
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_first)
+        solution, trace = picard_solve(cfg, Params(1, 0.5))
+        assert len(calls) > failures
+        assert trace.converged and trace.nfev == 0
+        peak = max(reference.values)
+        assert np.max(np.abs(np.subtract(solution.values, reference.values))) <= 1e-12 * peak
+
     # a trust-region finish alone, from the start u = 1, stalled short of
     # a root on these (residuals 2e-3 to 8e-2); the sweeps bring every one
     # into its basin

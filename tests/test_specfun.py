@@ -219,3 +219,14 @@ def test_sphere_surface_area_within_ulps_of_mpmath():
             exact = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
             ulps = abs(sphere_surface_area(n) - exact) / math.ulp(float(exact))
             assert ulps <= (2.0 if n <= 6 else 4.0), n
+
+
+def test_sphere_surface_area_past_the_gamma_overflow_against_mpmath():
+    # the log-Gamma branch, from n = 344 to the last n whose value is a
+    # normal double; there the argument of exp reaches -708, and one ulp of
+    # it is 1.1e-13 of relative error
+    with mpmath.workdps(40):
+        for n in range(344, 439):
+            exact = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
+            assert float(exact) >= np.finfo(float).tiny, n
+            assert abs(sphere_surface_area(n) / exact - 1) <= 5e-13, n

@@ -32,6 +32,10 @@ def test_library_settings():
         ["f", "alpha", "g", "beta", "params", "R"]
     assert list(inspect.signature(decay_singularity_scan).parameters) == \
         ["f", "R_outer", "blowup_threshold"]
+    assert list(inspect.signature(check_orthogonality).parameters) == \
+        ["f", "alpha", "beta", "params", "tolerance"]
+    assert list(inspect.signature(check_composite).parameters) == \
+        ["f", "g", "lam_form", "omega_form", "params", "tolerance"]
 
 
 _G = Domain1D.interval(-1.0, 1.0)
@@ -49,11 +53,14 @@ _D1 = parse_form("d1", 1)
     lambda: check_commutativity(_FL, _FL, 0, 0, _P, quad=QuadratureSpec()),
     lambda: check_orthogonality(_FL, 1, 0, _P, quad=QuadratureSpec()),
     lambda: check_composite(_FL, _FL, _D1, _D1, _P, quad=QuadratureSpec()),
+    lambda: check_orthogonality(_FL, 1, 0, _P, zero_tolerance=1e-8),
+    lambda: check_composite(_FL, _FL, _D1, _D1, _P, zero_tolerance=1e-8),
     lambda: riesz_potential_radial(_FL.base, _P, 1.0, quad=QuadratureSpec()),
     lambda: verify_solution(_FL.base, _P, [1.0], quad=QuadratureSpec()),
     lambda: cutoff_pair_integral(_FL, 0, _FL, 0, _P, 1e2, quad=QuadratureSpec()),
 ], ids=["max_subdivisions", "grading_exponent", "max_iters", "init", "h",
         "commutativity_quad", "orthogonality_quad", "composite_quad",
+        "orthogonality_zero_tolerance", "composite_zero_tolerance",
         "potential_quad", "verify_quad", "cutoff_quad"])
 def test_removed_keyword_is_a_type_error(call):
     with pytest.raises(TypeError):
@@ -66,7 +73,7 @@ _OPTIONS = {
     "verify-solution": ["--radii", "--rel-tol", "--tolerance", "--which"],
     "riesz": ["--amplitude", "--exponent", "--r", "--rel-tol", "--which"],
     "identity": ["--alpha", "--beta", "--f", "--form-lambda", "--form-omega", "--g",
-                 "--kind", "--tolerance", "--zero-tolerance"],
+                 "--kind", "--tolerance"],
     "corollary": ["--tolerance"],
     "regularity": ["--check", "--domain", "--m", "--nu", "--which"],
     "scan": ["--r-outer", "--threshold", "--which"],
