@@ -528,6 +528,7 @@ class TestPairTable:
         return calls
 
     @pytest.mark.parametrize("tolerances", [{"tolerance": -1.0}, {"tolerance": 0.0},
+                                            {"tolerance": math.nan},
                                             {"tolerance": math.inf}])
     def test_bad_tolerance_refused_before_any_quadrature(self, descriptors, integrate_calls,
                                                           tolerances):
